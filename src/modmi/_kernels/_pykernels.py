@@ -1,14 +1,13 @@
-"""NumPy fallback kernels.
+"""Fixed-order reference kernels.
 
-These mirror the compiled kernels operation-for-operation: squared distances
-accumulate over dimensions in order (one vectorized pass per dimension) and
-centroid sums accumulate point-by-point via ``np.add.at``, so both backends
-produce bit-identical labels, distances and sums.
+``assign_chunk`` accumulates squared distances over dimensions in order (one
+vectorized pass per dimension), so its result is independent of BLAS; it
+settles the rows the GEMM prefilter in ``modmi._kernels`` cannot decide and
+is the oracle the kernel tests compare against.  ``update_chunk`` accumulates
+centroid sums point-by-point via ``np.add.at``.
 """
 
 import numpy as np
-
-name = "python"
 
 
 def assign_chunk(x, centroids, labels_out, dist2_out):

@@ -352,6 +352,12 @@ def load_manifest(path) -> Manifest:
             stream_path = path.parent / stream_path
         if not stream_path.is_file():
             raise FormatError(f"{path}: stream {label}: no such file: {stream_path}")
+        for key in ("clusters", "alphabet_size"):
+            value = entry.get(key)
+            if value is not None and (isinstance(value, bool) or not isinstance(value, int) or value < 1):
+                raise FormatError(
+                    f"{path}: stream {label}: {key!r} must be an integer >= 1, got {value!r}"
+                )
         clusters = entry.get("clusters")
         if clusters is not None and kind == "labels":
             raise FormatError(

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import infotheory, quantizer
-from .errors import DataError, ModmiError
+from .errors import DataError, FormatError, ModmiError
 from .infotheory import InfoQuantities
 from .ingestion import (
     FeatureMatrix,
@@ -49,6 +49,9 @@ class AnalysisConfig:
         object.__setattr__(self, "log_base", infotheory.normalize_base(self.log_base))
         if self.clusters < 1:
             raise DataError(f"clusters must be >= 1, got {self.clusters}")
+        # Stream i is fitted with seed + i (i <= 2), which must fit in u64.
+        if not 0 <= self.seed <= 2**64 - 3:
+            raise DataError(f"seed must be in [0, 2**64 - 3], got {self.seed}")
         if self.target_rate_hz is not None and not self.target_rate_hz > 0:
             raise DataError(f"target_rate_hz must be > 0, got {self.target_rate_hz}")
 
@@ -111,59 +114,86 @@ class InfoReport:
 
     @classmethod
     def from_json(cls, text: str) -> "InfoReport":
-        doc = json.loads(text)
-        cfg = doc["config"]
-        config = AnalysisConfig(
-            target_rate_hz=cfg["target_rate_hz"],
-            clusters=cfg["clusters"],
-            seed=cfg["seed"],
-            tol=cfg["tol"],
-            max_iter=cfg["max_iter"],
-            normalize=cfg["normalize"],
-            log_base=cfg["log_base"],
-        )
+        """Parse a report written by ``to_json``; malformed input raises FormatError."""
+        try:
+            doc = json.loads(text)
+        except json.JSONDecodeError as e:
+            raise FormatError(f"report: invalid JSON: {e}") from None
+        cfg = _field(doc, "config", dict, "report")
+        try:
+            config = AnalysisConfig(
+                target_rate_hz=_field(cfg, "target_rate_hz", _NUMBER + (type(None),), "config"),
+                clusters=_field(cfg, "clusters", int, "config"),
+                seed=_field(cfg, "seed", int, "config"),
+                tol=_field(cfg, "tol", _NUMBER, "config"),
+                max_iter=_field(cfg, "max_iter", int, "config"),
+                normalize=_field(cfg, "normalize", bool, "config"),
+                log_base=_field(cfg, "log_base", str, "config"),
+            )
+        except DataError as e:
+            raise FormatError(f"report: config: {e}") from None
         streams = tuple(
             StreamSummary(
-                name=e["name"],
-                role=e["role"],
-                kind=e["kind"],
-                rows=e["L"],
-                dims=e.get("d"),
-                clusters=e.get("k"),
-                distinct=e.get("distinct"),
-                codebook_sha256=e.get("codebook_sha256"),
+                name=_field(e, "name", str, "streams[]"),
+                role=_field(e, "role", str, "streams[]"),
+                kind=_field(e, "kind", str, "streams[]"),
+                rows=_field(e, "L", int, "streams[]"),
+                dims=_field(e, "d", int, "streams[]", optional=True),
+                clusters=_field(e, "k", int, "streams[]", optional=True),
+                distinct=_field(e, "distinct", int, "streams[]", optional=True),
+                codebook_sha256=_field(e, "codebook_sha256", str, "streams[]", optional=True),
             )
-            for e in doc["streams"]
+            for e in _field(doc, "streams", list, "report")
         )
-        q = doc["quantities"]
-        if "I3" in q:
-            quantities = InfoQuantities(
-                log_base=q["log_base"],
-                h_t=q["H"]["T"],
-                h_s=q["H"]["S"],
-                h_v=q["H"]["V"],
-                i_ts=q["I2"]["T,S"],
-                i_tv=q["I2"]["T,V"],
-                i_vs=q["I2"]["V,S"],
-                i_vts=q["I3"],
-                h_s_given_t=q["cond"]["S|T"],
-                h_v_given_t=q["cond"]["V|T"],
-                h_t_given_s=q["cond"]["T|S"],
-                h_t_given_v=q["cond"]["T|V"],
-                h_v_given_s=q["cond"]["V|S"],
-                h_s_given_v=q["cond"]["S|V"],
-                regions=dict(q["regions"]),
-            )
-        else:
-            quantities = InfoQuantities(
-                log_base=q["log_base"],
-                h_t=q["H"]["T"],
-                h_s=q["H"]["S"],
-                i_ts=q["I2"]["T,S"],
-                h_s_given_t=q["cond"]["S|T"],
-                h_t_given_s=q["cond"]["T|S"],
-            )
+        q = _field(doc, "quantities", dict, "report")
+        three = "I3" in q
+        paths = dict(_PAIR_PATHS, **(_TRIPLE_PATHS if three else {}))
+        values = {
+            name: _field(_field(q, group, dict, "quantities"), key, _NUMBER, f"quantities.{group}")
+            for name, (group, key) in paths.items()
+        }
+        if three:
+            values["i_vts"] = _field(q, "I3", _NUMBER, "quantities")
+            regions = _field(q, "regions", dict, "quantities")
+            values["regions"] = {r: _field(regions, r, _NUMBER, "quantities.regions") for r in _REGIONS}
+        quantities = InfoQuantities(log_base=_field(q, "log_base", str, "quantities"), **values)
         return cls(quantities=quantities, streams=streams, config=config)
+
+
+_NUMBER = (int, float)
+
+# InfoQuantities field -> (group, key) in a report's "quantities" object.
+_PAIR_PATHS = {
+    "h_t": ("H", "T"),
+    "h_s": ("H", "S"),
+    "i_ts": ("I2", "T,S"),
+    "h_s_given_t": ("cond", "S|T"),
+    "h_t_given_s": ("cond", "T|S"),
+}
+_TRIPLE_PATHS = {
+    "h_v": ("H", "V"),
+    "i_tv": ("I2", "T,V"),
+    "i_vs": ("I2", "V,S"),
+    "h_v_given_t": ("cond", "V|T"),
+    "h_t_given_v": ("cond", "T|V"),
+    "h_v_given_s": ("cond", "V|S"),
+    "h_s_given_v": ("cond", "S|V"),
+}
+_REGIONS = ("V|T,S", "T|V,S", "S|V,T", "V;T|S", "T;S|V", "V;S|T", "V;T;S")
+
+
+def _field(obj, key: str, types, where: str, optional: bool = False):
+    """``obj[key]`` checked against ``types`` (a bool is not a number)."""
+    if not isinstance(obj, dict):
+        raise FormatError(f"report: {where} must be an object")
+    if key not in obj:
+        if optional:
+            return None
+        raise FormatError(f"report: {where} is missing {key!r}")
+    value = obj[key]
+    if isinstance(value, bool) != (types is bool) or not isinstance(value, types):
+        raise FormatError(f"report: {where}.{key} has the wrong type: {value!r}")
+    return value
 
 
 def _assign_roles(specs) -> dict[str, str]:

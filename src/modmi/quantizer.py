@@ -95,7 +95,8 @@ def _kmeanspp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarra
     centers[0] = x[first]
     if k == 1:
         return centers
-    _, closest = _kernels.assign_labels(x, centers[0:1])
+    x_cols = np.ascontiguousarray(x.T)  # contiguous columns for the D^2 passes
+    closest = _kernels.row_dist2(x_cols, centers[0])
     for c in range(1, k):
         cum = np.cumsum(closest)
         total = cum[-1]
@@ -107,8 +108,7 @@ def _kmeanspp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarra
         while closest[idx] == 0.0:  # fp edge: never seed on an existing center
             idx = (idx + 1) % n
         centers[c] = x[idx]
-        _, d2 = _kernels.assign_labels(x, centers[c : c + 1])
-        np.minimum(closest, d2, out=closest)
+        np.minimum(closest, _kernels.row_dist2(x_cols, centers[c]), out=closest)
     return centers
 
 

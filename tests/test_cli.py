@@ -49,6 +49,14 @@ class TestAnalyze:
         assert code == 1
         assert err.strip().startswith("error:")
 
+    @pytest.mark.parametrize("dataset", ["blobs_dir", "xor_dir"])  # features / labels only
+    def test_negative_seed_exit_1(self, dataset, request, capsys):
+        manifest = str(request.getfixturevalue(dataset) / "manifest.json")
+        code, out, err = run(capsys, "analyze", manifest, "--seed", "-1")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: seed must be in")
+
     def test_json_matches_table_at_4dp(self, blobs_dir, capsys):
         manifest = str(blobs_dir / "manifest.json")
         code, table_out, _ = run(capsys, "analyze", manifest, "--format", "table")
@@ -198,6 +206,25 @@ class TestReport:
         code, out, _ = run(capsys, "report", str(saved), "--format", "json")
         assert code == 0
         assert out == saved.read_text()
+
+    @pytest.mark.parametrize(
+        "mutate, message",
+        [
+            (lambda text: "not json", "invalid JSON"),
+            (lambda text: json.dumps({"config": {}}), "missing"),
+            (lambda text: text.replace('"normalize": false', '"normalize": "no"'), "wrong type"),
+            (lambda text: text.replace('"log_base": "2"', '"log_base": 2', 1), "wrong type"),
+            (lambda text: text.replace('"T": ', '"T": "x", "_": ', 1), "wrong type"),
+        ],
+        ids=["invalid-json", "missing-key", "bool-as-string", "base-as-number", "entropy-as-string"],
+    )
+    def test_malformed_report_exit_1(self, xor_dir, tmp_path, capsys, mutate, message):
+        saved = tmp_path / "r.json"
+        run(capsys, "analyze", str(xor_dir / "manifest.json"), "--out", str(saved))
+        saved.write_text(mutate(saved.read_text()))
+        code, _, err = run(capsys, "report", str(saved), "--format", "table")
+        assert code == 1
+        assert err.startswith("error: report") and message in err
 
 
 class TestDeterminism:

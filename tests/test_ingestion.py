@@ -338,3 +338,25 @@ class TestManifest:
         )
         with pytest.raises(FormatError, match="features streams only"):
             load_manifest(path)
+
+    @pytest.mark.parametrize(
+        "kind, key, value",
+        [
+            ("features", "clusters", "5"),
+            ("features", "clusters", True),
+            ("features", "clusters", 0),
+            ("labels", "alphabet_size", "5"),
+        ],
+    )
+    def test_count_fields_must_be_positive_ints(self, tmp_path, kind, key, value):
+        self._stream_files(tmp_path)
+        entry = {
+            "name": "cam",
+            "path": "a.fmx" if kind == "features" else "t.lbl",
+            "kind": kind,
+            "sample_rate_hz": 25,
+            key: value,
+        }
+        path = self._write(tmp_path, {"target_rate_hz": 25, "streams": [entry]})
+        with pytest.raises(FormatError, match=f"stream cam: '{key}' must be an integer >= 1"):
+            load_manifest(path)

@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
 from modmi import _kernels
-from modmi._kernels import accumulate_means, assign_labels, available_backends
+from modmi._kernels import _pykernels, accumulate_means, assign_labels
+from modmi.cli import main
 
 pytestmark = pytest.mark.filterwarnings("error")
 
@@ -39,19 +44,80 @@ def test_accumulate_matches_direct_numpy():
         np.testing.assert_allclose(sums[cluster], x[labels == cluster].sum(axis=0), rtol=1e-12)
 
 
-def test_backends_bit_identical():
-    backends = available_backends()
-    if "compiled" not in backends:
-        pytest.skip("compiled kernels not built")
-    for seed, d in [(3, 1), (4, 7), (5, 24), (6, 40)]:
-        x, c, k = _random_case(seed, n=2500, d=d, k=17)
-        results = {}
-        for name, impl in backends.items():
-            labels, dist2 = assign_labels(x, c, backend=impl)
-            sums, counts = accumulate_means(x, labels, k, backend=impl)
-            results[name] = (labels, dist2, sums, counts)
-        for a, b in zip(results["python"], results["compiled"]):
-            assert np.array_equal(a, b)
+# Held here so counting the exact loop's rows (below) leaves the oracle out.
+_reference_assign = _pykernels.assign_chunk
+
+
+def _oracle(x, c):
+    labels = np.empty(x.shape[0], dtype=np.int64)
+    dist2 = np.empty(x.shape[0], dtype=np.float64)
+    _reference_assign(x, c, labels, dist2)
+    return labels, dist2
+
+
+def _assert_matches_oracle(x, c):
+    labels, dist2 = assign_labels(x, c)
+    ref_labels, ref_dist2 = _oracle(x, c)
+    assert np.array_equal(labels, ref_labels)
+    assert np.array_equal(dist2, ref_dist2)
+
+
+def _exact_rows(monkeypatch):
+    """Count the rows the GEMM prefilter hands to the exact loop."""
+    seen = []
+
+    def counting(x, *args):
+        seen.append(x.shape[0])
+        _reference_assign(x, *args)
+
+    monkeypatch.setattr(_pykernels, "assign_chunk", counting)
+    return seen
+
+
+@pytest.mark.parametrize("d", [1, 7, 24, 40])
+@pytest.mark.parametrize("k", [1, 2, 17, 500])
+def test_gemm_path_equals_reference(d, k):
+    x, c, _ = _random_case(100 + d * 1000 + k, n=1500, d=d, k=k)
+    _assert_matches_oracle(x, c)
+
+
+@pytest.mark.parametrize("d", [1, 7, 24, 40])
+def test_gemm_path_equals_reference_on_ties(d):
+    rng = np.random.Generator(np.random.PCG64(d))
+    base = rng.integers(-2, 3, size=(40, d)).astype(np.float64)
+    c = np.ascontiguousarray(np.concatenate([base, base[::3]]))  # duplicate centroids
+    x = rng.integers(-2, 3, size=(1200, d)).astype(np.float64)
+    x[600:] = x[:600]  # duplicate points
+    x[:39] = (base[:-1] + base[1:]) / 2  # exactly equidistant from two centroids
+    _assert_matches_oracle(np.ascontiguousarray(x), c)
+
+
+@pytest.mark.parametrize("d", [1, 7, 24, 40])
+def test_gemm_path_equals_reference_under_cancellation(d, monkeypatch):
+    # At 1e4 the rounding bound dwarfs gaps of 1e-3, so most rows are
+    # ambiguous and the exact loop decides them.
+    x, c, _ = _random_case(200 + d, n=1500, d=d, k=17)
+    x = np.ascontiguousarray(1e4 + 1e-3 * x)
+    c = np.ascontiguousarray(1e4 + 1e-3 * c)
+    exact_rows = _exact_rows(monkeypatch)
+    _assert_matches_oracle(x, c)
+    assert sum(exact_rows) > x.shape[0] // 2
+
+
+def test_gemm_path_decides_well_separated_rows(monkeypatch):
+    x, c, _ = _random_case(9, n=2000, d=24, k=500)
+    exact_rows = _exact_rows(monkeypatch)
+    _assert_matches_oracle(x, c)
+    assert sum(exact_rows) < x.shape[0] // 100
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e4])
+def test_seeding_distance_equals_reference(offset):
+    x, c, _ = _random_case(10, n=2100, d=13, k=1)
+    x = np.ascontiguousarray(x + offset)
+    c = np.ascontiguousarray(c + offset)
+    _, ref_dist2 = _oracle(x, c)
+    assert np.array_equal(_kernels.row_dist2(np.ascontiguousarray(x.T), c[0]), ref_dist2)
 
 
 def test_assign_chunk_size_invariant(monkeypatch):
@@ -86,31 +152,20 @@ def test_bad_thread_env_rejected(monkeypatch):
         _kernels.thread_count()
 
 
-def test_backend_choice_invisible_in_reports(tmp_path):
-    # the backend is fixed at import, so force each one in a subprocess
-    if "compiled" not in available_backends():
-        pytest.skip("compiled kernels not built")
-    import os
-    import subprocess
-    import sys
-
+def test_blas_thread_count_invisible_in_reports(tmp_path):
+    # OpenBLAS reads its thread count once at load, so each run is a process.
     out_dir = tmp_path / "blobs"
-    subprocess.run(
-        [sys.executable, "-m", "modmi.cli", "synth", "blobs", "--out-dir", str(out_dir),
-         "--centers", "3", "--dims", "6", "--n-per-center", "100", "--seed", "2"],
-        check=True,
-        capture_output=True,
-    )
-    reports = {}
-    for backend in ("python", "compiled"):
-        report_path = tmp_path / f"{backend}.json"
-        env = dict(os.environ, MODMI_BACKEND=backend)
+    assert main(["synth", "blobs", "--out-dir", str(out_dir), "--centers", "6", "--dims", "16",
+                 "--n-per-center", "400", "--seed", "2"]) == 0
+    reports = []
+    for threads in ("1", "2"):
+        report_path = tmp_path / f"threads{threads}.json"
         subprocess.run(
             [sys.executable, "-m", "modmi.cli", "analyze", str(out_dir / "manifest.json"),
-             "--clusters", "3", "--seed", "4", "--out", str(report_path)],
+             "--clusters", "64", "--seed", "4", "--out", str(report_path)],
             check=True,
             capture_output=True,
-            env=env,
+            env=dict(os.environ, OPENBLAS_NUM_THREADS=threads),
         )
-        reports[backend] = report_path.read_bytes()
-    assert reports["python"] == reports["compiled"]
+        reports.append(report_path.read_bytes())
+    assert reports[0] == reports[1]

@@ -145,6 +145,15 @@ class TestAnalyze:
         with pytest.raises(InfeasibleError, match="stream 'tiny'"):
             analyze(manifest, AnalysisConfig(clusters=5))
 
+    @pytest.mark.parametrize("seed", [-1, 2**64 - 2])
+    def test_seed_out_of_range_rejected(self, seed):
+        with pytest.raises(DataError, match=r"seed must be in \[0, 2\*\*64 - 3\]"):
+            AnalysisConfig(seed=seed)
+
+    def test_largest_seed_fits_every_stream(self, blob_manifest):
+        report = analyze(blob_manifest, AnalysisConfig(clusters=3, seed=2**64 - 3))
+        assert report.config.seed == 2**64 - 3
+
     def test_mixed_rates_align(self, tmp_path):
         write_labels(seq(np.arange(200) % 3, 3), tmp_path / "fast.lbl")
         write_labels(seq(np.arange(100) % 3, 3), tmp_path / "slow.lbl")
