@@ -1,18 +1,13 @@
-"""Nearest-centroid assignment, centroid accumulation and the chunked driver.
+"""Nearest-centroid assignment and centroid accumulation.
 
 Assignment scores every centroid with one BLAS GEMM per chunk, then settles
 any row the GEMM cannot decide with the fixed-order exact loop in
 ``_pykernels``, so labels and distances are bit-identical to that loop.
-Chunks are processed in a fixed order and reduced sequentially, so results
-do not depend on ``MODMI_THREADS`` (a cap on worker threads, default 1) nor
-on the BLAS thread count.
+Both kernels walk their chunks serially and reduce them in chunk order.
+BLAS is the only parallelism, and results do not depend on its thread count.
 """
 
 from __future__ import annotations
-
-import os
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -31,36 +26,6 @@ _UNIT_ROUNDOFF = 2.0**-53
 
 def _gamma(n: int) -> float:
     return n * _UNIT_ROUNDOFF / (1 - n * _UNIT_ROUNDOFF)
-
-
-def thread_count() -> int:
-    raw = os.environ.get("MODMI_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValueError(f"MODMI_THREADS must be an integer, got {raw!r}") from None
-    return max(1, n)
-
-
-def _map_chunks(work, bounds, consume, n_threads):
-    """Run ``work(lo, hi)`` per chunk, feeding results to ``consume`` strictly
-    in chunk order with a bounded number in flight."""
-    if n_threads <= 1:
-        for lo, hi in bounds:
-            consume(work(lo, hi))
-        return
-    with ThreadPoolExecutor(max_workers=n_threads) as pool:
-        pending = deque()
-        for lo, hi in bounds:
-            pending.append(pool.submit(work, lo, hi))
-            if len(pending) >= n_threads * 2:
-                consume(pending.popleft().result())
-        while pending:
-            consume(pending.popleft().result())
-
-
-def _bounds(n, chunk):
-    return [(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
 
 
 def row_dist2(x_cols, centre_cols):
@@ -127,29 +92,23 @@ def assign_labels(x, centroids):
         labels[lo:hi] = best
         dist2[lo:hi] = row_dist2(xc.T, centroids[best].T)
 
-    _map_chunks(work, _bounds(n, ASSIGN_CHUNK), lambda _: None, thread_count())
+    # One chunk per call, so its score matrix is freed before the next.
+    for lo in range(0, n, ASSIGN_CHUNK):
+        work(lo, min(lo + ASSIGN_CHUNK, n))
     return labels, dist2
 
 
 def accumulate_means(x, labels, k):
     """Per-centroid float64 sums and int64 counts.
 
-    Each chunk accumulates into its own buffer in point order; partials are
-    then reduced in chunk order, the same tree for any thread count.
+    Each chunk sums its points into every (centroid, dimension) cell in point
+    order, as a per-chunk ``np.add.at`` would; the chunk partials are then
+    added in chunk order.
     """
     n, d = x.shape
-    sums = np.zeros((k, d), dtype=np.float64)
-    counts = np.zeros(k, dtype=np.int64)
-
-    def work(lo, hi):
-        ps = np.zeros((k, d), dtype=np.float64)
-        pc = np.zeros(k, dtype=np.int64)
-        _pykernels.update_chunk(x[lo:hi], labels[lo:hi], ps, pc)
-        return ps, pc
-
-    def consume(partial):
-        np.add(sums, partial[0], out=sums)
-        np.add(counts, partial[1], out=counts)
-
-    _map_chunks(work, _bounds(n, UPDATE_CHUNK), consume, thread_count())
-    return sums, counts
+    sums = np.zeros(k * d, dtype=np.float64)
+    for lo in range(0, n, UPDATE_CHUNK):
+        hi = min(lo + UPDATE_CHUNK, n)
+        cells = (labels[lo:hi, None] * d + np.arange(d)).ravel()
+        sums += np.bincount(cells, weights=x[lo:hi].ravel(), minlength=k * d)
+    return sums.reshape(k, d), np.bincount(labels, minlength=k)

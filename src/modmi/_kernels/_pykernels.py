@@ -1,10 +1,9 @@
-"""Fixed-order reference kernels.
+"""Fixed-order reference kernel.
 
 ``assign_chunk`` accumulates squared distances over dimensions in order (one
 vectorized pass per dimension), so its result is independent of BLAS; it
 settles the rows the GEMM prefilter in ``modmi._kernels`` cannot decide and
-is the oracle the kernel tests compare against.  ``update_chunk`` accumulates
-centroid sums point-by-point via ``np.add.at``.
+is the oracle the kernel tests compare against.
 """
 
 import numpy as np
@@ -25,8 +24,3 @@ def assign_chunk(x, centroids, labels_out, dist2_out):
     labels_out[:] = np.argmin(acc, axis=1)
     dist2_out[:] = acc[np.arange(n), labels_out]
 
-
-def update_chunk(x, labels, sums_out, counts_out):
-    """Accumulate one chunk's per-centroid sums and counts (in point order)."""
-    np.add.at(sums_out, labels, x)
-    counts_out += np.bincount(labels, minlength=counts_out.shape[0])

@@ -88,10 +88,32 @@ def joint_counts(streams: list[LabelSequence]) -> JointDistribution:
     if not streams:
         raise AlignmentError("need at least one stream")
     total = _check_aligned(streams)
-    stacked = np.stack([s.symbols for s in streams], axis=1)
-    uniq, counts = np.unique(stacked, axis=0, return_counts=True)
-    table = {tuple(int(v) for v in row): int(c) for row, c in zip(uniq, counts)}
+    arrays = [s.symbols for s in streams]
+    _, first, counts = np.unique(_tuple_keys(arrays), return_index=True, return_counts=True)
+    rows = zip(*(a[first].tolist() for a in arrays))
+    table = {row: int(c) for row, c in zip(rows, counts)}
     return JointDistribution(len(streams), table, total)
+
+
+def _tuple_keys(arrays: list[np.ndarray]) -> np.ndarray:
+    """One int64 key per aligned tuple of non-negative symbols, ordered as the
+    tuples are lexicographically (the first array most significant).
+
+    Keys are mixed-radix numbers with radix max + 1 per array.  When the next
+    digit would overflow int64, the key so far is first replaced by its rank
+    among the distinct keys, which keeps the order.
+    """
+    key = np.array(arrays[0], dtype=np.int64)
+    key_max = int(key.max())
+    for a in arrays[1:]:
+        radix = int(a.max()) + 1
+        if (key_max + 1) * radix > 2**63:
+            distinct, key = np.unique(key, return_inverse=True)
+            key_max = distinct.size - 1
+        key *= radix
+        key += a
+        key_max = key_max * radix + radix - 1
+    return key
 
 
 def _entropy_nats_from_counts(counts: np.ndarray, total: int) -> float:
@@ -101,9 +123,8 @@ def _entropy_nats_from_counts(counts: np.ndarray, total: int) -> float:
 
 def _h_nats(arrays: list[np.ndarray]) -> float:
     """Joint entropy (nats) of one or more aligned symbol arrays."""
-    stacked = np.stack(arrays, axis=1)
-    _, counts = np.unique(stacked, axis=0, return_counts=True)
-    return _entropy_nats_from_counts(counts, stacked.shape[0])
+    _, counts = np.unique(_tuple_keys(arrays), return_counts=True)
+    return _entropy_nats_from_counts(counts, arrays[0].shape[0])
 
 
 def _mi_nats(a: np.ndarray, b: np.ndarray) -> float:

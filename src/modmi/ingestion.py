@@ -106,9 +106,10 @@ class LabelSequence:
 
 @dataclass(frozen=True)
 class AlignedDataset:
-    """Named label streams sharing one length and one sample rate."""
+    """Named streams, features or labels, sharing one length and one sample
+    rate."""
 
-    streams: dict[str, LabelSequence]
+    streams: dict[str, FeatureMatrix | LabelSequence]
 
     def __post_init__(self):
         if not self.streams:
@@ -227,6 +228,8 @@ def _parse_label_text(raw: bytes, path) -> np.ndarray:
             raise FormatError(f"{path}:{lineno}: not an integer: {token!r}") from None
         if value < 0:
             raise FormatError(f"{path}:{lineno}: negative symbol {value}")
+        if value > _U32_MAX:
+            raise FormatError(f"{path}:{lineno}: symbol {value} exceeds the u32 limit {_U32_MAX}")
         symbols.append(value)
     return np.asarray(symbols, dtype=np.int64)
 
@@ -265,11 +268,13 @@ def _truncated(stream, rows: int):
     )
 
 
-def align(streams: list[LabelSequence], target_rate_hz: float) -> AlignedDataset:
-    """Resample label streams to a common rate and truncate to the shortest.
+def align(streams: list[FeatureMatrix | LabelSequence], target_rate_hz: float) -> AlignedDataset:
+    """Resample streams of either kind to a common rate with
+    :func:`resample_nearest` and truncate them to the shortest.
 
-    Stream names come from ``modality_tag`` (falling back to ``stream<i>``);
-    duplicates are rejected.
+    Each stream keeps its kind.  Stream names come from ``modality_tag``
+    (falling back to ``stream<i>``); duplicates are rejected.  The frames
+    dropped by truncation are logged per stream.
     """
     if len(streams) < 2:
         raise AlignmentError(f"align needs at least 2 streams, got {len(streams)}")
@@ -280,7 +285,7 @@ def align(streams: list[LabelSequence], target_rate_hz: float) -> AlignedDataset
     dropped = [(s.modality_tag, s.rows - rows) for s in resampled if s.rows > rows]
     if dropped:
         log.info("align: truncating to %d frames, dropped %s", rows, dropped)
-    named: dict[str, LabelSequence] = {}
+    named: dict[str, FeatureMatrix | LabelSequence] = {}
     for i, s in enumerate(resampled):
         name = s.modality_tag or f"stream{i}"
         if name in named:
@@ -333,12 +338,18 @@ def load_manifest(path) -> Manifest:
     seen = set()
     for i, entry in enumerate(entries):
         name = entry.get("name") if isinstance(entry, dict) else None
-        label = name if name else f"#{i}"
+        label = name if isinstance(name, str) and name else f"#{i}"
         if not isinstance(entry, dict):
             raise FormatError(f"{path}: stream {label}: entry must be an object")
         for key in ("name", "path", "kind", "sample_rate_hz"):
             if key not in entry:
                 raise FormatError(f"{path}: stream {label}: missing field {key!r}")
+        for key in ("name", "path"):
+            if not isinstance(entry[key], str) or not entry[key]:
+                raise FormatError(
+                    f"{path}: stream {label}: {key!r} must be a non-empty string, "
+                    f"got {entry[key]!r}"
+                )
         kind = entry["kind"]
         if kind not in ("features", "labels"):
             raise FormatError(f"{path}: stream {label}: unknown kind {kind!r}")

@@ -17,14 +17,7 @@ import numpy as np
 from . import infotheory, quantizer
 from .errors import DataError, FormatError, ModmiError
 from .infotheory import InfoQuantities
-from .ingestion import (
-    FeatureMatrix,
-    LabelSequence,
-    Manifest,
-    _truncated,
-    load_manifest,
-    resample_nearest,
-)
+from .ingestion import FeatureMatrix, LabelSequence, Manifest, align, load_manifest
 from .quantizer import RNG_NAME
 
 
@@ -55,9 +48,9 @@ class AnalysisConfig:
         if self.target_rate_hz is not None and not self.target_rate_hz > 0:
             raise DataError(f"target_rate_hz must be > 0, got {self.target_rate_hz}")
 
-    def as_dict(self, effective_rate: float | None = None) -> dict:
+    def as_dict(self) -> dict:
         return {
-            "target_rate_hz": effective_rate if effective_rate is not None else self.target_rate_hz,
+            "target_rate_hz": self.target_rate_hz,
             "clusters": self.clusters,
             "seed": self.seed,
             "tol": self.tol,
@@ -156,7 +149,11 @@ class InfoReport:
             values["i_vts"] = _field(q, "I3", _NUMBER, "quantities")
             regions = _field(q, "regions", dict, "quantities")
             values["regions"] = {r: _field(regions, r, _NUMBER, "quantities.regions") for r in _REGIONS}
-        quantities = InfoQuantities(log_base=_field(q, "log_base", str, "quantities"), **values)
+        try:
+            log_base = infotheory.normalize_base(_field(q, "log_base", str, "quantities"))
+        except DataError as e:
+            raise FormatError(f"report: quantities: {e}") from None
+        quantities = InfoQuantities(log_base=log_base, **values)
         return cls(quantities=quantities, streams=streams, config=config)
 
 
@@ -225,7 +222,10 @@ def _named(e: Exception, name: str) -> ModmiError:
 
 
 def _prepare(manifest: Manifest, config: AnalysisConfig):
-    """Load, resample and truncate all manifest streams to a common grid."""
+    """Load all manifest streams and align them to one rate and length.
+
+    Returns the aligned streams in manifest order and the effective rate.
+    """
     if len(manifest.streams) < 2:
         raise DataError(f"analysis needs >= 2 streams, got {len(manifest.streams)}")
     if len(manifest.streams) > 3:
@@ -234,13 +234,10 @@ def _prepare(manifest: Manifest, config: AnalysisConfig):
     loaded = []
     for spec in manifest.streams:
         try:
-            loaded.append(resample_nearest(manifest.load_stream(spec), rate))
+            loaded.append(manifest.load_stream(spec))
         except ModmiError as e:
             raise _named(e, spec.name) from e
-    rows = min(s.rows for s in loaded)
-    loaded = [_truncated(s, rows) for s in loaded]
-    roles = _assign_roles(manifest.streams)
-    return loaded, roles, rate
+    return list(align(loaded, rate).streams.values()), rate
 
 
 def _quantize(spec, stream, config: AnalysisConfig, position: int):
@@ -262,6 +259,41 @@ def _quantize(spec, stream, config: AnalysisConfig, position: int):
     return labels, k, digest
 
 
+def _report(specs, streams, config: AnalysisConfig) -> InfoReport:
+    """Quantize the continuous aligned streams and compute the quantity table."""
+    roles = _assign_roles(specs)
+    discretized: list[LabelSequence] = []
+    summaries: list[StreamSummary] = []
+    for position, (spec, stream) in enumerate(zip(specs, streams)):
+        if isinstance(stream, FeatureMatrix):
+            labels, k, digest = _quantize(spec, stream, config, position)
+            dims = stream.dims
+        else:
+            labels, k, digest, dims = stream, None, None, None
+        discretized.append(labels)
+        summaries.append(
+            StreamSummary(
+                name=spec.name,
+                role=roles[spec.name],
+                kind=spec.kind,
+                rows=stream.rows,
+                dims=dims,
+                clusters=k,
+                distinct=int(np.unique(labels.symbols).size),
+                codebook_sha256=digest,
+            )
+        )
+
+    by_role = {s.role: seq for s, seq in zip(summaries, discretized)}
+    if len(discretized) == 3:
+        quantities = infotheory.info_diagram(
+            by_role["V"], by_role["T"], by_role["S"], config.log_base
+        )
+    else:
+        quantities = infotheory.pair_quantities(by_role["T"], by_role["S"], config.log_base)
+    return InfoReport(quantities=quantities, streams=tuple(summaries), config=config)
+
+
 def analyze(manifest, config: AnalysisConfig | None = None) -> InfoReport:
     """Run the whole estimation pipeline for one manifest.
 
@@ -272,58 +304,17 @@ def analyze(manifest, config: AnalysisConfig | None = None) -> InfoReport:
         manifest = load_manifest(manifest)
     if config is None:
         config = AnalysisConfig()
-    loaded, roles, rate = _prepare(manifest, config)
-
-    discretized: list[LabelSequence] = []
-    summaries: list[StreamSummary] = []
-    for position, (spec, stream) in enumerate(zip(manifest.streams, loaded)):
-        if isinstance(stream, FeatureMatrix):
-            labels, k, digest = _quantize(spec, stream, config, position)
-            discretized.append(labels)
-            summaries.append(
-                StreamSummary(
-                    name=spec.name,
-                    role=roles[spec.name],
-                    kind=spec.kind,
-                    rows=stream.rows,
-                    dims=stream.dims,
-                    clusters=k,
-                    distinct=int(np.unique(labels.symbols).size),
-                    codebook_sha256=digest,
-                )
-            )
-        else:
-            discretized.append(stream)
-            summaries.append(
-                StreamSummary(
-                    name=spec.name,
-                    role=roles[spec.name],
-                    kind=spec.kind,
-                    rows=stream.rows,
-                    distinct=int(np.unique(stream.symbols).size),
-                )
-            )
-
-    by_role = {s.role: seq for s, seq in zip(summaries, discretized)}
-    if len(discretized) == 3:
-        quantities = infotheory.info_diagram(
-            by_role["V"], by_role["T"], by_role["S"], config.log_base
-        )
-    else:
-        quantities = infotheory.pair_quantities(by_role["T"], by_role["S"], config.log_base)
-    return InfoReport(
-        quantities=quantities,
-        streams=tuple(summaries),
-        config=replace(config, target_rate_hz=rate),
-    )
+    streams, rate = _prepare(manifest, config)
+    return _report(manifest.streams, streams, replace(config, target_rate_hz=rate))
 
 
 def sweep_clusters(manifest, config: AnalysisConfig | None, ks: list[int]) -> list[InfoReport]:
     """One analysis per cluster count, sharing seed, alignment and streams.
 
-    Each k overrides the cluster count of every continuous stream (including
-    manifest per-stream values); discrete streams are untouched, so their
-    entropies are constant down the sweep.
+    The streams are loaded and aligned once.  Each k overrides the cluster
+    count of every continuous stream (including manifest per-stream values);
+    discrete streams are untouched, so their entropies are constant down the
+    sweep.
     """
     if not ks:
         raise DataError("sweep needs a non-empty list of cluster counts")
@@ -331,11 +322,7 @@ def sweep_clusters(manifest, config: AnalysisConfig | None, ks: list[int]) -> li
         manifest = load_manifest(manifest)
     if config is None:
         config = AnalysisConfig()
-    reports = []
-    for k in ks:
-        stripped = Manifest(
-            target_rate_hz=manifest.target_rate_hz,
-            streams=tuple(replace(s, clusters=None) for s in manifest.streams),
-        )
-        reports.append(analyze(stripped, replace(config, clusters=int(k))))
-    return reports
+    configs = [replace(config, clusters=int(k)) for k in ks]  # rejects a bad k before loading
+    streams, rate = _prepare(manifest, config)
+    specs = tuple(replace(s, clusters=None) for s in manifest.streams)
+    return [_report(specs, streams, replace(c, target_rate_hz=rate)) for c in configs]

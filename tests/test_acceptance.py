@@ -40,7 +40,7 @@ from modmi.synthetic import (
     sample_discrete,
     xor_pmf,
 )
-from util import features, random_streams, seq
+from util import features, random_streams, run_cli_process, seq
 
 LN2 = math.log(2.0)
 
@@ -206,19 +206,20 @@ def test_criterion_06_cluster_sweep_protocol(tmp_path, capsys):
         _passed(6, f"sweep k=10,50,100: H(S) rises {h_s_values}, H(T) fixed {h_t_cells[0]}")
 
 
-def test_criterion_07_byte_identical_reports(tmp_path, capsys, monkeypatch):
-    out_dir = tmp_path / "xor"
-    assert main(["synth", "xor", "--out-dir", str(out_dir), "--copies", "4"]) == 0
+def test_criterion_07_byte_identical_reports(tmp_path, capsys):
+    out_dir = tmp_path / "blobs"
+    assert main(["synth", "blobs", "--out-dir", str(out_dir), "--centers", "4", "--dims", "8",
+                 "--n-per-center", "300", "--seed", "3"]) == 0
     manifest = str(out_dir / "manifest.json")
     digests = []
-    for threads, name in [("1", "a.json"), ("1", "b.json"), ("8", "c.json")]:
-        monkeypatch.setenv("MODMI_THREADS", threads)
+    for threads, name in [("1", "a.json"), ("1", "b.json"), ("2", "c.json")]:
         path = tmp_path / name
-        assert main(["analyze", manifest, "--seed", "3", "--out", str(path)]) == 0
+        run_cli_process(["analyze", manifest, "--clusters", "32", "--seed", "3", "--out", str(path)],
+                        threads)
         digests.append(path.read_bytes())
     capsys.readouterr()
     assert digests[0] == digests[1] == digests[2]
-    _passed(7, "cmd_analyze reports byte-identical across runs and MODMI_THREADS=1/8")
+    _passed(7, "cmd_analyze reports byte-identical across runs and OPENBLAS_NUM_THREADS=1/2")
 
 
 def test_criterion_08_kmeans_contract():

@@ -6,7 +6,7 @@ import pytest
 from modmi.cli import main
 from modmi.ingestion import read_labels, write_feature_matrix, write_labels
 from modmi.synthetic import gen_gaussian_mixture
-from util import features, seq
+from util import features, run_cli_process, seq
 
 
 def run(capsys, *argv):
@@ -215,8 +215,12 @@ class TestReport:
             (lambda text: text.replace('"normalize": false', '"normalize": "no"'), "wrong type"),
             (lambda text: text.replace('"log_base": "2"', '"log_base": 2', 1), "wrong type"),
             (lambda text: text.replace('"T": ', '"T": "x", "_": ', 1), "wrong type"),
+            (lambda text: '"log_base": "7"'.join(text.rsplit('"log_base": "2"', 1)), "log base"),
         ],
-        ids=["invalid-json", "missing-key", "bool-as-string", "base-as-number", "entropy-as-string"],
+        ids=[
+            "invalid-json", "missing-key", "bool-as-string", "base-as-number", "entropy-as-string",
+            "unknown-quantities-base",
+        ],
     )
     def test_malformed_report_exit_1(self, xor_dir, tmp_path, capsys, mutate, message):
         saved = tmp_path / "r.json"
@@ -228,16 +232,14 @@ class TestReport:
 
 
 class TestDeterminism:
-    def test_byte_identical_reports_across_threads(self, blobs_dir, tmp_path, capsys, monkeypatch):
+    def test_byte_identical_reports_across_threads(self, blobs_dir, tmp_path):
         manifest = str(blobs_dir / "manifest.json")
         outputs = []
-        for threads, name in (("1", "one.json"), ("4", "four.json")):
-            monkeypatch.setenv("MODMI_THREADS", threads)
+        for threads, name in (("1", "one.json"), ("1", "again.json"), ("2", "two.json")):
             out = tmp_path / name
-            code, _, _ = run(capsys, "analyze", manifest, "--seed", "5", "--out", str(out))
-            assert code == 0
+            run_cli_process(["analyze", manifest, "--seed", "5", "--out", str(out)], threads)
             outputs.append(out.read_bytes())
-        assert outputs[0] == outputs[1]
+        assert outputs[0] == outputs[1] == outputs[2]
 
 
 class TestSynth:

@@ -6,6 +6,7 @@ import pytest
 from modmi.errors import AlignmentError, DataError
 from modmi.infotheory import (
     JointDistribution,
+    _tuple_keys,
     conditional_entropy,
     conditional_mutual_information,
     entropy,
@@ -53,6 +54,23 @@ class TestJointCounts:
             JointDistribution(1, {(0,): 2}, 3)  # counts do not sum to total
         with pytest.raises(DataError):
             JointDistribution(1, {(0,): 0}, 0)
+
+
+class TestTupleKeys:
+    @pytest.mark.parametrize(
+        "n_streams, low, high",
+        [(1, 0, 5), (2, 0, 40), (3, 0, 7), (3, 2**32 - 6, 2**32), (4, 0, 2**20)],
+        ids=["one", "two", "three-small", "three-near-u32-max", "four-ranked"],
+    )
+    def test_counts_equal_unique_rows(self, n_streams, low, high):
+        rng = np.random.Generator(np.random.PCG64(n_streams + high))
+        arrays = [rng.integers(low, high, size=3000) for _ in range(n_streams)]
+        for a in arrays:
+            a[:1500] = a[1500:]  # repeat whole tuples, not just symbols
+        rows, ref_counts = np.unique(np.stack(arrays, axis=1), axis=0, return_counts=True)
+        _, first, counts = np.unique(_tuple_keys(arrays), return_index=True, return_counts=True)
+        assert np.array_equal(counts, ref_counts)
+        assert np.array_equal(np.stack(arrays, axis=1)[first], rows)
 
 
 class TestEntropy:

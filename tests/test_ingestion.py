@@ -139,6 +139,13 @@ class TestLabelFile:
         with pytest.raises(FormatError, match=":2:"):
             read_labels(path)
 
+    @pytest.mark.parametrize("symbol", [2**32, 2**63, 99999999999999999999999])
+    def test_oversized_symbol_names_line(self, tmp_path, symbol):
+        path = tmp_path / "big.txt"
+        path.write_text(f"0\n{symbol}\n")
+        with pytest.raises(FormatError, match=f"big.txt:2: symbol {symbol} exceeds the u32 limit"):
+            read_labels(path)
+
     def test_binary_round_trip(self, tmp_path):
         s = seq([0, 5, 3, 5], alphabet_size=9)
         path = tmp_path / "s.lbl"
@@ -359,4 +366,16 @@ class TestManifest:
         }
         path = self._write(tmp_path, {"target_rate_hz": 25, "streams": [entry]})
         with pytest.raises(FormatError, match=f"stream cam: '{key}' must be an integer >= 1"):
+            load_manifest(path)
+
+    @pytest.mark.parametrize(
+        "key, value, label",
+        [("path", 5, "cam"), ("path", "", "cam"), ("name", ["a"], "#0"), ("name", "", "#0")],
+    )
+    def test_name_and_path_must_be_strings(self, tmp_path, key, value, label):
+        self._stream_files(tmp_path)
+        entry = {"name": "cam", "path": "a.fmx", "kind": "features", "sample_rate_hz": 25}
+        entry[key] = value
+        path = self._write(tmp_path, {"target_rate_hz": 25, "streams": [entry]})
+        with pytest.raises(FormatError, match=f"stream {label}: '{key}' must be a non-empty string"):
             load_manifest(path)

@@ -1,13 +1,10 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
 from modmi import _kernels
 from modmi._kernels import _pykernels, accumulate_means, assign_labels
 from modmi.cli import main
+from util import run_cli_process
 
 pytestmark = pytest.mark.filterwarnings("error")
 
@@ -129,43 +126,30 @@ def test_assign_chunk_size_invariant(monkeypatch):
     assert np.array_equal(dist_ref, dist_alt)
 
 
-def test_thread_count_does_not_change_results(monkeypatch):
+def test_accumulate_means_equals_chunked_add_at(monkeypatch):
     x, c, k = _random_case(8, n=5000, d=11, k=19)
+    labels, _ = assign_labels(x, c)
     # force many update chunks so the reduction order actually matters
     monkeypatch.setattr(_kernels, "UPDATE_CHUNK", 256)
-    monkeypatch.setattr(_kernels, "ASSIGN_CHUNK", 256)
-    monkeypatch.setenv("MODMI_THREADS", "1")
-    labels1, dist1 = assign_labels(x, c)
-    sums1, counts1 = accumulate_means(x, labels1, k)
-    monkeypatch.setenv("MODMI_THREADS", "8")
-    labels8, dist8 = assign_labels(x, c)
-    sums8, counts8 = accumulate_means(x, labels8, k)
-    assert np.array_equal(labels1, labels8)
-    assert np.array_equal(dist1, dist8)
-    assert np.array_equal(sums1, sums8)
-    assert np.array_equal(counts1, counts8)
+    ref_sums = np.zeros((k, x.shape[1]))
+    for lo in range(0, x.shape[0], 256):
+        partial = np.zeros_like(ref_sums)
+        np.add.at(partial, labels[lo:lo + 256], x[lo:lo + 256])
+        ref_sums += partial
+    sums, counts = accumulate_means(x, labels, k)
+    assert np.array_equal(sums, ref_sums)
+    assert np.array_equal(counts, np.bincount(labels, minlength=k))
+    assert counts.dtype == np.int64
 
 
-def test_bad_thread_env_rejected(monkeypatch):
-    monkeypatch.setenv("MODMI_THREADS", "many")
-    with pytest.raises(ValueError, match="MODMI_THREADS"):
-        _kernels.thread_count()
-
-
-def test_blas_thread_count_invisible_in_reports(tmp_path):
-    # OpenBLAS reads its thread count once at load, so each run is a process.
+def test_blas_threads_invisible_in_reports(tmp_path):
     out_dir = tmp_path / "blobs"
     assert main(["synth", "blobs", "--out-dir", str(out_dir), "--centers", "6", "--dims", "16",
                  "--n-per-center", "400", "--seed", "2"]) == 0
     reports = []
     for threads in ("1", "2"):
         report_path = tmp_path / f"threads{threads}.json"
-        subprocess.run(
-            [sys.executable, "-m", "modmi.cli", "analyze", str(out_dir / "manifest.json"),
-             "--clusters", "64", "--seed", "4", "--out", str(report_path)],
-            check=True,
-            capture_output=True,
-            env=dict(os.environ, OPENBLAS_NUM_THREADS=threads),
-        )
+        run_cli_process(["analyze", str(out_dir / "manifest.json"), "--clusters", "64",
+                         "--seed", "4", "--out", str(report_path)], threads)
         reports.append(report_path.read_bytes())
     assert reports[0] == reports[1]

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from modmi.errors import DataError, InfeasibleError
 from modmi.infotheory import info_diagram
 from modmi.ingestion import (
+    Manifest,
     load_manifest,
     resample_nearest,
     write_feature_matrix,
@@ -188,6 +190,21 @@ class TestSweep:
         [report] = sweep_clusters(blob_manifest, config, [4])
         direct = analyze(blob_manifest, AnalysisConfig(seed=2, clusters=4))
         assert report.to_json() == direct.to_json()
+
+    def test_each_k_equals_analyze_and_loads_once(self, blob_manifest, monkeypatch):
+        config = AnalysisConfig(seed=3)
+        directs = [analyze(blob_manifest, replace(config, clusters=k)).to_json() for k in (2, 5)]
+        loads = []
+        original = Manifest.load_stream
+
+        def counting(self, spec):
+            loads.append(spec.name)
+            return original(self, spec)
+
+        monkeypatch.setattr(Manifest, "load_stream", counting)
+        reports = sweep_clusters(blob_manifest, config, [2, 5])
+        assert [r.to_json() for r in reports] == directs
+        assert loads == ["a", "b", "t"]
 
     def test_sweep_overrides_manifest_clusters(self, tmp_path):
         centers = np.array([[0.0], [20.0], [40.0], [60.0]])

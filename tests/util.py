@@ -1,7 +1,13 @@
 """Shared helpers for the test suite."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 
+import modmi
 from modmi.ingestion import FeatureMatrix, LabelSequence
 
 
@@ -29,3 +35,14 @@ def random_streams(rng, n_streams, length, alphabet=4, correlated=True):
             symbols = rng.integers(0, alphabet, size=length)
         out.append(seq(symbols, alphabet))
     return out
+
+
+def run_cli_process(args, openblas_threads: str) -> None:
+    """Run the modmi CLI in a fresh process under ``OPENBLAS_NUM_THREADS``
+    (OpenBLAS reads its thread count once, when it loads)."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=openblas_threads)
+    src = str(Path(modmi.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    subprocess.run(
+        [sys.executable, "-m", "modmi.cli", *args], check=True, capture_output=True, env=env
+    )
