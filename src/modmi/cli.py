@@ -25,8 +25,17 @@ from .pipeline import AnalysisConfig, InfoReport, analyze, sweep_clusters
 from .quantizer import assign, fit, load_codebook, save_codebook
 from .synthetic import exhaustive_stream, gen_gaussian_mixture, xor_pmf
 
-TABLE_COLUMNS_3 = ["H(T)", "H(S)", "H(V)", "I(T;V)", "I(T;S)", "I(V;S)", "I(V;T;S)"]
-TABLE_COLUMNS_2 = ["H(T)", "H(S)", "I(T;S)"]
+# Table column -> the InfoQuantities field it prints, in column order.  A
+# two-variable report leaves out the columns whose field is None.
+TABLE_COLUMNS = {
+    "H(T)": "h_t",
+    "H(S)": "h_s",
+    "H(V)": "h_v",
+    "I(T;V)": "i_tv",
+    "I(T;S)": "i_ts",
+    "I(V;S)": "i_vs",
+    "I(V;T;S)": "i_vts",
+}
 
 
 def _fmt(value: float) -> str:
@@ -34,24 +43,24 @@ def _fmt(value: float) -> str:
     return "0.0000" if text == "-0.0000" else text
 
 
-def _table_values(q: InfoQuantities) -> list[float]:
-    if q.arity == 3:
-        return [q.h_t, q.h_s, q.h_v, q.i_tv, q.i_ts, q.i_vs, q.i_vts]
-    return [q.h_t, q.h_s, q.i_ts]
+def _columns(q: InfoQuantities) -> dict[str, float]:
+    """The table's columns for ``q``, each with its value."""
+    values = {column: getattr(q, name) for column, name in TABLE_COLUMNS.items()}
+    return {column: value for column, value in values.items() if value is not None}
+
+
+def _row(q: InfoQuantities) -> str:
+    return " ".join(_fmt(v) for v in _columns(q).values())
 
 
 def render_table(report: InfoReport) -> str:
-    columns = TABLE_COLUMNS_3 if report.quantities.arity == 3 else TABLE_COLUMNS_2
-    values = " ".join(_fmt(v) for v in _table_values(report.quantities))
-    return " ".join(columns) + "\n" + values + "\n"
+    return " ".join(_columns(report.quantities)) + "\n" + _row(report.quantities) + "\n"
 
 
 def render_sweep_table(reports: list[InfoReport]) -> str:
-    columns = TABLE_COLUMNS_3 if reports[0].quantities.arity == 3 else TABLE_COLUMNS_2
-    lines = ["k " + " ".join(columns)]
+    lines = ["k " + " ".join(_columns(reports[0].quantities))]
     for report in reports:
-        row = " ".join(_fmt(v) for v in _table_values(report.quantities))
-        lines.append(f"{report.config.clusters} {row}")
+        lines.append(f"{report.config.clusters} {_row(report.quantities)}")
     return "\n".join(lines) + "\n"
 
 
@@ -198,7 +207,7 @@ def cmd_sweep(args, parser) -> int:
 
 
 def cmd_report(args) -> int:
-    report = InfoReport.from_json(Path(args.report).read_text())
+    report = InfoReport.from_json(Path(args.report).read_bytes())
     _render_report(report, args.format, args.out, title=Path(args.report).stem)
     return 0
 

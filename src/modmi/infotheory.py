@@ -218,19 +218,9 @@ def multivariate_mi_recursive(streams: list[LabelSequence], base=2) -> float:
 
 def trivariate_mmi(v: LabelSequence, t: LabelSequence, s: LabelSequence, base=2) -> float:
     """Three-variable co-information by inclusion-exclusion over entropies:
-    H(V)+H(T)+H(S) - H(T;V) - H(T;S) - H(V;S) + H(V;T;S)."""
-    _check_aligned([v, t, s])
-    av, at, as_ = v.symbols, t.symbols, s.symbols
-    nats = (
-        _h_nats([av])
-        + _h_nats([at])
-        + _h_nats([as_])
-        - _h_nats([at, av])
-        - _h_nats([at, as_])
-        - _h_nats([av, as_])
-        + _h_nats([av, at, as_])
-    )
-    return _scaled(nats, normalize_base(base))
+    H(V)+H(T)+H(S) - H(T;V) - H(T;S) - H(V;S) + H(V;T;S), the center of
+    :func:`info_diagram`."""
+    return info_diagram(v, t, s, base).i_vts
 
 
 @dataclass(frozen=True)
@@ -264,29 +254,37 @@ class InfoQuantities:
         return 2 if self.h_v is None else 3
 
     def as_dict(self) -> dict:
-        """Report-schema view: H / I2 / I3 / cond / regions / log_base."""
-        if self.arity == 2:
-            return {
-                "H": {"T": self.h_t, "S": self.h_s},
-                "I2": {"T,S": self.i_ts},
-                "cond": {"S|T": self.h_s_given_t, "T|S": self.h_t_given_s},
-                "log_base": self.log_base,
-            }
-        return {
-            "H": {"T": self.h_t, "S": self.h_s, "V": self.h_v},
-            "I2": {"T,V": self.i_tv, "T,S": self.i_ts, "V,S": self.i_vs},
-            "I3": self.i_vts,
-            "cond": {
-                "S|T": self.h_s_given_t,
-                "V|T": self.h_v_given_t,
-                "T|S": self.h_t_given_s,
-                "T|V": self.h_t_given_v,
-                "V|S": self.h_v_given_s,
-                "S|V": self.h_s_given_v,
-            },
-            "regions": dict(self.regions),
-            "log_base": self.log_base,
-        }
+        """Report-schema view laid out by QUANTITY_KEYS and REGIONS, without None fields."""
+        out: dict = {"log_base": self.log_base}
+        for name, (group, key) in QUANTITY_KEYS.items():
+            value = getattr(self, name)
+            if value is not None:
+                (out if group is None else out.setdefault(group, {}))[key] = value
+        if self.regions is not None:
+            out["regions"] = {region: self.regions[region] for region in REGIONS}
+        return out
+
+
+# InfoQuantities field -> (group, key) of its place in a report's "quantities"
+# object; a None group puts the key at the top level.
+QUANTITY_KEYS = {
+    "h_t": ("H", "T"),
+    "h_s": ("H", "S"),
+    "h_v": ("H", "V"),
+    "i_tv": ("I2", "T,V"),
+    "i_ts": ("I2", "T,S"),
+    "i_vs": ("I2", "V,S"),
+    "i_vts": (None, "I3"),
+    "h_s_given_t": ("cond", "S|T"),
+    "h_v_given_t": ("cond", "V|T"),
+    "h_t_given_s": ("cond", "T|S"),
+    "h_t_given_v": ("cond", "T|V"),
+    "h_v_given_s": ("cond", "V|S"),
+    "h_s_given_v": ("cond", "S|V"),
+}
+
+# The seven information-diagram regions, the keys of ``InfoQuantities.regions``.
+REGIONS = ("V|T,S", "T|V,S", "S|V,T", "V;T|S", "T;S|V", "V;S|T", "V;T;S")
 
 
 def pair_quantities(t: LabelSequence, s: LabelSequence, base=2) -> InfoQuantities:

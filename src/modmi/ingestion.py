@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -56,8 +57,8 @@ class FeatureMatrix:
             idx = int(np.flatnonzero(~np.isfinite(values))[0])
             r, c = divmod(idx, values.shape[1])
             raise DataError(f"non-finite feature value at row {r}, col {c}")
-        if not self.sample_rate_hz > 0:
-            raise DataError(f"sample_rate_hz must be > 0, got {self.sample_rate_hz}")
+        if not 0 < self.sample_rate_hz < math.inf:
+            raise DataError(f"sample_rate_hz must be finite and > 0, got {self.sample_rate_hz}")
         object.__setattr__(self, "values", _freeze(values))
         object.__setattr__(self, "sample_rate_hz", float(self.sample_rate_hz))
 
@@ -96,8 +97,8 @@ class LabelSequence:
         object.__setattr__(self, "symbols", _freeze(symbols))
         object.__setattr__(self, "alphabet_size", int(self.alphabet_size))
         object.__setattr__(self, "sample_rate_hz", float(self.sample_rate_hz))
-        if not self.sample_rate_hz > 0:
-            raise DataError(f"sample_rate_hz must be > 0, got {self.sample_rate_hz}")
+        if not 0 < self.sample_rate_hz < math.inf:
+            raise DataError(f"sample_rate_hz must be finite and > 0, got {self.sample_rate_hz}")
 
     @property
     def rows(self) -> int:
@@ -241,8 +242,8 @@ def resample_nearest(stream, target_rate_hz: float):
     ``i`` copies source frame ``min(L - 1, floor((i + 0.5) * source / target))``.
     No interpolation, so label streams stay valid and features unsmoothed.
     """
-    if not target_rate_hz > 0:
-        raise DataError(f"target_rate_hz must be > 0, got {target_rate_hz}")
+    if not 0 < target_rate_hz < math.inf:
+        raise DataError(f"target_rate_hz must be finite and > 0, got {target_rate_hz}")
     source_rate = stream.sample_rate_hz
     rows = stream.rows
     out_rows = max(1, int(round(rows * target_rate_hz / source_rate)))
@@ -323,14 +324,14 @@ def load_manifest(path) -> Manifest:
     """Parse and validate a JSON manifest; relative paths resolve against it."""
     path = Path(path)
     try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+        doc = json.loads(path.read_bytes())
+    except (ValueError, RecursionError) as exc:
         raise FormatError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(doc, dict) or "target_rate_hz" not in doc:
         raise FormatError(f"{path}: manifest must be an object with 'target_rate_hz'")
     rate = doc["target_rate_hz"]
-    if not isinstance(rate, (int, float)) or not rate > 0:
-        raise FormatError(f"{path}: target_rate_hz must be a positive number")
+    if not isinstance(rate, (int, float)) or not 0 < rate < math.inf:
+        raise FormatError(f"{path}: target_rate_hz must be a finite positive number")
     entries = doc.get("streams")
     if not isinstance(entries, list) or not entries:
         raise FormatError(f"{path}: manifest needs a non-empty 'streams' list")
@@ -353,8 +354,9 @@ def load_manifest(path) -> Manifest:
         kind = entry["kind"]
         if kind not in ("features", "labels"):
             raise FormatError(f"{path}: stream {label}: unknown kind {kind!r}")
-        if not isinstance(entry["sample_rate_hz"], (int, float)) or not entry["sample_rate_hz"] > 0:
-            raise FormatError(f"{path}: stream {label}: sample_rate_hz must be positive")
+        stream_rate = entry["sample_rate_hz"]
+        if not isinstance(stream_rate, (int, float)) or not 0 < stream_rate < math.inf:
+            raise FormatError(f"{path}: stream {label}: sample_rate_hz must be finite and positive")
         if entry["name"] in seen:
             raise FormatError(f"{path}: duplicate stream name {entry['name']!r}")
         seen.add(entry["name"])
@@ -379,7 +381,7 @@ def load_manifest(path) -> Manifest:
                 name=entry["name"],
                 path=stream_path,
                 kind=kind,
-                sample_rate_hz=float(entry["sample_rate_hz"]),
+                sample_rate_hz=float(stream_rate),
                 alphabet_size=entry.get("alphabet_size"),
                 clusters=clusters,
             )

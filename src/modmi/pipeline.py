@@ -9,16 +9,18 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, replace
-from pathlib import Path
+import math
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
 from . import infotheory, quantizer
 from .errors import DataError, FormatError, ModmiError
-from .infotheory import InfoQuantities
+from .infotheory import QUANTITY_KEYS, REGIONS, InfoQuantities
 from .ingestion import FeatureMatrix, LabelSequence, Manifest, align, load_manifest
 from .quantizer import RNG_NAME
+
+_NUMBER = (int, float)
 
 
 @dataclass(frozen=True)
@@ -45,19 +47,23 @@ class AnalysisConfig:
         # Stream i is fitted with seed + i (i <= 2), which must fit in u64.
         if not 0 <= self.seed <= 2**64 - 3:
             raise DataError(f"seed must be in [0, 2**64 - 3], got {self.seed}")
-        if self.target_rate_hz is not None and not self.target_rate_hz > 0:
-            raise DataError(f"target_rate_hz must be > 0, got {self.target_rate_hz}")
+        if self.target_rate_hz is not None and not 0 < self.target_rate_hz < math.inf:
+            raise DataError(f"target_rate_hz must be finite and > 0, got {self.target_rate_hz}")
 
     def as_dict(self) -> dict:
-        return {
-            "target_rate_hz": self.target_rate_hz,
-            "clusters": self.clusters,
-            "seed": self.seed,
-            "tol": self.tol,
-            "max_iter": self.max_iter,
-            "normalize": self.normalize,
-            "log_base": self.log_base,
-        }
+        return asdict(self)
+
+
+# AnalysisConfig field -> its JSON type in a report's "config" object.
+_CONFIG_TYPES = {
+    "target_rate_hz": _NUMBER + (type(None),),
+    "clusters": int,
+    "seed": int,
+    "tol": _NUMBER,
+    "max_iter": int,
+    "normalize": bool,
+    "log_base": str,
+}
 
 
 @dataclass(frozen=True)
@@ -74,6 +80,20 @@ class StreamSummary:
     codebook_sha256: str | None = None
 
 
+# StreamSummary field -> (key, JSON type) in a report's stream entry.  A field
+# that defaults to None is left out of the entry while it is None.
+_STREAM_KEYS = {
+    "name": ("name", str),
+    "role": ("role", str),
+    "kind": ("kind", str),
+    "rows": ("L", int),
+    "dims": ("d", int),
+    "clusters": ("k", int),
+    "distinct": ("distinct", int),
+    "codebook_sha256": ("codebook_sha256", str),
+}
+
+
 @dataclass(frozen=True)
 class InfoReport:
     """The quantity table plus everything needed to reproduce it."""
@@ -85,16 +105,8 @@ class InfoReport:
     def to_json_dict(self) -> dict:
         streams = []
         for s in self.streams:
-            entry = {"name": s.name, "role": s.role, "kind": s.kind, "L": s.rows}
-            if s.dims is not None:
-                entry["d"] = s.dims
-            if s.clusters is not None:
-                entry["k"] = s.clusters
-            if s.distinct is not None:
-                entry["distinct"] = s.distinct
-            if s.codebook_sha256 is not None:
-                entry["codebook_sha256"] = s.codebook_sha256
-            streams.append(entry)
+            entry = {key: getattr(s, name) for name, (key, _) in _STREAM_KEYS.items()}
+            streams.append({key: value for key, value in entry.items() if value is not None})
         return {
             "config": self.config.as_dict(),
             "rng": RNG_NAME,
@@ -106,49 +118,44 @@ class InfoReport:
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
 
     @classmethod
-    def from_json(cls, text: str) -> "InfoReport":
+    def from_json(cls, text: str | bytes) -> "InfoReport":
         """Parse a report written by ``to_json``; malformed input raises FormatError."""
         try:
             doc = json.loads(text)
-        except json.JSONDecodeError as e:
+        except (ValueError, RecursionError) as e:
             raise FormatError(f"report: invalid JSON: {e}") from None
         cfg = _field(doc, "config", dict, "report")
         try:
             config = AnalysisConfig(
-                target_rate_hz=_field(cfg, "target_rate_hz", _NUMBER + (type(None),), "config"),
-                clusters=_field(cfg, "clusters", int, "config"),
-                seed=_field(cfg, "seed", int, "config"),
-                tol=_field(cfg, "tol", _NUMBER, "config"),
-                max_iter=_field(cfg, "max_iter", int, "config"),
-                normalize=_field(cfg, "normalize", bool, "config"),
-                log_base=_field(cfg, "log_base", str, "config"),
+                **{name: _field(cfg, name, t, "config") for name, t in _CONFIG_TYPES.items()}
             )
         except DataError as e:
             raise FormatError(f"report: config: {e}") from None
+        optional = _defaults_to_none(StreamSummary)
         streams = tuple(
             StreamSummary(
-                name=_field(e, "name", str, "streams[]"),
-                role=_field(e, "role", str, "streams[]"),
-                kind=_field(e, "kind", str, "streams[]"),
-                rows=_field(e, "L", int, "streams[]"),
-                dims=_field(e, "d", int, "streams[]", optional=True),
-                clusters=_field(e, "k", int, "streams[]", optional=True),
-                distinct=_field(e, "distinct", int, "streams[]", optional=True),
-                codebook_sha256=_field(e, "codebook_sha256", str, "streams[]", optional=True),
+                **{
+                    name: _field(e, key, types, "streams[]", optional=name in optional)
+                    for name, (key, types) in _STREAM_KEYS.items()
+                }
             )
             for e in _field(doc, "streams", list, "report")
         )
         q = _field(doc, "quantities", dict, "report")
-        three = "I3" in q
-        paths = dict(_PAIR_PATHS, **(_TRIPLE_PATHS if three else {}))
-        values = {
-            name: _field(_field(q, group, dict, "quantities"), key, _NUMBER, f"quantities.{group}")
-            for name, (group, key) in paths.items()
-        }
+        three = "I3" in q  # the three-way fields are required only then
+        three_way = _defaults_to_none(InfoQuantities)
+        values = {}
+        for name, (group, key) in QUANTITY_KEYS.items():
+            if name in three_way and not three:
+                continue
+            if group is None:
+                values[name] = _field(q, key, _NUMBER, "quantities")
+            else:
+                obj = _field(q, group, dict, "quantities")
+                values[name] = _field(obj, key, _NUMBER, f"quantities.{group}")
         if three:
-            values["i_vts"] = _field(q, "I3", _NUMBER, "quantities")
             regions = _field(q, "regions", dict, "quantities")
-            values["regions"] = {r: _field(regions, r, _NUMBER, "quantities.regions") for r in _REGIONS}
+            values["regions"] = {r: _field(regions, r, _NUMBER, "quantities.regions") for r in REGIONS}
         try:
             log_base = infotheory.normalize_base(_field(q, "log_base", str, "quantities"))
         except DataError as e:
@@ -157,26 +164,9 @@ class InfoReport:
         return cls(quantities=quantities, streams=streams, config=config)
 
 
-_NUMBER = (int, float)
-
-# InfoQuantities field -> (group, key) in a report's "quantities" object.
-_PAIR_PATHS = {
-    "h_t": ("H", "T"),
-    "h_s": ("H", "S"),
-    "i_ts": ("I2", "T,S"),
-    "h_s_given_t": ("cond", "S|T"),
-    "h_t_given_s": ("cond", "T|S"),
-}
-_TRIPLE_PATHS = {
-    "h_v": ("H", "V"),
-    "i_tv": ("I2", "T,V"),
-    "i_vs": ("I2", "V,S"),
-    "h_v_given_t": ("cond", "V|T"),
-    "h_t_given_v": ("cond", "T|V"),
-    "h_v_given_s": ("cond", "V|S"),
-    "h_s_given_v": ("cond", "S|V"),
-}
-_REGIONS = ("V|T,S", "T|V,S", "S|V,T", "V;T|S", "T;S|V", "V;S|T", "V;T;S")
+def _defaults_to_none(cls) -> frozenset[str]:
+    """Names of the fields of dataclass ``cls`` whose default is None."""
+    return frozenset(f.name for f in fields(cls) if f.default is None)
 
 
 def _field(obj, key: str, types, where: str, optional: bool = False):

@@ -47,8 +47,8 @@ class Codebook:
 
     def __post_init__(self):
         centroids = np.ascontiguousarray(self.centroids, dtype=np.float32)
-        if centroids.ndim != 2 or centroids.shape[0] < 1:
-            raise DataError(f"centroids must be (k >= 1, d), got {centroids.shape}")
+        if centroids.ndim != 2 or centroids.shape[0] < 1 or centroids.shape[1] < 1:
+            raise DataError(f"centroids must be (k >= 1, d >= 1), got {centroids.shape}")
         if not np.all(np.isfinite(centroids)):
             raise DataError("non-finite centroid")
         if self.final_distortion is not None and self.final_distortion < 0:
@@ -59,6 +59,8 @@ class Codebook:
             norm = np.ascontiguousarray(self.normalization, dtype=np.float32)
             if norm.shape != (centroids.shape[1], 2):
                 raise DataError(f"normalization must be (d, 2), got {norm.shape}")
+            if not (np.all(np.isfinite(norm)) and np.all(norm[:, 1] > 0)):
+                raise DataError("normalization must be finite with every stddev > 0")
             norm.setflags(write=False)
             object.__setattr__(self, "normalization", norm)
 
@@ -83,7 +85,7 @@ def _normalized_f64(values: np.ndarray, normalization: np.ndarray | None) -> np.
 def _fit_normalization(values: np.ndarray) -> np.ndarray:
     mean = values.astype(np.float64).mean(axis=0)
     std = values.astype(np.float64).std(axis=0)
-    std[std == 0.0] = 1.0  # constant dims map to 0 instead of dividing by 0
+    std[std.astype(np.float32) == 0.0] = 1.0  # constant dims map to 0, not a division by 0
     return np.stack([mean, std], axis=1).astype(np.float32)
 
 
@@ -100,8 +102,8 @@ def _kmeanspp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarra
     for c in range(1, k):
         cum = np.cumsum(closest)
         total = cum[-1]
-        if total == 0.0:
-            raise InfeasibleError("kmeans++ ran out of distinct points")
+        if total == 0.0:  # every row equals one of the c distinct centers
+            raise InfeasibleError(f"infeasible k: {k} clusters but only {c} distinct rows")
         r = rng.random() * total
         idx = int(np.searchsorted(cum, r, side="right"))
         idx = min(idx, n - 1)
@@ -157,9 +159,6 @@ def fit(
         raise DataError(f"k must be >= 1, got {k}")
     if not 0 <= int(seed) < 2**64:
         raise DataError(f"seed must fit an unsigned 64-bit integer, got {seed}")
-    distinct = np.unique(x.values, axis=0).shape[0]
-    if k > distinct:
-        raise InfeasibleError(f"infeasible k: {k} clusters but only {distinct} distinct rows")
 
     normalization = _fit_normalization(x.values) if normalize else None
     data = _normalized_f64(x.values, normalization)

@@ -9,6 +9,13 @@ from modmi.synthetic import gen_gaussian_mixture
 from util import features, run_cli_process, seq
 
 
+def without(text, group, key):
+    """A report with ``quantities[group][key]`` deleted."""
+    doc = json.loads(text)
+    del doc["quantities"][group][key]
+    return json.dumps(doc)
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -216,16 +223,22 @@ class TestReport:
             (lambda text: text.replace('"log_base": "2"', '"log_base": 2', 1), "wrong type"),
             (lambda text: text.replace('"T": ', '"T": "x", "_": ', 1), "wrong type"),
             (lambda text: '"log_base": "7"'.join(text.rsplit('"log_base": "2"', 1)), "log base"),
+            (lambda text: b"\xff" + text.encode(), "invalid JSON"),
+            (lambda text: "[" * 100000, "invalid JSON"),
+            (lambda text: without(text, "regions", "V;T;S"), "quantities.regions is missing"),
+            (lambda text: without(text, "cond", "V|S"), "quantities.cond is missing"),
         ],
         ids=[
             "invalid-json", "missing-key", "bool-as-string", "base-as-number", "entropy-as-string",
-            "unknown-quantities-base",
+            "unknown-quantities-base", "not-utf8", "deeply-nested", "missing-region",
+            "missing-cond",
         ],
     )
     def test_malformed_report_exit_1(self, xor_dir, tmp_path, capsys, mutate, message):
         saved = tmp_path / "r.json"
         run(capsys, "analyze", str(xor_dir / "manifest.json"), "--out", str(saved))
-        saved.write_text(mutate(saved.read_text()))
+        data = mutate(saved.read_text())
+        saved.write_bytes(data if isinstance(data, bytes) else data.encode())
         code, _, err = run(capsys, "report", str(saved), "--format", "table")
         assert code == 1
         assert err.startswith("error: report") and message in err

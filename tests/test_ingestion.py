@@ -347,6 +347,17 @@ class TestManifest:
             load_manifest(path)
 
     @pytest.mark.parametrize(
+        "raw",
+        [b'{"target_rate_hz": 25, "streams": ["\xff"]}', b"[" * 100000],
+        ids=["not-utf8", "deep"],
+    )
+    def test_undecodable_or_deep_json_rejected(self, tmp_path, raw):
+        path = tmp_path / "manifest.json"
+        path.write_bytes(raw)
+        with pytest.raises(FormatError, match="invalid JSON"):
+            load_manifest(path)
+
+    @pytest.mark.parametrize(
         "kind, key, value",
         [
             ("features", "clusters", "5"),

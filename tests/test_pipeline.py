@@ -4,9 +4,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from modmi.errors import DataError, InfeasibleError
+from modmi.errors import DataError, FormatError, InfeasibleError
 from modmi.infotheory import info_diagram
 from modmi.ingestion import (
+    FeatureMatrix,
+    LabelSequence,
     Manifest,
     load_manifest,
     resample_nearest,
@@ -248,6 +250,41 @@ class TestSweep:
         assert h_s == sorted(h_s)
 
 
+def _manifest_with_rates(tmp_path, target, stream):
+    write_labels(seq([0, 1, 0, 1]), tmp_path / "t.lbl")
+    entry = {"name": "t", "path": "t.lbl", "kind": "labels", "sample_rate_hz": stream}
+    return load_manifest(write_manifest(tmp_path, [entry, dict(entry, name="s")], target))
+
+
+def _report_with_target_rate(tmp_path, rate):
+    write_labels(seq([0, 1, 0, 1]), tmp_path / "t.lbl")
+    entry = {"name": "t", "path": "t.lbl", "kind": "labels", "sample_rate_hz": 25.0}
+    text = analyze(write_manifest(tmp_path, [entry, dict(entry, name="s")])).to_json()
+    return InfoReport.from_json(text.replace('"target_rate_hz": 25.0', f'"target_rate_hz": {rate}'))
+
+
+@pytest.mark.parametrize(
+    "build, error",
+    [
+        (lambda tmp: FeatureMatrix(np.zeros((2, 2)), float("inf")), DataError),
+        (lambda tmp: LabelSequence(np.zeros(2), 1, float("nan")), DataError),
+        (lambda tmp: resample_nearest(seq([0, 1]), float("inf")), DataError),
+        (lambda tmp: AnalysisConfig(target_rate_hz=float("inf")), DataError),
+        (lambda tmp: _manifest_with_rates(tmp, float("inf"), 25.0), FormatError),
+        (lambda tmp: _manifest_with_rates(tmp, 25.0, float("inf")), FormatError),
+        (lambda tmp: _manifest_with_rates(tmp, 25.0, float("nan")), FormatError),
+        (lambda tmp: _report_with_target_rate(tmp, "Infinity"), FormatError),
+    ],
+    ids=[
+        "features", "labels", "resample", "config", "manifest-target", "manifest-stream",
+        "manifest-stream-nan", "report-config",
+    ],
+)
+def test_non_finite_rates_rejected(tmp_path, build, error):
+    with pytest.raises(error, match="finite"):
+        build(tmp_path)
+
+
 class TestReportSerialization:
     def test_json_round_trip(self, blob_manifest):
         report = analyze(blob_manifest, AnalysisConfig(clusters=3, seed=5, log_base="e"))
@@ -268,6 +305,19 @@ class TestReportSerialization:
             "V|T,S", "T|V,S", "S|V,T", "V;T|S", "T;S|V", "V;S|T", "V;T;S",
         }
         assert q["log_base"] == "2"
+        feature_keys = {"name", "role", "kind", "L", "d", "k", "distinct", "codebook_sha256"}
+        label_keys = {"name", "role", "kind", "L", "distinct"}
+        assert [set(s) for s in doc["streams"]] == [feature_keys, feature_keys, label_keys]
+
+        entries = json.loads(blob_manifest.read_text())["streams"]
+        two = write_manifest(blob_manifest.parent, [entries[0], entries[2]], name="two.json")
+        doc = analyze(two, AnalysisConfig(clusters=3)).to_json_dict()
+        q = doc["quantities"]
+        assert set(q) == {"H", "I2", "cond", "log_base"}
+        assert set(q["H"]) == {"T", "S"}
+        assert set(q["I2"]) == {"T,S"}
+        assert set(q["cond"]) == {"S|T", "T|S"}
+        assert [set(s) for s in doc["streams"]] == [feature_keys, label_keys]
 
     def test_config_rate_defaults_to_manifest(self, tmp_path):
         write_labels(seq([0, 1] * 10), tmp_path / "x.lbl")

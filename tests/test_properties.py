@@ -1,0 +1,169 @@
+"""Property tests: malformed bytes end in ModmiError, and the binary formats
+and report JSON round-trip exactly."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+from modmi.errors import ModmiError
+from modmi.infotheory import REGIONS, InfoQuantities
+from modmi.ingestion import (
+    FeatureMatrix,
+    LabelSequence,
+    load_manifest,
+    read_feature_matrix,
+    read_labels,
+    write_feature_matrix,
+    write_labels,
+)
+from modmi.pipeline import AnalysisConfig, InfoReport, StreamSummary
+from modmi.quantizer import Codebook, load_codebook, save_codebook
+
+SETTINGS = settings(max_examples=100, deadline=None)
+
+U32_MAX = 2**32 - 1
+finite32 = st.floats(width=32, allow_nan=False, allow_infinity=False)
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("properties")
+
+
+def _report_bytes(path):
+    return InfoReport.from_json(path.read_bytes())
+
+
+@SETTINGS
+@given(
+    magic=st.sampled_from([b"", b"FMX1", b"LBL1", b"KMC1"]),
+    body=st.binary(max_size=80),
+)
+@pytest.mark.parametrize(
+    "read",
+    [read_feature_matrix, read_labels, load_codebook, load_manifest, _report_bytes],
+    ids=["fmx1", "lbl1", "kmc1", "manifest", "report"],
+)
+def test_arbitrary_bytes_raise_only_modmi_errors(workdir, read, magic, body):
+    path = workdir / f"fuzz-{read.__name__}"
+    path.write_bytes(magic + body)
+    try:
+        read(path)
+    except ModmiError:
+        pass
+
+
+@SETTINGS
+@given(
+    hnp.arrays(
+        np.float32,
+        hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=12),
+        elements=finite32,
+    )
+)
+def test_fmx1_round_trip_bit_exact(workdir, values):
+    path = workdir / "round.fmx"
+    write_feature_matrix(FeatureMatrix(values, 25.0), path)
+    assert read_feature_matrix(path).values.tobytes() == values.tobytes()
+
+
+@st.composite
+def label_sequences(draw):
+    alphabet = draw(st.integers(1, U32_MAX))
+    symbols = draw(st.lists(st.integers(0, alphabet - 1), min_size=1, max_size=40))
+    return LabelSequence(np.array(symbols, dtype=np.int64), alphabet, 25.0)
+
+
+@SETTINGS
+@given(label_sequences())
+def test_lbl1_round_trip_bit_exact(workdir, labels):
+    path = workdir / "round.lbl"
+    write_labels(labels, path)
+    back = read_labels(path)
+    assert back.alphabet_size == labels.alphabet_size
+    assert back.symbols.dtype == labels.symbols.dtype
+    assert np.array_equal(back.symbols, labels.symbols)
+
+
+@st.composite
+def codebooks(draw):
+    k, d = draw(st.integers(1, 8)), draw(st.integers(1, 6))
+    centroids = draw(hnp.arrays(np.float32, (k, d), elements=finite32))
+    normalization = None
+    if draw(st.booleans()):
+        means = draw(hnp.arrays(np.float32, (d,), elements=finite32))
+        stds = draw(hnp.arrays(np.float32, (d,), elements=finite32.filter(lambda v: v > 0)))
+        normalization = np.stack([means, stds], axis=1)
+    return Codebook(centroids, draw(st.integers(0, 2**64 - 1)), normalization)
+
+
+@SETTINGS
+@given(codebooks())
+def test_kmc1_round_trip_bit_exact(workdir, cb):
+    path = workdir / "round.kmc"
+    save_codebook(cb, path)
+    back = load_codebook(path)
+    assert back.seed == cb.seed
+    assert back.centroids.tobytes() == cb.centroids.tobytes()
+    if cb.normalization is None:
+        assert back.normalization is None
+    else:
+        assert back.normalization.tobytes() == cb.normalization.tobytes()
+
+
+def _optional(strategy):
+    return st.none() | strategy
+
+
+stream_summaries = st.builds(
+    StreamSummary,
+    name=st.text(),
+    role=st.sampled_from("VTS"),
+    kind=st.sampled_from(["features", "labels"]),
+    rows=st.integers(1, 10**9),
+    dims=_optional(st.integers(1, 4096)),
+    clusters=_optional(st.integers(1, 10**6)),
+    distinct=_optional(st.integers(1, 10**6)),
+    codebook_sha256=_optional(st.text(alphabet="0123456789abcdef", min_size=64, max_size=64)),
+)
+
+configs = st.builds(
+    AnalysisConfig,
+    target_rate_hz=_optional(st.floats(min_value=0, exclude_min=True, allow_infinity=False)),
+    clusters=st.integers(1, 10**6),
+    seed=st.integers(0, 2**64 - 3),
+    tol=finite,
+    max_iter=st.integers(1, 10**6),
+    normalize=st.booleans(),
+    log_base=st.sampled_from(["2", "e", "10"]),
+)
+
+PAIR_FIELDS = ("h_t", "h_s", "i_ts", "h_s_given_t", "h_t_given_s")
+THREE_WAY_FIELDS = (
+    "h_v", "i_tv", "i_vs", "i_vts", "h_v_given_t", "h_t_given_v", "h_v_given_s", "h_s_given_v",
+)
+
+
+@st.composite
+def reports(draw, arity):
+    fields = PAIR_FIELDS + (THREE_WAY_FIELDS if arity == 3 else ())
+    values = {name: draw(finite) for name in fields}
+    if arity == 3:
+        values["regions"] = {region: draw(finite) for region in REGIONS}
+    quantities = InfoQuantities(log_base=draw(st.sampled_from(["2", "e", "10"])), **values)
+    streams = tuple(draw(stream_summaries) for _ in range(arity))
+    return InfoReport(quantities=quantities, streams=streams, config=draw(configs))
+
+
+@SETTINGS
+@given(data=st.data())
+@pytest.mark.parametrize("arity", [2, 3])
+def test_report_json_round_trip(arity, data):
+    report = data.draw(reports(arity))
+    text = report.to_json()
+    again = InfoReport.from_json(text)
+    assert again.to_json() == text
+    assert again == report

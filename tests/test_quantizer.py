@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -44,8 +46,11 @@ class TestFit:
             assert min(np.linalg.norm(centroid - bm) for bm in blob_means) < 0.1
 
     def test_infeasible_k(self):
-        with pytest.raises(InfeasibleError, match="infeasible k"):
-            fit(two_blob_matrix(), 3, seed=0)  # only 2 distinct rows
+        with pytest.raises(InfeasibleError, match="infeasible k: 3 clusters but only 2 distinct"):
+            fit(two_blob_matrix(), 3, seed=0)
+        seven = features(np.tile(np.arange(7.0)[:, None], (3, 2)))  # 21 rows, 7 distinct
+        with pytest.raises(InfeasibleError, match="infeasible k: 8 clusters but only 7 distinct"):
+            fit(seven, 8, seed=4)
 
     def test_deterministic(self):
         rng = np.random.Generator(np.random.PCG64(2))
@@ -190,6 +195,25 @@ class TestCodebookFile:
         path = tmp_path / "big.kmc"
         save_codebook(cb, path)
         assert path.stat().st_size == 21 + 2000 * 768 * 4
+
+    @pytest.mark.parametrize(
+        "dims, normalization",
+        [
+            (0, None),
+            (2, [[0.0, 1.0], [0.0, 0.0]]),
+            (2, [[0.0, 1.0], [np.nan, 1.0]]),
+            (1, [[0.0, -1.0]]),
+            (1, [[np.inf, 1.0]]),
+        ],
+        ids=["dims-0", "stddev-0", "mean-nan", "stddev-negative", "mean-inf"],
+    )
+    def test_degenerate_codebook_rejected(self, tmp_path, dims, normalization):
+        header = struct.pack("<IIQB", 2, dims, 0, normalization is not None)
+        norm = b"" if normalization is None else np.asarray(normalization, "<f4").tobytes()
+        path = tmp_path / "bad.kmc"
+        path.write_bytes(b"KMC1" + header + norm + np.zeros((2, dims), "<f4").tobytes())
+        with pytest.raises(DataError, match="d >= 1|normalization must be finite"):
+            load_codebook(path)
 
     def test_serialized_assign_consistency(self, tmp_path):
         # a freshly fitted codebook and its on-disk copy label identically
