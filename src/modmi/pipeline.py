@@ -49,6 +49,10 @@ class AnalysisConfig:
             raise DataError(f"seed must be in [0, 2**64 - 3], got {self.seed}")
         if self.target_rate_hz is not None and not 0 < self.target_rate_hz < math.inf:
             raise DataError(f"target_rate_hz must be finite and > 0, got {self.target_rate_hz}")
+        if not 0 < self.tol < math.inf:
+            raise DataError(f"tol must be finite and > 0, got {self.tol}")
+        if self.max_iter < 1:
+            raise DataError(f"max_iter must be >= 1, got {self.max_iter}")
 
     def as_dict(self) -> dict:
         return asdict(self)
@@ -149,13 +153,13 @@ class InfoReport:
             if name in three_way and not three:
                 continue
             if group is None:
-                values[name] = _field(q, key, _NUMBER, "quantities")
+                values[name] = _quantity(q, key, "quantities")
             else:
                 obj = _field(q, group, dict, "quantities")
-                values[name] = _field(obj, key, _NUMBER, f"quantities.{group}")
+                values[name] = _quantity(obj, key, f"quantities.{group}")
         if three:
             regions = _field(q, "regions", dict, "quantities")
-            values["regions"] = {r: _field(regions, r, _NUMBER, "quantities.regions") for r in REGIONS}
+            values["regions"] = {r: _quantity(regions, r, "quantities.regions") for r in REGIONS}
         try:
             log_base = infotheory.normalize_base(_field(q, "log_base", str, "quantities"))
         except DataError as e:
@@ -180,6 +184,18 @@ def _field(obj, key: str, types, where: str, optional: bool = False):
     value = obj[key]
     if isinstance(value, bool) != (types is bool) or not isinstance(value, types):
         raise FormatError(f"report: {where}.{key} has the wrong type: {value!r}")
+    return value
+
+
+def _quantity(obj, key: str, where: str):
+    """``obj[key]``, a JSON number that must convert to a finite float."""
+    value = _field(obj, key, _NUMBER, where)
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an integer too large for a float
+        finite = False
+    if not finite:
+        raise FormatError(f"report: {where}.{key} is not a finite number")
     return value
 
 
@@ -242,7 +258,10 @@ def _quantize(spec, stream, config: AnalysisConfig, position: int):
             max_iter=config.max_iter,
             normalize=config.normalize,
         )
-        labels = quantizer.assign(cb, stream)
+        if cb.labels is None:  # the last Lloyd pass repaired a cluster
+            labels = quantizer.assign(cb, stream)
+        else:
+            labels = LabelSequence(cb.labels, cb.k, stream.sample_rate_hz, stream.modality_tag)
     except ModmiError as e:
         raise _named(e, spec.name) from e
     digest = hashlib.sha256(quantizer.codebook_to_bytes(cb)).hexdigest()

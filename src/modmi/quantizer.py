@@ -6,13 +6,18 @@ Euclidean), fully deterministic given (data, k, seed, tol, max_iter,
 normalize): the RNG is PCG64(seed), assignment ties break to the lowest
 centroid index, centroid sums use a fixed chunked order, and empty clusters
 are repaired by stealing the point currently farthest from its centroid.
+Seeding's D^2 distances and every assignment are bit-identical to the
+fixed-order per-dimension loop, whatever BLAS computes for the prefilters.
+A fitted codebook carries the training rows' labels from the last Lloyd
+pass, so a caller that quantizes its training data need not assign again.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -34,8 +39,12 @@ class Codebook:
 
     ``normalization`` holds per-dimension (mean, stddev) float32 pairs applied
     before distance computation, or None.  Training metadata
-    (``iterations_run``, ``final_distortion``, ``distortion_history``) is not
-    stored in the codebook file and is None on a loaded codebook.
+    (``iterations_run``, ``final_distortion``, ``distortion_history``,
+    ``labels``) is not stored in the codebook file and is None on a loaded
+    codebook.  ``labels`` are the training rows' labels from the last Lloyd
+    pass, equal to ``assign(cb, x).symbols`` on the training data; they are
+    None when that pass repaired an empty cluster, since a repair moves a
+    centroid after the labels were computed.
     """
 
     centroids: np.ndarray  # (k, d) float32
@@ -44,6 +53,7 @@ class Codebook:
     iterations_run: int | None = None
     final_distortion: float | None = None
     distortion_history: tuple[float, ...] | None = None
+    labels: np.ndarray | None = field(default=None, repr=False)  # (L,) int64
 
     def __post_init__(self):
         centroids = np.ascontiguousarray(self.centroids, dtype=np.float32)
@@ -63,6 +73,10 @@ class Codebook:
                 raise DataError("normalization must be finite with every stddev > 0")
             norm.setflags(write=False)
             object.__setattr__(self, "normalization", norm)
+        if self.labels is not None:
+            labels = np.ascontiguousarray(self.labels, dtype=np.int64)
+            labels.setflags(write=False)
+            object.__setattr__(self, "labels", labels)
 
     @property
     def k(self) -> int:
@@ -93,14 +107,12 @@ def _kmeanspp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarra
     """kmeans++ seeding: first center uniform, then D^2 sampling."""
     n = x.shape[0]
     centers = np.empty((k, x.shape[1]), dtype=np.float64)
-    first = int(rng.integers(n))
-    centers[0] = x[first]
-    if k == 1:
-        return centers
-    x_cols = np.ascontiguousarray(x.T)  # contiguous columns for the D^2 passes
-    closest = _kernels.row_dist2(x_cols, centers[0])
+    centers[0] = x[int(rng.integers(n))]
+    d2 = _kernels.ClosestDist2(x, centers[0])
+    closest = d2.closest
+    cum = np.empty(n)
     for c in range(1, k):
-        cum = np.cumsum(closest)
+        np.cumsum(closest, out=cum)
         total = cum[-1]
         if total == 0.0:  # every row equals one of the c distinct centers
             raise InfeasibleError(f"infeasible k: {k} clusters but only {c} distinct rows")
@@ -110,7 +122,8 @@ def _kmeanspp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarra
         while closest[idx] == 0.0:  # fp edge: never seed on an existing center
             idx = (idx + 1) % n
         centers[c] = x[idx]
-        np.minimum(closest, _kernels.row_dist2(x_cols, centers[c]), out=closest)
+        if c + 1 < k:  # no centre is sampled after the last one
+            d2.add(centers[c])
     return centers
 
 
@@ -153,8 +166,8 @@ def fit(
     """
     if max_iter < 1:
         raise DataError(f"max_iter must be >= 1, got {max_iter}")
-    if tol <= 0:
-        raise DataError(f"tol must be > 0, got {tol}")
+    if not 0 < tol < math.inf:
+        raise DataError(f"tol must be finite and > 0, got {tol}")
     if k < 1:
         raise DataError(f"k must be >= 1, got {k}")
     if not 0 <= int(seed) < 2**64:
@@ -175,7 +188,8 @@ def fit(
             centroids = (sums / counts[:, None]).astype(np.float32)
         labels, dist2 = _kernels.assign_labels(data, centroids.astype(np.float64))
         counts = np.bincount(labels, minlength=k)
-        if (counts == 0).any():
+        repaired = bool((counts == 0).any())
+        if repaired:
             centroids64 = centroids.astype(np.float64)
             _repair_empty(data, centroids64, labels, dist2, counts)
             centroids = centroids64.astype(np.float32)
@@ -194,6 +208,7 @@ def fit(
         iterations_run=len(history),
         final_distortion=history[-1],
         distortion_history=tuple(history),
+        labels=None if repaired else labels,
     )
 
 

@@ -64,6 +64,23 @@ class TestAnalyze:
         assert out == ""
         assert err.startswith("error: seed must be in")
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--tol", "nan"], "tol must be finite"),
+            (["--tol", "inf"], "tol must be finite"),
+            (["--max-iter", "0"], "max_iter must be >= 1"),
+        ],
+        ids=["tol-nan", "tol-inf", "max-iter-0"],
+    )
+    @pytest.mark.parametrize("command", ["analyze", "sweep"])
+    def test_bad_stopping_rule_exit_1(self, blobs_dir, capsys, command, flags, message):
+        ks = ["--ks", "2"] if command == "sweep" else []
+        code, out, err = run(capsys, command, str(blobs_dir / "manifest.json"), *ks, *flags)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and message in err
+
     def test_json_matches_table_at_4dp(self, blobs_dir, capsys):
         manifest = str(blobs_dir / "manifest.json")
         code, table_out, _ = run(capsys, "analyze", manifest, "--format", "table")
@@ -137,6 +154,15 @@ class TestFitAssign:
             )
             assert code == 0
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_fit_non_finite_tol_exit_1(self, tmp_path, capsys, tol):
+        path = self._features_file(tmp_path)
+        out = tmp_path / "cb.kmc"
+        code, _, err = run(capsys, "fit", str(path), "--clusters", "3", "--tol", tol, "--out", str(out))
+        assert code == 1
+        assert "tol must be finite" in err
+        assert not out.exists()
 
     def test_fit_infeasible_k_exit_2(self, tmp_path, capsys):
         path = tmp_path / "tiny.fmx"
@@ -227,11 +253,14 @@ class TestReport:
             (lambda text: "[" * 100000, "invalid JSON"),
             (lambda text: without(text, "regions", "V;T;S"), "quantities.regions is missing"),
             (lambda text: without(text, "cond", "V|S"), "quantities.cond is missing"),
+            (lambda text: text.replace('"T": ', '"T": 1' + "0" * 400 + ', "_": ', 1), "finite"),
+            (lambda text: text.replace('"T": ', '"T": NaN, "_": ', 1), "not a finite number"),
+            (lambda text: text.replace('"V;T;S": ', '"V;T;S": -Infinity, "_": ', 1), "finite"),
         ],
         ids=[
             "invalid-json", "missing-key", "bool-as-string", "base-as-number", "entropy-as-string",
             "unknown-quantities-base", "not-utf8", "deeply-nested", "missing-region",
-            "missing-cond",
+            "missing-cond", "huge-int", "nan-quantity", "infinite-region",
         ],
     )
     def test_malformed_report_exit_1(self, xor_dir, tmp_path, capsys, mutate, message):

@@ -117,6 +117,31 @@ def test_seeding_distance_equals_reference(offset):
     assert np.array_equal(_kernels.row_dist2(np.ascontiguousarray(x.T), c[0]), ref_dist2)
 
 
+@pytest.mark.parametrize("d", [13, 32, 40])
+def test_seeding_distance_of_one_point_equals_reference(d):
+    # One column: numpy's sum over the dimensions would add it pairwise.
+    x, c, _ = _random_case(11 + d, n=50, d=d, k=1)
+    _, ref_dist2 = _oracle(x, c)
+    for row in range(x.shape[0]):
+        assert _kernels.row_dist2(x[row:row + 1].T, c[0]) == ref_dist2[row]
+        assert _kernels.row_dist2(x[row:row + 1].T, c[:1].T) == ref_dist2[row]
+
+
+def test_closest_dist2_equals_exact_minimum():
+    rng = np.random.Generator(np.random.PCG64(12))
+    base = rng.integers(0, 4, size=(700, 13)).astype(np.float64)
+    x = np.ascontiguousarray(1e4 + np.concatenate([base, base + 1e-6 * rng.random(base.shape)]))
+    first, *others = x[rng.integers(x.shape[0], size=30)]
+    d2 = _kernels.ClosestDist2(x, first)
+    _, want = _oracle(x, first[None, :])
+    assert np.array_equal(d2.closest, want)
+    for centre in others:
+        d2.add(centre)
+        _, exact = _oracle(x, centre[None, :])
+        np.minimum(want, exact, out=want)
+        assert np.array_equal(d2.closest, want)
+
+
 def test_assign_chunk_size_invariant(monkeypatch):
     x, c, _ = _random_case(7, n=2100, d=9, k=13)
     labels_ref, dist_ref = assign_labels(x, c)

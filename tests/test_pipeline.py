@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from modmi import quantizer
 from modmi.errors import DataError, FormatError, InfeasibleError
 from modmi.infotheory import info_diagram
 from modmi.ingestion import (
@@ -18,7 +19,7 @@ from modmi.ingestion import (
 from modmi.pipeline import AnalysisConfig, InfoReport, analyze, sweep_clusters
 from modmi.quantizer import assign, fit
 from modmi.synthetic import exhaustive_stream, gen_gaussian_mixture, xor_pmf
-from util import features, seq
+from util import features, repair_every_pass_matrix, seq
 
 
 def write_manifest(tmp_path, streams, target_rate=25.0, name="manifest.json"):
@@ -181,6 +182,55 @@ class TestAnalyze:
             analyze(manifest, AnalysisConfig())
 
 
+def _count_assign_calls(monkeypatch) -> list[int]:
+    calls = []
+    original = quantizer.assign
+
+    def counting(cb, x):
+        calls.append(cb.k)
+        return original(cb, x)
+
+    monkeypatch.setattr(quantizer, "assign", counting)
+    return calls
+
+
+def _forget_fit_labels(monkeypatch) -> None:
+    """Make every fit drop its labels, so the pipeline assigns each stream."""
+    original = quantizer.fit
+    monkeypatch.setattr(quantizer, "fit", lambda *a, **kw: replace(original(*a, **kw), labels=None))
+
+
+class TestLabelReuse:
+    @pytest.mark.parametrize("normalize", [False, True])
+    def test_fit_labels_replace_assign(self, blob_manifest, monkeypatch, normalize):
+        config = AnalysisConfig(clusters=4, seed=2, normalize=normalize)
+        calls = _count_assign_calls(monkeypatch)
+        reused = analyze(blob_manifest, config).to_json()
+        assert calls == []
+        _forget_fit_labels(monkeypatch)
+        assert analyze(blob_manifest, config).to_json() == reused
+        assert calls == [4, 4]
+
+    def test_repaired_last_pass_is_assigned(self, tmp_path, monkeypatch):
+        write_feature_matrix(repair_every_pass_matrix(), tmp_path / "s.fmx")
+        write_labels(seq([0, 1, 1, 2]), tmp_path / "t.lbl")
+        manifest = write_manifest(
+            tmp_path,
+            [
+                {"name": "s", "path": "s.fmx", "kind": "features", "sample_rate_hz": 25.0},
+                {"name": "t", "path": "t.lbl", "kind": "labels", "sample_rate_hz": 25.0},
+            ],
+        )
+        config = AnalysisConfig(clusters=4, normalize=True, max_iter=1)
+        calls = _count_assign_calls(monkeypatch)
+        report = analyze(manifest, config).to_json()
+        assert calls == [4]
+        # The repaired labels would use all four clusters; assignment uses three.
+        assert json.loads(report)["streams"][0]["distinct"] == 3
+        _forget_fit_labels(monkeypatch)
+        assert analyze(manifest, config).to_json() == report
+
+
 class TestSweep:
     def test_discrete_entropy_constant_across_ks(self, blob_manifest):
         reports = sweep_clusters(blob_manifest, AnalysisConfig(seed=1), [2, 3, 5])
@@ -282,6 +332,37 @@ def _report_with_target_rate(tmp_path, rate):
 )
 def test_non_finite_rates_rejected(tmp_path, build, error):
     with pytest.raises(error, match="finite"):
+        build(tmp_path)
+
+
+def _report_with_config(tmp_path, key, value):
+    write_labels(seq([0, 1, 0, 1]), tmp_path / "t.lbl")
+    entry = {"name": "t", "path": "t.lbl", "kind": "labels", "sample_rate_hz": 25.0}
+    doc = analyze(write_manifest(tmp_path, [entry, dict(entry, name="s")])).to_json_dict()
+    text = json.dumps(dict(doc, config=dict(doc["config"], **{key: "@"})))
+    return InfoReport.from_json(text.replace('"@"', value))
+
+
+@pytest.mark.parametrize(
+    "build, error, match",
+    [
+        (lambda tmp: AnalysisConfig(tol=float("nan")), DataError, "tol must be finite"),
+        (lambda tmp: AnalysisConfig(tol=float("inf")), DataError, "tol must be finite"),
+        (lambda tmp: AnalysisConfig(tol=0.0), DataError, "tol must be finite and > 0"),
+        (lambda tmp: AnalysisConfig(max_iter=0), DataError, "max_iter must be >= 1"),
+        (lambda tmp: fit(features([[0.0], [1.0]]), 1, tol=float("nan")), DataError, "tol"),
+        (lambda tmp: fit(features([[0.0], [1.0]]), 1, tol=float("inf")), DataError, "tol"),
+        (lambda tmp: _report_with_config(tmp, "tol", "NaN"), FormatError, "tol must be finite"),
+        (lambda tmp: _report_with_config(tmp, "tol", "Infinity"), FormatError, "tol"),
+        (lambda tmp: _report_with_config(tmp, "max_iter", "0"), FormatError, "max_iter"),
+    ],
+    ids=[
+        "config-tol-nan", "config-tol-inf", "config-tol-0", "config-max-iter-0", "fit-tol-nan",
+        "fit-tol-inf", "report-tol-nan", "report-tol-inf", "report-max-iter-0",
+    ],
+)
+def test_bad_stopping_rule_rejected(tmp_path, build, error, match):
+    with pytest.raises(error, match=match):
         build(tmp_path)
 
 

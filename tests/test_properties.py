@@ -135,7 +135,7 @@ configs = st.builds(
     target_rate_hz=_optional(st.floats(min_value=0, exclude_min=True, allow_infinity=False)),
     clusters=st.integers(1, 10**6),
     seed=st.integers(0, 2**64 - 3),
-    tol=finite,
+    tol=st.floats(min_value=0, exclude_min=True, allow_infinity=False),
     max_iter=st.integers(1, 10**6),
     normalize=st.booleans(),
     log_base=st.sampled_from(["2", "e", "10"]),

@@ -3,9 +3,11 @@ import struct
 import numpy as np
 import pytest
 
+from modmi import quantizer
 from modmi.errors import DataError, FormatError, InfeasibleError
 from modmi.quantizer import (
     Codebook,
+    _kmeanspp_init,
     _repair_empty,
     assign,
     codebook_to_bytes,
@@ -14,7 +16,7 @@ from modmi.quantizer import (
     save_codebook,
 )
 from modmi.synthetic import gen_gaussian_mixture
-from util import features
+from util import features, repair_every_pass_matrix
 
 
 def two_blob_matrix():
@@ -96,6 +98,99 @@ class TestFit:
         cb = fit(x, 12, seed=0, max_iter=2)
         assert cb.iterations_run <= 2
 
+    @pytest.mark.parametrize("normalize", [False, True])
+    def test_labels_of_last_pass_equal_assign(self, normalize):
+        centers = np.array([[0.0, 0.0, 0.0], [6.0, 0.0, 0.0], [0.0, 6.0, 2.0]])
+        x, _ = gen_gaussian_mixture(centers, 2.0, 150, seed=3)
+        for seed, max_iter in [(1, 300), (2, 2)]:
+            cb = fit(x, 9, seed=seed, max_iter=max_iter, normalize=normalize)
+            assert cb.labels is not None
+            assert np.array_equal(cb.labels, assign(cb, x).symbols)
+
+    def test_no_labels_after_repaired_last_pass(self, monkeypatch):
+        repairs = []
+        original = quantizer._repair_empty
+
+        def counting(*args):
+            repairs.append(args)
+            original(*args)
+
+        monkeypatch.setattr(quantizer, "_repair_empty", counting)
+        x = repair_every_pass_matrix()
+        cb = fit(x, 4, seed=0, normalize=True, max_iter=1)
+        assert len(repairs) == 1
+        assert cb.labels is None
+        # Assignment leaves the repaired cluster empty again.
+        assert np.unique(assign(cb, x).symbols).size == 3
+
+
+def _reference_row_dist2(x_cols, centre_cols):
+    acc = np.zeros(x_cols.shape[1], dtype=np.float64)
+    diff = np.empty_like(acc)
+    for dim in range(x_cols.shape[0]):
+        np.subtract(x_cols[dim], centre_cols[dim], out=diff)
+        np.multiply(diff, diff, out=diff)
+        acc += diff
+    return acc
+
+
+def _reference_kmeanspp_init(x, k, rng):
+    """kmeans++ seeding with one exact per-dimension D^2 pass over every row
+    per centre: the loop the GEMV prefilter must reproduce bit for bit."""
+    n = x.shape[0]
+    centers = np.empty((k, x.shape[1]), dtype=np.float64)
+    first = int(rng.integers(n))
+    centers[0] = x[first]
+    if k == 1:
+        return centers
+    x_cols = np.ascontiguousarray(x.T)
+    closest = _reference_row_dist2(x_cols, centers[0])
+    for c in range(1, k):
+        cum = np.cumsum(closest)
+        total = cum[-1]
+        if total == 0.0:
+            raise InfeasibleError(f"infeasible k: {k} clusters but only {c} distinct rows")
+        r = rng.random() * total
+        idx = int(np.searchsorted(cum, r, side="right"))
+        idx = min(idx, n - 1)
+        while closest[idx] == 0.0:
+            idx = (idx + 1) % n
+        centers[c] = x[idx]
+        np.minimum(closest, _reference_row_dist2(x_cols, centers[c]), out=closest)
+    return centers
+
+
+def _seeding_outcome(init, x, k, seed):
+    try:
+        return init(x, k, np.random.Generator(np.random.PCG64(seed)))
+    except InfeasibleError as e:
+        return str(e)
+
+
+class TestSeeding:
+    # Lattice points, each also present with a 1e-6 jitter: many rows sit just
+    # above or below their current D^2, which is where a prefilter without
+    # enough rounding slack skips a row it must update.  At the 1e4 offset the
+    # rounding of the GEMV dwarfs the jitter.  Fifteen base rows give 30 rows
+    # for k = 40, so seeding runs out of D^2 mass.
+    @pytest.mark.parametrize("base_rows", [15, 200])
+    @pytest.mark.parametrize("offset", [0.0, 1e4])
+    @pytest.mark.parametrize("d", [1, 3, 13, 32])
+    def test_matches_per_dimension_reference(self, d, offset, base_rows):
+        for seed in range(20):
+            rng = np.random.Generator(np.random.PCG64(seed))
+            base = rng.integers(0, 4, size=(base_rows, d)).astype(np.float64)
+            jittered = base + 1e-6 * rng.standard_normal(base.shape)
+            x = np.ascontiguousarray(np.concatenate([base, jittered])[rng.permutation(2 * base_rows)])
+            x += offset
+            got = _seeding_outcome(_kmeanspp_init, x, 40, seed)
+            want = _seeding_outcome(_reference_kmeanspp_init, x, 40, seed)
+            if base_rows == 15:
+                assert isinstance(want, str) and got == want
+            else:
+                assert not isinstance(want, str)
+                assert np.array_equal(got, want)
+
 
 class TestAssign:
     def test_exact_centroid_hit(self):
@@ -174,6 +269,13 @@ class TestCodebookFile:
         assert loaded.iterations_run is None and loaded.final_distortion is None
         save_codebook(loaded, tmp_path / "cb2.kmc")
         assert (tmp_path / "cb2.kmc").read_bytes() == path.read_bytes()
+
+    def test_loaded_codebook_has_no_labels(self, tmp_path):
+        x = two_blob_matrix()
+        cb = fit(x, 2, seed=0)
+        assert cb.labels is not None
+        save_codebook(cb, tmp_path / "cb.kmc")
+        assert load_codebook(tmp_path / "cb.kmc").labels is None
 
     def test_truncated_file(self, tmp_path):
         cb = fit(two_blob_matrix(), 2, seed=0)

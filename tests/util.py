@@ -22,6 +22,13 @@ def features(values, rate=25.0, tag="") -> FeatureMatrix:
     return FeatureMatrix(np.asarray(values, dtype=np.float32), rate, tag)
 
 
+def repair_every_pass_matrix() -> FeatureMatrix:
+    """Four distinct rows whose normalized values 1 and 1 + 2^-23 round to the
+    same float32 centroid, so a normalized fit with k=4 repairs an empty
+    cluster on every Lloyd pass."""
+    return features(np.array([[0.0], [1.0], [1.0 + 2.0**-23], [1000.0]], dtype=np.float32))
+
+
 def random_streams(rng, n_streams, length, alphabet=4, correlated=True):
     """Aligned random label streams; optionally push them off independence."""
     base = rng.integers(0, alphabet, size=length)
