@@ -12,14 +12,15 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .errors import InfeasibleError, ModmiError
-from .infotheory import InfoQuantities
+from .errors import DataError, InfeasibleError, ModmiError
+from .infotheory import LOG_BASES, InfoQuantities
 from .ingestion import load_manifest, read_feature_matrix, write_feature_matrix, write_labels
 from .pipeline import AnalysisConfig, InfoReport, analyze, sweep_clusters
 from .quantizer import assign, fit, load_codebook, save_codebook
@@ -124,26 +125,45 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+# AnalysisConfig field -> its flag and argparse keywords.  No flag carries a
+# default: an omitted flag leaves its field to AnalysisConfig, the one place
+# the defaults live.
+_CONFIG_FLAGS = {
+    "clusters": ("--clusters", {"type": int, "help": "clusters per continuous stream"}),
+    "seed": ("--seed", {"type": int, "help": "RNG seed (pcg64)"}),
+    "target_rate_hz": (
+        "--rate",
+        {
+            "type": float,
+            "metavar": "RATE",
+            "help": "target frame rate in Hz (default: manifest's)",
+        },
+    ),
+    "log_base": ("--base", {"choices": list(LOG_BASES), "help": "log base"}),
+    "tol": ("--tol", {"type": float, "help": "relative distortion improvement to stop at"}),
+    "max_iter": ("--max-iter", {"type": int, "help": "max K-means iterations"}),
+    "normalize": (
+        "--normalize",
+        {"action": "store_true", "help": "z-normalize features per dimension"},
+    ),
+}
+
+
+def _add_config_flags(p: argparse.ArgumentParser, *names: str) -> None:
+    """Register the flags of the AnalysisConfig fields ``names``."""
+    for name in names:
+        flag, kwargs = _CONFIG_FLAGS[name]
+        p.add_argument(flag, dest=name, default=argparse.SUPPRESS, **kwargs)
+
+
+def _given_config(args) -> dict:
+    """The AnalysisConfig fields set on the command line."""
+    given = vars(args)
+    return {name: given[name] for name in _CONFIG_FLAGS if name in given}
+
+
 def _config_from_args(args) -> AnalysisConfig:
-    return AnalysisConfig(
-        target_rate_hz=args.rate,
-        clusters=args.clusters,
-        seed=args.seed,
-        tol=args.tol,
-        max_iter=args.max_iter,
-        normalize=args.normalize,
-        log_base=args.base,
-    )
-
-
-def _add_config_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--clusters", type=int, default=2000, help="clusters per continuous stream")
-    p.add_argument("--seed", type=int, default=0, help="RNG seed (pcg64)")
-    p.add_argument("--rate", type=float, default=None, help="target frame rate in Hz (default: manifest's)")
-    p.add_argument("--base", choices=["2", "e", "10"], default="2", help="log base")
-    p.add_argument("--tol", type=float, default=1e-4, help="relative distortion improvement to stop at")
-    p.add_argument("--max-iter", type=int, default=300, help="max K-means iterations")
-    p.add_argument("--normalize", action="store_true", help="z-normalize features per dimension")
+    return AnalysisConfig(**_given_config(args))
 
 
 def _render_report(report: InfoReport, fmt: str, out: str | None, title: str = "") -> None:
@@ -157,13 +177,16 @@ def _render_report(report: InfoReport, fmt: str, out: str | None, title: str = "
 
 def cmd_fit(args) -> int:
     features = read_feature_matrix(args.features)
+    # A dict, not an AnalysisConfig: fit takes any u64 seed, while an
+    # analysis stops at 2**64 - 3 because stream i is fitted with seed + i.
+    knobs = {**AnalysisConfig().as_dict(), **_given_config(args)}
     cb = fit(
         features,
-        args.clusters,
-        seed=args.seed,
-        tol=args.tol,
-        max_iter=args.max_iter,
-        normalize=args.normalize,
+        knobs["clusters"],
+        seed=knobs["seed"],
+        tol=knobs["tol"],
+        max_iter=knobs["max_iter"],
+        normalize=knobs["normalize"],
     )
     save_codebook(cb, args.out)
     print(f"k={cb.k} iterations={cb.iterations_run} distortion={cb.final_distortion:.6g}")
@@ -212,7 +235,23 @@ def cmd_report(args) -> int:
     return 0
 
 
+def _check_blobs_flags(args) -> None:
+    """Reject a blobs shape, scale or seed before any centre is built."""
+    for flag, value, ok, rule in (
+        ("--centers", args.centers, args.centers >= 1, ">= 1"),
+        ("--dims", args.dims, args.dims >= 1, ">= 1"),
+        ("--n-per-center", args.n_per_center, args.n_per_center >= 1, ">= 1"),
+        ("--stddev", args.stddev, 0 <= args.stddev < math.inf, "finite and >= 0"),
+        ("--spacing", args.spacing, math.isfinite(args.spacing), "finite"),
+        ("--seed", args.seed, 0 <= args.seed < 2**64, "in [0, 2**64 - 1]"),
+    ):
+        if not ok:
+            raise DataError(f"{flag} must be {rule}, got {value}")
+
+
 def cmd_synth(args) -> int:
+    if args.generator == "blobs":
+        _check_blobs_flags(args)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     if args.generator == "xor":
@@ -266,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit", help="train a K-means codebook on an FMX1 feature file")
     p.add_argument("features", help="FMX1 feature file")
-    _add_config_flags(p)
+    _add_config_flags(p, "clusters", "seed", "tol", "max_iter", "normalize")
     p.add_argument("--out", required=True, help="output KMC1 codebook path")
 
     p = sub.add_parser("assign", help="label features with an existing codebook")
@@ -276,14 +315,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="full analysis of a stream manifest")
     p.add_argument("manifest", help="manifest JSON path")
-    _add_config_flags(p)
+    _add_config_flags(p, *_CONFIG_FLAGS)
     p.add_argument("--format", choices=["json", "table", "svg"], default="json")
     p.add_argument("--out", default=None, help="output path (default: stdout)")
 
     p = sub.add_parser("sweep", help="analyze under several cluster counts")
     p.add_argument("manifest", help="manifest JSON path")
     p.add_argument("--ks", required=True, help="comma-separated cluster counts, e.g. 100,200")
-    _add_config_flags(p)
+    _add_config_flags(p, "seed", "target_rate_hz", "log_base", "tol", "max_iter", "normalize")
     p.add_argument("--format", choices=["json", "table"], default="table")
     p.add_argument("--out", default=None)
 
@@ -293,15 +332,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("synth", help="generate synthetic demo datasets")
-    p.add_argument("generator", choices=["xor", "blobs"])
-    p.add_argument("--out-dir", required=True)
-    p.add_argument("--copies", type=int, default=1, help="xor: copies of the 4-frame block")
-    p.add_argument("--centers", type=int, default=3, help="blobs: number of components")
-    p.add_argument("--dims", type=int, default=16, help="blobs: feature dimensions")
-    p.add_argument("--n-per-center", type=int, default=1000)
-    p.add_argument("--stddev", type=float, default=1.0)
-    p.add_argument("--spacing", type=float, default=100.0, help="blobs: distance between centers")
-    p.add_argument("--seed", type=int, default=0)
+    generators = p.add_subparsers(dest="generator", required=True)
+    g = generators.add_parser("xor", help="three bit streams, the third the XOR of the others")
+    g.add_argument("--out-dir", required=True)
+    g.add_argument("--copies", type=int, default=1, help="copies of the 4-frame block")
+    g = generators.add_parser("blobs", help="Gaussian blobs with ground-truth component labels")
+    g.add_argument("--out-dir", required=True)
+    g.add_argument("--centers", type=int, default=3, help="number of components")
+    g.add_argument("--dims", type=int, default=16, help="feature dimensions")
+    g.add_argument("--n-per-center", type=int, default=1000, help="rows per component")
+    g.add_argument("--stddev", type=float, default=1.0, help="per-dimension noise stddev")
+    g.add_argument("--spacing", type=float, default=100.0, help="distance between centers")
+    g.add_argument("--seed", type=int, default=0, help="RNG seed (pcg64)")
     return parser
 
 

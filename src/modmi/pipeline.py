@@ -25,14 +25,15 @@ _NUMBER = (int, float)
 
 @dataclass(frozen=True)
 class AnalysisConfig:
-    """Knobs of one analysis run.
+    """Knobs of one analysis run, and the one place their defaults live.
 
-    ``target_rate_hz=None`` means "use the manifest's target_rate_hz".
+    ``target_rate_hz=None``, the default, means "use the manifest's
+    target_rate_hz".
     ``clusters`` is the default k for continuous streams; a manifest entry's
     ``clusters`` field overrides it per stream.
     """
 
-    target_rate_hz: float | None = 25.0
+    target_rate_hz: float | None = None
     clusters: int = 2000
     seed: int = 0
     tol: float = 1e-4

@@ -14,7 +14,6 @@ pass, so a caller that quantizes its training data need not assign again.
 
 from __future__ import annotations
 
-import logging
 import math
 import struct
 from dataclasses import dataclass, field
@@ -25,8 +24,6 @@ import numpy as np
 from . import _kernels
 from .errors import DataError, FormatError, InfeasibleError
 from .ingestion import FeatureMatrix, LabelSequence
-
-log = logging.getLogger(__name__)
 
 _KMC_MAGIC = b"KMC1"
 
@@ -162,7 +159,9 @@ def fit(
     Stops when the relative distortion decrease falls below ``tol`` or after
     ``max_iter`` assignment passes.  Distortion is the mean squared distance
     of points to their assigned centroids (in normalized space when
-    ``normalize`` is on) and never increases between iterations.
+    ``normalize`` is on) and never increases between iterations.  A ``k``
+    above the number of distinct rows raises InfeasibleError.  The keyword
+    defaults equal AnalysisConfig's.
     """
     if max_iter < 1:
         raise DataError(f"max_iter must be >= 1, got {max_iter}")
@@ -173,9 +172,12 @@ def fit(
     if not 0 <= int(seed) < 2**64:
         raise DataError(f"seed must fit an unsigned 64-bit integer, got {seed}")
 
+    n = x.rows
+    if k > n:  # before seeding allocates k centres
+        raise InfeasibleError(f"infeasible k: {k} clusters but only {n} rows")
+
     normalization = _fit_normalization(x.values) if normalize else None
     data = _normalized_f64(x.values, normalization)
-    n = data.shape[0]
     rng = np.random.Generator(np.random.PCG64(int(seed)))
 
     # f32 rounding keeps in-memory centroids identical to the saved codebook.

@@ -176,10 +176,10 @@ def gen_gaussian_mixture(
 ) -> tuple[FeatureMatrix, LabelSequence]:
     """Isotropic Gaussian blobs plus the ground-truth component labels."""
     centers = np.asarray(centers, dtype=np.float64)
-    if centers.ndim != 2 or centers.shape[0] < 1:
-        raise DataError(f"centers must be (m >= 1, d), got {centers.shape}")
-    if stddev < 0:
-        raise DataError(f"stddev must be >= 0, got {stddev}")
+    if centers.ndim != 2 or centers.shape[0] < 1 or centers.shape[1] < 1:
+        raise DataError(f"centers must be (m >= 1, d >= 1), got {centers.shape}")
+    if not 0 <= stddev < math.inf:
+        raise DataError(f"stddev must be finite and >= 0, got {stddev}")
     if n_per_center < 1:
         raise DataError(f"n_per_center must be >= 1, got {n_per_center}")
     m, d = centers.shape

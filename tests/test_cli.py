@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import modmi
 from modmi.cli import main
 from modmi.ingestion import read_labels, write_feature_matrix, write_labels
 from modmi.synthetic import gen_gaussian_mixture
@@ -117,6 +118,17 @@ class TestAnalyze:
         doc = json.loads(out.read_text())
         assert doc["quantities"]["I3"] == pytest.approx(-1.0, abs=1e-12)
 
+    def test_cli_and_library_agree_on_manifest_rate(self, tmp_path, capsys):
+        out = tmp_path / "xor"
+        assert run(capsys, "synth", "xor", "--out-dir", str(out), "--copies", "5")[0] == 0
+        manifest = out / "manifest.json"
+        doc = json.loads(manifest.read_text())
+        manifest.write_text(json.dumps({**doc, "target_rate_hz": 10}))
+        code, cli_json, _ = run(capsys, "analyze", str(manifest))
+        assert code == 0
+        assert cli_json == modmi.analyze(manifest).to_json()
+        assert json.loads(cli_json)["streams"][0]["L"] == 8  # 20 frames at 25 Hz -> 10 Hz
+
     def test_base_flag(self, xor_dir, capsys):
         code, out, _ = run(
             capsys, "analyze", str(xor_dir / "manifest.json"), "--base", "e", "--format", "json"
@@ -172,6 +184,18 @@ class TestFitAssign:
         )
         assert code == 2
         assert "infeasible k" in err
+
+    @pytest.mark.parametrize("k", [10**13, 10**28])
+    @pytest.mark.parametrize("command", ["fit", "sweep"])
+    def test_more_clusters_than_rows_exit_2(self, blobs_dir, tmp_path, capsys, command, k):
+        if command == "fit":
+            argv = ["fit", str(blobs_dir / "s.fmx"), "--clusters", str(k), "--out", "cb.kmc"]
+        else:
+            argv = ["sweep", str(blobs_dir / "manifest.json"), "--ks", str(k)]
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and f"{k} clusters but only 240 rows" in err
 
     def test_assign_round_trip(self, tmp_path, capsys):
         path = self._features_file(tmp_path)
@@ -284,6 +308,33 @@ class TestDeterminism:
         assert outputs[0] == outputs[1] == outputs[2]
 
 
+# (command line, a flag its command does not read)
+REMOVED_FLAGS = [
+    (["fit", "x.fmx", "--out", "cb.kmc"], ["--rate", "10"]),
+    (["fit", "x.fmx", "--out", "cb.kmc"], ["--base", "e"]),
+    (["sweep", "m.json", "--ks", "2"], ["--clusters", "3"]),
+    (["synth", "xor", "--out-dir", "d"], ["--centers", "3"]),
+    (["synth", "xor", "--out-dir", "d"], ["--dims", "4"]),
+    (["synth", "xor", "--out-dir", "d"], ["--n-per-center", "10"]),
+    (["synth", "xor", "--out-dir", "d"], ["--stddev", "0.5"]),
+    (["synth", "xor", "--out-dir", "d"], ["--spacing", "5"]),
+    (["synth", "xor", "--out-dir", "d"], ["--seed", "1"]),
+    (["synth", "blobs", "--out-dir", "d"], ["--copies", "2"]),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, flag", REMOVED_FLAGS, ids=[f"{a[0]}-{a[1]}-{f[0]}" for a, f in REMOVED_FLAGS]
+)
+def test_flag_its_command_ignores_is_a_usage_error(tmp_path, capsys, monkeypatch, argv, flag):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv + flag)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 class TestSynth:
     def test_xor_dataset_shape(self, xor_dir):
         doc = json.loads((xor_dir / "manifest.json").read_text())
@@ -299,3 +350,25 @@ class TestSynth:
         # perfect separation: I(T;S) == H(T) == log2(3)
         row = out.strip().split("\n")[1].split()
         assert row[0] == row[2] == "1.5850"
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--dims", "0", "--dims must be >= 1, got 0"),
+            ("--centers", "-1", "--centers must be >= 1, got -1"),
+            ("--spacing", "inf", "--spacing must be finite, got inf"),
+            ("--stddev", "nan", "--stddev must be finite and >= 0, got nan"),
+            ("--stddev", "inf", "--stddev must be finite and >= 0, got inf"),
+            ("--seed", "-1", "--seed must be in [0, 2**64 - 1], got -1"),
+        ],
+        ids=[
+            "dims-0", "centers-negative", "spacing-inf", "stddev-nan", "stddev-inf", "seed-negative"
+        ],
+    )
+    def test_blobs_bad_shape_or_scale_exit_1(self, tmp_path, capsys, flag, value, message):
+        out = tmp_path / "blobs"
+        code, stdout, err = run(capsys, "synth", "blobs", "--out-dir", str(out), flag, value)
+        assert code == 1
+        assert stdout == ""
+        assert err == f"error: {message}\n"
+        assert not out.exists()

@@ -1,3 +1,4 @@
+import inspect
 import json
 from dataclasses import replace
 
@@ -366,6 +367,14 @@ def test_bad_stopping_rule_rejected(tmp_path, build, error, match):
         build(tmp_path)
 
 
+def test_fit_keyword_defaults_equal_analysis_config():
+    """quantizer.fit keeps the one library copy of these defaults."""
+    params = inspect.signature(quantizer.fit).parameters
+    config = AnalysisConfig()
+    for name in ("seed", "tol", "max_iter", "normalize"):
+        assert params[name].default == getattr(config, name), name
+
+
 class TestReportSerialization:
     def test_json_round_trip(self, blob_manifest):
         report = analyze(blob_manifest, AnalysisConfig(clusters=3, seed=5, log_base="e"))
@@ -411,6 +420,6 @@ class TestReportSerialization:
             ],
             target_rate=10.0,
         )
-        report = analyze(manifest, AnalysisConfig(target_rate_hz=None))
+        report = analyze(manifest)
         assert report.config.target_rate_hz == 10.0
         assert all(s.rows == 4 for s in report.streams)  # 20 frames at 50 Hz -> 10 Hz

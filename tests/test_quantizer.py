@@ -53,6 +53,10 @@ class TestFit:
         seven = features(np.tile(np.arange(7.0)[:, None], (3, 2)))  # 21 rows, 7 distinct
         with pytest.raises(InfeasibleError, match="infeasible k: 8 clusters but only 7 distinct"):
             fit(seven, 8, seed=4)
+        # more clusters than rows is refused before seeding allocates k centres
+        huge = f"infeasible k: {10**28} clusters but only 21 rows"
+        with pytest.raises(InfeasibleError, match=huge):
+            fit(seven, 10**28, seed=4)
 
     def test_deterministic(self):
         rng = np.random.Generator(np.random.PCG64(2))

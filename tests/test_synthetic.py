@@ -134,6 +134,19 @@ class TestExhaustive:
 
 
 class TestGaussianMixture:
+    @pytest.mark.parametrize(
+        "dims, stddev, match",
+        [
+            (0, 1.0, "d >= 1"),
+            (2, math.inf, "stddev must be finite"),
+            (2, math.nan, "stddev must be finite"),
+        ],
+        ids=["no-dims", "stddev-inf", "stddev-nan"],
+    )
+    def test_bad_shape_or_scale_rejected(self, dims, stddev, match):
+        with pytest.raises(DataError, match=match):
+            gen_gaussian_mixture(np.zeros((3, dims)), stddev, 3, seed=0)
+
     def test_zero_stddev_rows_equal_centers(self):
         centers = np.array([[1.0, 2.0], [3.0, 4.0]])
         x, labels = gen_gaussian_mixture(centers, 0.0, 3, seed=0)
