@@ -208,19 +208,19 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def _parse_ks(text: str, parser: argparse.ArgumentParser) -> list[int]:
+def _cluster_counts(text: str) -> list[int]:
+    """The argparse type of ``--ks``: comma-separated cluster counts."""
     try:
         ks = [int(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
-        parser.error(f"--ks must be comma-separated integers, got {text!r}")
+        ks = []
     if not ks:
-        parser.error("--ks must name at least one cluster count")
+        raise argparse.ArgumentTypeError(f"must be comma-separated integers, got {text!r}")
     return ks
 
 
-def cmd_sweep(args, parser) -> int:
-    ks = _parse_ks(args.ks, parser)
-    reports = sweep_clusters(load_manifest(args.manifest), _config_from_args(args), ks)
+def cmd_sweep(args) -> int:
+    reports = sweep_clusters(load_manifest(args.manifest), _config_from_args(args), args.ks)
     if args.format == "json":
         text = "[\n" + ",\n".join(r.to_json().rstrip("\n") for r in reports) + "\n]\n"
         _emit(text, args.out)
@@ -307,31 +307,42 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("features", help="FMX1 feature file")
     _add_config_flags(p, "clusters", "seed", "tol", "max_iter", "normalize")
     p.add_argument("--out", required=True, help="output KMC1 codebook path")
+    p.set_defaults(handler=cmd_fit)
 
     p = sub.add_parser("assign", help="label features with an existing codebook")
     p.add_argument("codebook", help="KMC1 codebook file")
     p.add_argument("features", help="FMX1 feature file")
     p.add_argument("--out", required=True, help="output LBL1 labels path")
+    p.set_defaults(handler=cmd_assign)
 
     p = sub.add_parser("analyze", help="full analysis of a stream manifest")
     p.add_argument("manifest", help="manifest JSON path")
     _add_config_flags(p, *_CONFIG_FLAGS)
     p.add_argument("--format", choices=["json", "table", "svg"], default="json")
     p.add_argument("--out", default=None, help="output path (default: stdout)")
+    p.set_defaults(handler=cmd_analyze)
 
     p = sub.add_parser("sweep", help="analyze under several cluster counts")
     p.add_argument("manifest", help="manifest JSON path")
-    p.add_argument("--ks", required=True, help="comma-separated cluster counts, e.g. 100,200")
+    p.add_argument(
+        "--ks",
+        type=_cluster_counts,
+        required=True,
+        help="comma-separated cluster counts, e.g. 100,200",
+    )
     _add_config_flags(p, "seed", "target_rate_hz", "log_base", "tol", "max_iter", "normalize")
     p.add_argument("--format", choices=["json", "table"], default="table")
     p.add_argument("--out", default=None)
+    p.set_defaults(handler=cmd_sweep)
 
     p = sub.add_parser("report", help="re-render a saved JSON report")
     p.add_argument("report", help="InfoReport JSON path")
     p.add_argument("--format", choices=["json", "table", "svg"], default="table")
     p.add_argument("--out", default=None)
+    p.set_defaults(handler=cmd_report)
 
     p = sub.add_parser("synth", help="generate synthetic demo datasets")
+    p.set_defaults(handler=cmd_synth)
     generators = p.add_subparsers(dest="generator", required=True)
     g = generators.add_parser("xor", help="three bit streams, the third the XOR of the others")
     g.add_argument("--out-dir", required=True)
@@ -348,23 +359,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    handlers = {
-        "fit": cmd_fit,
-        "assign": cmd_assign,
-        "analyze": cmd_analyze,
-        "report": cmd_report,
-        "synth": cmd_synth,
-    }
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "sweep":
-            return cmd_sweep(args, parser)
-        return handlers[args.command](args)
+        return args.handler(args)
     except InfeasibleError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (ModmiError, OSError) as e:
+    except (ModmiError, OSError, MemoryError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -142,26 +142,34 @@ def write_feature_matrix(m: FeatureMatrix, path) -> None:
         fh.write(values.astype("<f4", copy=False).tobytes(order="C"))
 
 
+def unpack_header(path, raw: bytes, magic: bytes, layout: str) -> tuple:
+    """The ``layout`` (struct format) fields after ``magic`` in file ``path``'s bytes ``raw``."""
+    if raw[:4] != magic:
+        raise FormatError(f"{path}: bad magic {raw[:4]!r}, expected {magic!r}")
+    end = len(magic) + struct.calcsize(layout)
+    if len(raw) < end:
+        raise FormatError(f"{path}: truncated header")
+    return struct.unpack(layout, raw[len(magic) : end])
+
+
+def check_size(path, raw: bytes, expected: int) -> None:
+    """Reject a file whose size differs from the ``expected`` its header implies."""
+    if len(raw) != expected:
+        raise FormatError(
+            f"{path}: size mismatch, header implies {expected} bytes, file has {len(raw)}"
+        )
+
+
 def read_feature_matrix(path, sample_rate_hz: float = 25.0, modality_tag: str = "") -> FeatureMatrix:
     """Read an FMX1 file written by :func:`write_feature_matrix`."""
     raw = Path(path).read_bytes()
-    if raw[:4] != _FMX_MAGIC:
-        raise FormatError(f"{path}: bad magic {raw[:4]!r}, expected {_FMX_MAGIC!r}")
-    if len(raw) < 12:
-        raise FormatError(f"{path}: truncated header")
-    rows, dims = struct.unpack("<II", raw[4:12])
-    expected = 12 + rows * dims * 4
-    if len(raw) != expected:
-        raise FormatError(
-            f"{path}: payload size mismatch, header says {rows}x{dims} "
-            f"({expected} bytes), file has {len(raw)}"
-        )
+    rows, dims = unpack_header(path, raw, _FMX_MAGIC, "<II")
+    check_size(path, raw, 12 + rows * dims * 4)
     values = np.frombuffer(raw, dtype="<f4", offset=12).reshape(rows, dims)
-    if not np.all(np.isfinite(values)):
-        idx = int(np.flatnonzero(~np.isfinite(values))[0])
-        r, c = divmod(idx, dims)
-        raise DataError(f"{path}: non-finite value at row {r}, col {c}")
-    return FeatureMatrix(values, sample_rate_hz, modality_tag)
+    try:
+        return FeatureMatrix(values, sample_rate_hz, modality_tag)
+    except DataError as e:
+        raise DataError(f"{path}: {e}") from None
 
 
 def write_labels(s: LabelSequence, path) -> None:
@@ -188,14 +196,8 @@ def read_labels(
     """
     raw = Path(path).read_bytes()
     if raw[:4] == _LBL_MAGIC:
-        if len(raw) < 12:
-            raise FormatError(f"{path}: truncated header")
-        rows, stored_alphabet = struct.unpack("<II", raw[4:12])
-        if len(raw) != 12 + rows * 4:
-            raise FormatError(
-                f"{path}: payload size mismatch, header says {rows} symbols, "
-                f"file has {(len(raw) - 12) // 4}"
-            )
+        rows, stored_alphabet = unpack_header(path, raw, _LBL_MAGIC, "<II")
+        check_size(path, raw, 12 + rows * 4)
         symbols = np.frombuffer(raw, dtype="<u4", offset=12).astype(np.int64)
         base_alphabet = stored_alphabet
     else:
@@ -241,32 +243,33 @@ def resample_nearest(stream, target_rate_hz: float):
     Output length is ``max(1, round(L * target / source))`` and output frame
     ``i`` copies source frame ``min(L - 1, floor((i + 0.5) * source / target))``.
     No interpolation, so label streams stay valid and features unsmoothed.
+    A length above the u32 row count of the file formats raises DataError.
     """
     if not 0 < target_rate_hz < math.inf:
         raise DataError(f"target_rate_hz must be finite and > 0, got {target_rate_hz}")
     source_rate = stream.sample_rate_hz
     rows = stream.rows
-    out_rows = max(1, int(round(rows * target_rate_hz / source_rate)))
+    length = rows * target_rate_hz / source_rate
+    if not math.isfinite(length) or round(length) > _U32_MAX:
+        raise DataError(
+            f"resampling {rows} frames from {source_rate:g} Hz to {target_rate_hz:g} Hz "
+            f"gives {length:g} frames, above the limit of {_U32_MAX}"
+        )
+    out_rows = max(1, round(length))
     idx = np.minimum(
         rows - 1,
         np.floor((np.arange(out_rows) + 0.5) * source_rate / target_rate_hz).astype(np.int64),
     )
+    return _frames(stream, idx, target_rate_hz)
+
+
+def _frames(stream, idx, rate: float):
+    """Frames ``idx`` (an index array or a slice) of a stream, same kind, at ``rate`` Hz."""
     if isinstance(stream, FeatureMatrix):
-        return FeatureMatrix(stream.values[idx], target_rate_hz, stream.modality_tag)
+        return FeatureMatrix(stream.values[idx], rate, stream.modality_tag)
     if isinstance(stream, LabelSequence):
-        return LabelSequence(
-            stream.symbols[idx], stream.alphabet_size, target_rate_hz, stream.modality_tag
-        )
+        return LabelSequence(stream.symbols[idx], stream.alphabet_size, rate, stream.modality_tag)
     raise DataError(f"cannot resample object of type {type(stream).__name__}")
-
-
-def _truncated(stream, rows: int):
-    """First ``rows`` frames of a stream, same kind."""
-    if isinstance(stream, FeatureMatrix):
-        return FeatureMatrix(stream.values[:rows], stream.sample_rate_hz, stream.modality_tag)
-    return LabelSequence(
-        stream.symbols[:rows], stream.alphabet_size, stream.sample_rate_hz, stream.modality_tag
-    )
 
 
 def align(streams: list[FeatureMatrix | LabelSequence], target_rate_hz: float) -> AlignedDataset:
@@ -291,7 +294,7 @@ def align(streams: list[FeatureMatrix | LabelSequence], target_rate_hz: float) -
         name = s.modality_tag or f"stream{i}"
         if name in named:
             raise AlignmentError(f"duplicate stream name {name!r}")
-        named[name] = _truncated(s, rows)
+        named[name] = _frames(s, slice(rows), s.sample_rate_hz)
     return AlignedDataset(named)
 
 
@@ -320,6 +323,18 @@ class Manifest:
         return read_labels(spec.path, spec.sample_rate_hz, spec.alphabet_size, spec.name)
 
 
+def _rate(value, where: str) -> float:
+    """A manifest rate: a number, not a bool, that converts to a finite float > 0."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            rate = float(value)
+        except OverflowError:  # an integer too large for a float
+            rate = math.inf
+        if 0 < rate < math.inf:
+            return rate
+    raise FormatError(f"{where} must be a finite positive number")
+
+
 def load_manifest(path) -> Manifest:
     """Parse and validate a JSON manifest; relative paths resolve against it."""
     path = Path(path)
@@ -329,9 +344,7 @@ def load_manifest(path) -> Manifest:
         raise FormatError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(doc, dict) or "target_rate_hz" not in doc:
         raise FormatError(f"{path}: manifest must be an object with 'target_rate_hz'")
-    rate = doc["target_rate_hz"]
-    if not isinstance(rate, (int, float)) or not 0 < rate < math.inf:
-        raise FormatError(f"{path}: target_rate_hz must be a finite positive number")
+    rate = _rate(doc["target_rate_hz"], f"{path}: target_rate_hz")
     entries = doc.get("streams")
     if not isinstance(entries, list) or not entries:
         raise FormatError(f"{path}: manifest needs a non-empty 'streams' list")
@@ -354,9 +367,7 @@ def load_manifest(path) -> Manifest:
         kind = entry["kind"]
         if kind not in ("features", "labels"):
             raise FormatError(f"{path}: stream {label}: unknown kind {kind!r}")
-        stream_rate = entry["sample_rate_hz"]
-        if not isinstance(stream_rate, (int, float)) or not 0 < stream_rate < math.inf:
-            raise FormatError(f"{path}: stream {label}: sample_rate_hz must be finite and positive")
+        stream_rate = _rate(entry["sample_rate_hz"], f"{path}: stream {label}: sample_rate_hz")
         if entry["name"] in seen:
             raise FormatError(f"{path}: duplicate stream name {entry['name']!r}")
         seen.add(entry["name"])
@@ -381,9 +392,9 @@ def load_manifest(path) -> Manifest:
                 name=entry["name"],
                 path=stream_path,
                 kind=kind,
-                sample_rate_hz=float(stream_rate),
+                sample_rate_hz=stream_rate,
                 alphabet_size=entry.get("alphabet_size"),
                 clusters=clusters,
             )
         )
-    return Manifest(target_rate_hz=float(rate), streams=tuple(specs))
+    return Manifest(target_rate_hz=rate, streams=tuple(specs))

@@ -248,7 +248,7 @@ def _prepare(manifest: Manifest, config: AnalysisConfig):
 
 
 def _quantize(spec, stream, config: AnalysisConfig, position: int):
-    """Fit/assign one continuous stream; returns (labels, summary fields)."""
+    """Fit one continuous stream; returns (its training labels, summary fields)."""
     k = spec.clusters if spec.clusters is not None else config.clusters
     try:
         cb = quantizer.fit(
@@ -259,10 +259,7 @@ def _quantize(spec, stream, config: AnalysisConfig, position: int):
             max_iter=config.max_iter,
             normalize=config.normalize,
         )
-        if cb.labels is None:  # the last Lloyd pass repaired a cluster
-            labels = quantizer.assign(cb, stream)
-        else:
-            labels = LabelSequence(cb.labels, cb.k, stream.sample_rate_hz, stream.modality_tag)
+        labels = LabelSequence(cb.labels, cb.k, stream.sample_rate_hz, stream.modality_tag)
     except ModmiError as e:
         raise _named(e, spec.name) from e
     digest = hashlib.sha256(quantizer.codebook_to_bytes(cb)).hexdigest()

@@ -8,8 +8,8 @@ centroid index, centroid sums use a fixed chunked order, and empty clusters
 are repaired by stealing the point currently farthest from its centroid.
 Seeding's D^2 distances and every assignment are bit-identical to the
 fixed-order per-dimension loop, whatever BLAS computes for the prefilters.
-A fitted codebook carries the training rows' labels from the last Lloyd
-pass, so a caller that quantizes its training data need not assign again.
+A fitted codebook carries the training rows' labels under its final
+centroids, so a caller that quantizes its training data need not assign again.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from . import _kernels
-from .errors import DataError, FormatError, InfeasibleError
-from .ingestion import FeatureMatrix, LabelSequence
+from .errors import DataError, InfeasibleError
+from .ingestion import FeatureMatrix, LabelSequence, check_size, unpack_header
 
 _KMC_MAGIC = b"KMC1"
 
@@ -36,19 +36,14 @@ class Codebook:
 
     ``normalization`` holds per-dimension (mean, stddev) float32 pairs applied
     before distance computation, or None.  Training metadata
-    (``iterations_run``, ``final_distortion``, ``distortion_history``,
-    ``labels``) is not stored in the codebook file and is None on a loaded
-    codebook.  ``labels`` are the training rows' labels from the last Lloyd
-    pass, equal to ``assign(cb, x).symbols`` on the training data; they are
-    None when that pass repaired an empty cluster, since a repair moves a
-    centroid after the labels were computed.
+    (``distortion_history``, ``labels``) is not stored in the codebook file
+    and is None on a loaded codebook.  ``labels`` are the training rows'
+    labels, equal to ``assign(cb, x).symbols`` on the training data.
     """
 
     centroids: np.ndarray  # (k, d) float32
     seed: int
     normalization: np.ndarray | None = None  # (d, 2) float32
-    iterations_run: int | None = None
-    final_distortion: float | None = None
     distortion_history: tuple[float, ...] | None = None
     labels: np.ndarray | None = field(default=None, repr=False)  # (L,) int64
 
@@ -58,8 +53,6 @@ class Codebook:
             raise DataError(f"centroids must be (k >= 1, d >= 1), got {centroids.shape}")
         if not np.all(np.isfinite(centroids)):
             raise DataError("non-finite centroid")
-        if self.final_distortion is not None and self.final_distortion < 0:
-            raise DataError("final_distortion must be >= 0")
         centroids.setflags(write=False)
         object.__setattr__(self, "centroids", centroids)
         if self.normalization is not None:
@@ -74,6 +67,14 @@ class Codebook:
             labels = np.ascontiguousarray(self.labels, dtype=np.int64)
             labels.setflags(write=False)
             object.__setattr__(self, "labels", labels)
+
+    @property
+    def iterations_run(self) -> int | None:
+        return None if self.distortion_history is None else len(self.distortion_history)
+
+    @property
+    def final_distortion(self) -> float | None:
+        return None if self.distortion_history is None else self.distortion_history[-1]
 
     @property
     def k(self) -> int:
@@ -202,15 +203,15 @@ def fit(
         history.append(distortion)
         if converged or distortion == 0.0:
             break
+    if repaired:  # a repair moved a centroid after this pass's labels were computed
+        labels, _ = _kernels.assign_labels(data, centroids.astype(np.float64))
 
     return Codebook(
         centroids=centroids,
         seed=int(seed),
         normalization=normalization,
-        iterations_run=len(history),
-        final_distortion=history[-1],
         distortion_history=tuple(history),
-        labels=None if repaired else labels,
+        labels=labels,
     )
 
 
@@ -241,25 +242,11 @@ def save_codebook(cb: Codebook, path) -> None:
 
 def load_codebook(path) -> Codebook:
     raw = Path(path).read_bytes()
-    if raw[:4] != _KMC_MAGIC:
-        raise FormatError(f"{path}: bad magic {raw[:4]!r}, expected {_KMC_MAGIC!r}")
-    if len(raw) < 21:
-        raise FormatError(f"{path}: truncated header")
-    k, dims, seed, norm_flag = struct.unpack("<IIQB", raw[4:21])
-    offset = 21
+    k, dims, seed, norm_flag = unpack_header(path, raw, _KMC_MAGIC, "<IIQB")
+    offset = 21 + (dims * 2 * 4 if norm_flag else 0)
+    check_size(path, raw, offset + k * dims * 4)
     normalization = None
     if norm_flag:
-        end = offset + dims * 2 * 4
-        if len(raw) < end:
-            raise FormatError(f"{path}: truncated normalization block")
-        normalization = np.frombuffer(raw, dtype="<f4", count=dims * 2, offset=offset).reshape(
-            dims, 2
-        )
-        offset = end
-    expected = offset + k * dims * 4
-    if len(raw) != expected:
-        raise FormatError(
-            f"{path}: size mismatch, header implies {expected} bytes, file has {len(raw)}"
-        )
+        normalization = np.frombuffer(raw, dtype="<f4", count=dims * 2, offset=21).reshape(dims, 2)
     centroids = np.frombuffer(raw, dtype="<f4", offset=offset).reshape(k, dims)
     return Codebook(centroids=centroids, seed=seed, normalization=normalization)

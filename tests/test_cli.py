@@ -138,6 +138,24 @@ class TestAnalyze:
         assert doc["quantities"]["log_base"] == "e"
         assert doc["quantities"]["I3"] == pytest.approx(-np.log(2.0), abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "manifest_rates, flags",
+        [((1e300, 1e-300), []), (None, ["--rate", "1e300"]), (None, ["--rate", "1e12"])],
+        ids=["manifest-1e300-over-1e-300", "rate-1e300", "rate-1e12"],
+    )
+    def test_oversized_resample_exit_1(self, xor_dir, capsys, manifest_rates, flags):
+        manifest = xor_dir / "manifest.json"
+        if manifest_rates:
+            doc = json.loads(manifest.read_text())
+            doc["target_rate_hz"] = manifest_rates[0]
+            for entry in doc["streams"]:
+                entry["sample_rate_hz"] = manifest_rates[1]
+            manifest.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "analyze", str(manifest), *flags)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: resampling") and "above the limit of 4294967295" in err
+
 
 class TestFitAssign:
     def _features_file(self, tmp_path):
@@ -236,6 +254,15 @@ class TestSweep:
         with pytest.raises(SystemExit) as exc:
             main(["sweep", str(blobs_dir / "manifest.json"), "--ks", ","])
         assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "modmi sweep: error: argument --ks: must be comma-separated integers, got ','" in err
+
+    def test_non_integer_ks_usage_error(self, blobs_dir, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", str(blobs_dir / "manifest.json"), "--ks", "2,x"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "modmi sweep: error: argument --ks: must be comma-separated integers, got '2,x'" in err
 
     def test_json_format(self, blobs_dir, capsys):
         code, out, _ = run(
@@ -350,6 +377,18 @@ class TestSynth:
         # perfect separation: I(T;S) == H(T) == log2(3)
         row = out.strip().split("\n")[1].split()
         assert row[0] == row[2] == "1.5850"
+
+    # Sizes in the PiB range, which numpy refuses before allocating anything.
+    @pytest.mark.parametrize(
+        "argv",
+        [["blobs", "--dims", str(10**15)], ["xor", "--copies", str(10**15)]],
+        ids=["blobs-dims-1e15", "xor-copies-1e15"],
+    )
+    def test_out_of_memory_exit_1(self, tmp_path, capsys, argv):
+        code, stdout, err = run(capsys, "synth", *argv, "--out-dir", str(tmp_path / "big"))
+        assert code == 1
+        assert stdout == ""
+        assert err.startswith("error: Unable to allocate") and "PiB" in err
 
     @pytest.mark.parametrize(
         "flag, value, message",

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from modmi.ingestion import (
     write_feature_matrix,
     write_labels,
 )
+from modmi.quantizer import Codebook, load_codebook, save_codebook
 from util import features, seq
 
 
@@ -163,6 +166,51 @@ class TestLabelFile:
             read_labels(path)
 
 
+def _binary_file(fmt, path):
+    """Write a valid ``fmt`` file to ``path``; return its reader."""
+    if fmt == "FMX1":
+        write_feature_matrix(features([[1.0, 2.0], [3.0, 4.0]]), path)
+        return read_feature_matrix
+    if fmt == "LBL1":
+        write_labels(seq([0, 1, 2]), path)
+        return read_labels
+    norm = [[0.0, 1.0], [0.0, 1.0]]
+    save_codebook(Codebook(centroids=[[1.0, 2.0]], seed=0, normalization=norm), path)
+    return load_codebook
+
+
+# (format, how the valid file is damaged, the word the error must carry)
+DAMAGED_FILES = [
+    ("FMX1", lambda raw: b"XXXX" + raw[4:], "magic"),
+    ("KMC1", lambda raw: b"XXXX" + raw[4:], "magic"),
+    ("FMX1", lambda raw: raw[:7], "truncated header"),
+    ("LBL1", lambda raw: raw[:7], "truncated header"),
+    ("KMC1", lambda raw: raw[:20], "truncated header"),
+    ("FMX1", lambda raw: raw[:-1], "size mismatch"),
+    ("LBL1", lambda raw: raw[:-1], "size mismatch"),
+    ("KMC1", lambda raw: raw[:-1], "size mismatch"),
+    ("KMC1", lambda raw: raw[:25], "size mismatch"),  # inside the normalization block
+    ("FMX1", lambda raw: raw + b"\x00", "size mismatch"),
+]
+
+
+@pytest.mark.parametrize(
+    "fmt, damage, word",
+    DAMAGED_FILES,
+    ids=[
+        "fmx-magic", "kmc-magic", "fmx-header", "lbl-header", "kmc-header",
+        "fmx-short", "lbl-short", "kmc-short", "kmc-normalization", "fmx-long",
+    ],
+)
+def test_damaged_binary_file_names_path(tmp_path, fmt, damage, word):
+    path = tmp_path / f"damaged.{fmt.lower()}"
+    read = _binary_file(fmt, path)
+    read(path)  # the undamaged file reads
+    path.write_bytes(damage(path.read_bytes()))
+    with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: .*{word}"):
+        read(path)
+
+
 class TestResample:
     def test_downsample_indexing(self):
         # 100 frames at 50 Hz -> 25 Hz: 50 frames, frame 0 copies source 1
@@ -193,6 +241,16 @@ class TestResample:
             s = seq(np.zeros(rows, dtype=np.int64), 1, rate=src_rate)
             out = resample_nearest(s, dst_rate)
             assert out.rows == max(1, round(rows * dst_rate / src_rate))
+
+    @pytest.mark.parametrize(
+        "rows, source_hz, target_hz",
+        [(1, 1e-300, 1e300), (4, 25.0, 1e300), (4, 25.0, 1e12), (1, 1.0, 2.0**32)],
+        ids=["inf-frames", "1e300-hz", "1e12-hz", "u32-max-plus-1"],
+    )
+    def test_oversized_length_rejected(self, rows, source_hz, target_hz):
+        src = seq(np.zeros(rows, dtype=np.int64), 1, rate=source_hz)
+        with pytest.raises(DataError, match="above the limit of 4294967295"):
+            resample_nearest(src, target_hz)
 
     def test_upsample_replicates(self):
         src = seq([0, 1], 2, rate=25.0)
@@ -378,6 +436,17 @@ class TestManifest:
         path = self._write(tmp_path, {"target_rate_hz": 25, "streams": [entry]})
         with pytest.raises(FormatError, match=f"stream cam: '{key}' must be an integer >= 1"):
             load_manifest(path)
+
+    @pytest.mark.parametrize("value", [True, 10**400], ids=["bool", "401-digits"])
+    @pytest.mark.parametrize("field", ["target_rate_hz", "sample_rate_hz"])
+    def test_rates_must_be_finite_numbers(self, tmp_path, field, value):
+        self._stream_files(tmp_path)
+        entry = {"name": "cam", "path": "a.fmx", "kind": "features", "sample_rate_hz": 25}
+        doc = {"target_rate_hz": 25, "streams": [entry]}
+        (doc if field == "target_rate_hz" else entry)[field] = value
+        where = "" if field == "target_rate_hz" else "stream cam: "
+        with pytest.raises(FormatError, match=f"{where}{field} must be a finite positive number"):
+            load_manifest(self._write(tmp_path, doc))
 
     @pytest.mark.parametrize(
         "key, value, label",

@@ -195,10 +195,16 @@ def _count_assign_calls(monkeypatch) -> list[int]:
     return calls
 
 
-def _forget_fit_labels(monkeypatch) -> None:
-    """Make every fit drop its labels, so the pipeline assigns each stream."""
+def _labels_from_assign(monkeypatch) -> None:
+    """Make every fit carry assign's labels of its training data, the reference
+    that fit's own labels must equal."""
     original = quantizer.fit
-    monkeypatch.setattr(quantizer, "fit", lambda *a, **kw: replace(original(*a, **kw), labels=None))
+
+    def refit(x, *args, **kwargs):
+        cb = original(x, *args, **kwargs)
+        return replace(cb, labels=assign(cb, x).symbols)
+
+    monkeypatch.setattr(quantizer, "fit", refit)
 
 
 class TestLabelReuse:
@@ -208,11 +214,10 @@ class TestLabelReuse:
         calls = _count_assign_calls(monkeypatch)
         reused = analyze(blob_manifest, config).to_json()
         assert calls == []
-        _forget_fit_labels(monkeypatch)
+        _labels_from_assign(monkeypatch)
         assert analyze(blob_manifest, config).to_json() == reused
-        assert calls == [4, 4]
 
-    def test_repaired_last_pass_is_assigned(self, tmp_path, monkeypatch):
+    def test_repaired_last_pass_needs_no_assign(self, tmp_path, monkeypatch):
         write_feature_matrix(repair_every_pass_matrix(), tmp_path / "s.fmx")
         write_labels(seq([0, 1, 1, 2]), tmp_path / "t.lbl")
         manifest = write_manifest(
@@ -225,10 +230,10 @@ class TestLabelReuse:
         config = AnalysisConfig(clusters=4, normalize=True, max_iter=1)
         calls = _count_assign_calls(monkeypatch)
         report = analyze(manifest, config).to_json()
-        assert calls == [4]
-        # The repaired labels would use all four clusters; assignment uses three.
+        assert calls == []
+        # The repaired labels would use all four clusters; the final centroids' use three.
         assert json.loads(report)["streams"][0]["distinct"] == 3
-        _forget_fit_labels(monkeypatch)
+        _labels_from_assign(monkeypatch)
         assert analyze(manifest, config).to_json() == report
 
 

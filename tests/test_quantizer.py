@@ -111,7 +111,7 @@ class TestFit:
             assert cb.labels is not None
             assert np.array_equal(cb.labels, assign(cb, x).symbols)
 
-    def test_no_labels_after_repaired_last_pass(self, monkeypatch):
+    def test_labels_after_repaired_last_pass_equal_assign(self, monkeypatch):
         repairs = []
         original = quantizer._repair_empty
 
@@ -121,11 +121,23 @@ class TestFit:
 
         monkeypatch.setattr(quantizer, "_repair_empty", counting)
         x = repair_every_pass_matrix()
-        cb = fit(x, 4, seed=0, normalize=True, max_iter=1)
-        assert len(repairs) == 1
-        assert cb.labels is None
-        # Assignment leaves the repaired cluster empty again.
-        assert np.unique(assign(cb, x).symbols).size == 3
+        for max_iter in (1, 2, 3):
+            repairs.clear()
+            cb = fit(x, 4, seed=0, normalize=True, max_iter=max_iter)
+            assert len(repairs) == cb.iterations_run  # every pass repaired, the last one too
+            assert np.array_equal(cb.labels, assign(cb, x).symbols)
+            # The final centroids leave the repaired cluster empty again.
+            assert np.unique(cb.labels).size == 3
+
+    def test_metadata_follows_distortion_history(self, tmp_path):
+        rng = np.random.Generator(np.random.PCG64(7))
+        cb = fit(features(rng.standard_normal((300, 4))), 8, seed=3)
+        assert cb.iterations_run == len(cb.distortion_history) > 1
+        assert cb.final_distortion == cb.distortion_history[-1]
+        save_codebook(cb, tmp_path / "cb.kmc")
+        loaded = load_codebook(tmp_path / "cb.kmc")
+        assert loaded.distortion_history is None
+        assert loaded.iterations_run is None and loaded.final_distortion is None
 
 
 def _reference_row_dist2(x_cols, centre_cols):
