@@ -1,9 +1,11 @@
 """Nearest-centroid assignment, kmeans++ D^2 distances and centroid
 accumulation.
 
-Assignment scores every centroid with one BLAS GEMM per chunk, then settles
-any row the GEMM cannot decide with the fixed-order exact loop in
-``_pykernels``, so labels and distances are bit-identical to that loop.
+``assign_chunk`` is the exact loop: it sums squared distances over the
+dimensions in order, so its result does not depend on BLAS, and it is the
+oracle the kernel tests compare against.  Assignment scores every centroid
+with one BLAS GEMM per chunk, then settles any row the GEMM cannot decide
+with ``assign_chunk``, so labels and distances are bit-identical to it.
 Seeding bounds each row's distance to a new centre from below with one GEMV
 and recomputes the fixed-order distance only where the bound cannot rule
 the row out.  The kernels walk their chunks serially and reduce them in
@@ -14,8 +16,6 @@ thread count.
 from __future__ import annotations
 
 import numpy as np
-
-from . import _pykernels
 
 # Recorded by the benchmark's environment probe; there is one implementation.
 backend_name = "python"
@@ -36,10 +36,26 @@ def _gamma(n: int) -> float:
     return n * _UNIT_ROUNDOFF / (1 - n * _UNIT_ROUNDOFF)
 
 
+def assign_chunk(x, centroids, labels_out, dist2_out):
+    """Nearest centroid (squared Euclidean) for one chunk of points.
+
+    Ties go to the lowest centroid index.  ``x`` is (n, d) float64 C-order,
+    ``centroids`` (k, d) float64 C-order.
+    """
+    n, d = x.shape
+    k = centroids.shape[0]
+    acc = np.zeros((n, k), dtype=np.float64)
+    for dim in range(d):
+        diff = x[:, dim, np.newaxis] - centroids[np.newaxis, :, dim]
+        acc += diff * diff
+    labels_out[:] = np.argmin(acc, axis=1)
+    dist2_out[:] = acc[np.arange(n), labels_out]
+
+
 def row_dist2(x_cols, centre_cols):
     """Squared distance from each point to its centre, summed in dimension
-    order with the same operations as ``_pykernels.assign_chunk``, so
-    bit-identical to it.
+    order with the same operations as ``assign_chunk``, so bit-identical to
+    it.
 
     Takes columns: ``x_cols`` is (d, m), the points transposed (a view is
     fine), and ``centre_cols`` is (d,) for one shared centre or (d, m) for one
@@ -104,7 +120,7 @@ def assign_labels(x, centroids):
         ambiguous = np.flatnonzero(candidates != 1)
         if ambiguous.size:
             exact = np.empty(ambiguous.size, dtype=np.int64)
-            _pykernels.assign_chunk(xc[ambiguous], centroids, exact, np.empty(ambiguous.size))
+            assign_chunk(xc[ambiguous], centroids, exact, np.empty(ambiguous.size))
             best[ambiguous] = exact
         labels[lo:hi] = best
         dist2[lo:hi] = row_dist2(xc.T, centroids[best].T)

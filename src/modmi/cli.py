@@ -14,6 +14,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +22,8 @@ import numpy as np
 from . import __version__
 from .errors import DataError, InfeasibleError, ModmiError
 from .infotheory import LOG_BASES, InfoQuantities
-from .ingestion import load_manifest, read_feature_matrix, write_feature_matrix, write_labels
+from .ingestion import FeatureMatrix, load_manifest, read_feature_matrix
+from .ingestion import write_feature_matrix, write_labels
 from .pipeline import AnalysisConfig, InfoReport, analyze, sweep_clusters
 from .quantizer import assign, fit, load_codebook, save_codebook
 from .synthetic import exhaustive_stream, gen_gaussian_mixture, xor_pmf
@@ -162,10 +164,6 @@ def _given_config(args) -> dict:
     return {name: given[name] for name in _CONFIG_FLAGS if name in given}
 
 
-def _config_from_args(args) -> AnalysisConfig:
-    return AnalysisConfig(**_given_config(args))
-
-
 def _render_report(report: InfoReport, fmt: str, out: str | None, title: str = "") -> None:
     if fmt == "json":
         _emit(report.to_json(), out)
@@ -177,17 +175,11 @@ def _render_report(report: InfoReport, fmt: str, out: str | None, title: str = "
 
 def cmd_fit(args) -> int:
     features = read_feature_matrix(args.features)
-    # A dict, not an AnalysisConfig: fit takes any u64 seed, while an
-    # analysis stops at 2**64 - 3 because stream i is fitted with seed + i.
-    knobs = {**AnalysisConfig().as_dict(), **_given_config(args)}
-    cb = fit(
-        features,
-        knobs["clusters"],
-        seed=knobs["seed"],
-        tol=knobs["tol"],
-        max_iter=knobs["max_iter"],
-        normalize=knobs["normalize"],
-    )
+    # Not an AnalysisConfig: fit takes any u64 seed, while an analysis stops
+    # at 2**64 - 3 because stream i is fitted with seed + i.  fit's keyword
+    # defaults equal AnalysisConfig's.
+    knobs = _given_config(args)
+    cb = fit(features, knobs.pop("clusters", AnalysisConfig.clusters), **knobs)
     save_codebook(cb, args.out)
     print(f"k={cb.k} iterations={cb.iterations_run} distortion={cb.final_distortion:.6g}")
     return 0
@@ -203,7 +195,7 @@ def cmd_assign(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    report = analyze(load_manifest(args.manifest), _config_from_args(args))
+    report = analyze(load_manifest(args.manifest), AnalysisConfig(**_given_config(args)))
     _render_report(report, args.format, args.out, title=Path(args.manifest).stem)
     return 0
 
@@ -220,7 +212,8 @@ def _cluster_counts(text: str) -> list[int]:
 
 
 def cmd_sweep(args) -> int:
-    reports = sweep_clusters(load_manifest(args.manifest), _config_from_args(args), args.ks)
+    config = AnalysisConfig(**_given_config(args))
+    reports = sweep_clusters(load_manifest(args.manifest), config, args.ks)
     if args.format == "json":
         text = "[\n" + ",\n".join(r.to_json().rstrip("\n") for r in reports) + "\n]\n"
         _emit(text, args.out)
@@ -250,46 +243,31 @@ def _check_blobs_flags(args) -> None:
 
 
 def cmd_synth(args) -> int:
-    if args.generator == "blobs":
-        _check_blobs_flags(args)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     if args.generator == "xor":
         streams = exhaustive_stream(xor_pmf(), copies=args.copies, tags=["v", "t", "s"])
-        entries = []
-        for stream in streams:
-            path = out_dir / f"{stream.modality_tag}.lbl"
-            write_labels(stream, path)
-            entries.append(
-                {
-                    "name": stream.modality_tag,
-                    "path": path.name,
-                    "kind": "labels",
-                    "sample_rate_hz": stream.sample_rate_hz,
-                }
-            )
-        manifest = {"target_rate_hz": 25.0, "streams": entries}
     else:  # blobs
+        _check_blobs_flags(args)
         centers = np.zeros((args.centers, args.dims))
         centers[:, 0] = args.spacing * np.arange(args.centers)
         features, components = gen_gaussian_mixture(
             centers, args.stddev, args.n_per_center, args.seed
         )
-        write_feature_matrix(features, out_dir / "s.fmx")
-        write_labels(components, out_dir / "t.lbl")
-        manifest = {
-            "target_rate_hz": 25.0,
-            "streams": [
-                {
-                    "name": "s",
-                    "path": "s.fmx",
-                    "kind": "features",
-                    "sample_rate_hz": 25.0,
-                    "clusters": args.centers,
-                },
-                {"name": "t", "path": "t.lbl", "kind": "labels", "sample_rate_hz": 25.0},
-            ],
-        }
+        streams = [replace(features, modality_tag="s"), replace(components, modality_tag="t")]
+    # Built before the directory is made, so a refused allocation leaves no
+    # empty directory behind.
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    entries = []
+    for stream in streams:
+        entry = {"name": stream.modality_tag, "sample_rate_hz": stream.sample_rate_hz}
+        if isinstance(stream, FeatureMatrix):
+            entry.update(path=f"{stream.modality_tag}.fmx", kind="features", clusters=args.centers)
+            write_feature_matrix(stream, out_dir / entry["path"])
+        else:
+            entry.update(path=f"{stream.modality_tag}.lbl", kind="labels")
+            write_labels(stream, out_dir / entry["path"])
+        entries.append(entry)
+    manifest = {"target_rate_hz": 25.0, "streams": entries}
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     print(f"wrote {out_dir / 'manifest.json'}")
     return 0

@@ -173,9 +173,7 @@ def entropy(d: JointDistribution, base=2) -> float:
 
 def mutual_information(a: LabelSequence, b: LabelSequence, base=2) -> float:
     """I(a;b) computed as H(a) + H(b) - H(a;b); tiny negatives clamp to 0."""
-    _check_aligned([a, b])
-    value = _scaled(_mi_nats(a.symbols, b.symbols), normalize_base(base))
-    return _clamped(value, "mutual information")
+    return pair_quantities(a, b, base).i_ts
 
 
 def conditional_entropy(a: LabelSequence, given: list[LabelSequence], base=2) -> float:
@@ -287,22 +285,29 @@ QUANTITY_KEYS = {
 REGIONS = ("V|T,S", "T|V,S", "S|V,T", "V;T|S", "T;S|V", "V;S|T", "V;T;S")
 
 
+def _ts_quantities(t: LabelSequence, s: LabelSequence, token: str):
+    """H(T), H(S), H(T;S) and I(T;S) in nats, and the five (T, S) fields of
+    InfoQuantities (log base ``token``) as keyword arguments."""
+    h_t = _h_nats([t.symbols])
+    h_s = _h_nats([s.symbols])
+    h_ts = _h_nats([t.symbols, s.symbols])
+    i_ts = h_t + h_s - h_ts
+    fields = {
+        "log_base": token,
+        "h_t": _scaled(h_t, token),
+        "h_s": _scaled(h_s, token),
+        "i_ts": _clamped(_scaled(i_ts, token), "I(T;S)"),
+        "h_s_given_t": _clamped(_scaled(h_ts - h_t, token), "H(S|T)"),
+        "h_t_given_s": _clamped(_scaled(h_ts - h_s, token), "H(T|S)"),
+    }
+    return (h_t, h_s, h_ts, i_ts), fields
+
+
 def pair_quantities(t: LabelSequence, s: LabelSequence, base=2) -> InfoQuantities:
     """Entropies, MI and conditionals for a two-variable analysis."""
     _check_aligned([t, s])
-    token = normalize_base(base)
-    at, as_ = t.symbols, s.symbols
-    h_t = _h_nats([at])
-    h_s = _h_nats([as_])
-    h_ts = _h_nats([at, as_])
-    return InfoQuantities(
-        log_base=token,
-        h_t=_scaled(h_t, token),
-        h_s=_scaled(h_s, token),
-        i_ts=_clamped(_scaled(h_t + h_s - h_ts, token), "I(T;S)"),
-        h_s_given_t=_clamped(_scaled(h_ts - h_t, token), "H(S|T)"),
-        h_t_given_s=_clamped(_scaled(h_ts - h_s, token), "H(T|S)"),
-    )
+    _, fields = _ts_quantities(t, s, normalize_base(base))
+    return InfoQuantities(**fields)
 
 
 def info_diagram(v: LabelSequence, t: LabelSequence, s: LabelSequence, base=2) -> InfoQuantities:
@@ -314,17 +319,14 @@ def info_diagram(v: LabelSequence, t: LabelSequence, s: LabelSequence, base=2) -
     """
     _check_aligned([v, t, s])
     token = normalize_base(base)
+    (h_t, h_s, h_ts, i_ts), ts_fields = _ts_quantities(t, s, token)
     av, at, as_ = v.symbols, t.symbols, s.symbols
     h_v = _h_nats([av])
-    h_t = _h_nats([at])
-    h_s = _h_nats([as_])
     h_tv = _h_nats([at, av])
-    h_ts = _h_nats([at, as_])
     h_vs = _h_nats([av, as_])
     h_vts = _h_nats([av, at, as_])
 
     i_tv = h_t + h_v - h_tv
-    i_ts = h_t + h_s - h_ts
     i_vs = h_v + h_s - h_vs
     center = h_v + h_t + h_s - h_tv - h_ts - h_vs + h_vts
     pair_vt = i_tv - center  # = I(V;T|S)
@@ -340,17 +342,12 @@ def info_diagram(v: LabelSequence, t: LabelSequence, s: LabelSequence, base=2) -
         "V;T;S": _scaled(center, token),
     }
     return InfoQuantities(
-        log_base=token,
-        h_t=_scaled(h_t, token),
-        h_s=_scaled(h_s, token),
+        **ts_fields,
         h_v=_scaled(h_v, token),
-        i_ts=_clamped(_scaled(i_ts, token), "I(T;S)"),
         i_tv=_clamped(_scaled(i_tv, token), "I(T;V)"),
         i_vs=_clamped(_scaled(i_vs, token), "I(V;S)"),
         i_vts=_scaled(center, token),
-        h_s_given_t=_clamped(_scaled(h_ts - h_t, token), "H(S|T)"),
         h_v_given_t=_clamped(_scaled(h_tv - h_t, token), "H(V|T)"),
-        h_t_given_s=_clamped(_scaled(h_ts - h_s, token), "H(T|S)"),
         h_t_given_v=_clamped(_scaled(h_tv - h_v, token), "H(T|V)"),
         h_v_given_s=_clamped(_scaled(h_vs - h_s, token), "H(V|S)"),
         h_s_given_v=_clamped(_scaled(h_vs - h_v, token), "H(S|V)"),

@@ -39,6 +39,14 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def check_int(value, what: str) -> int:
+    """``value`` as a Python int: a Python or numpy integer, never a bool.
+    Anything else raises DataError."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    raise DataError(f"{what} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class FeatureMatrix:
     """One modality's continuous feature stream, L frames of d dimensions."""
@@ -86,16 +94,15 @@ class LabelSequence:
             raise DataError(f"symbols must be 1-D, got shape {symbols.shape}")
         if symbols.shape[0] < 1:
             raise DataError("label sequence needs rows >= 1")
-        if self.alphabet_size < 1 or self.alphabet_size > _U32_MAX:
-            raise DataError(f"alphabet_size out of range: {self.alphabet_size}")
+        alphabet_size = check_int(self.alphabet_size, "alphabet_size")
+        if alphabet_size < 1 or alphabet_size > _U32_MAX:
+            raise DataError(f"alphabet_size out of range: {alphabet_size}")
         if symbols.min() < 0:
             raise DataError("symbols must be non-negative")
-        if symbols.max() >= self.alphabet_size:
-            raise DataError(
-                f"symbol {int(symbols.max())} exceeds alphabet_size {self.alphabet_size}"
-            )
+        if symbols.max() >= alphabet_size:
+            raise DataError(f"symbol {int(symbols.max())} exceeds alphabet_size {alphabet_size}")
         object.__setattr__(self, "symbols", _freeze(symbols))
-        object.__setattr__(self, "alphabet_size", int(self.alphabet_size))
+        object.__setattr__(self, "alphabet_size", alphabet_size)
         object.__setattr__(self, "sample_rate_hz", float(self.sample_rate_hz))
         if not 0 < self.sample_rate_hz < math.inf:
             raise DataError(f"sample_rate_hz must be finite and > 0, got {self.sample_rate_hz}")
@@ -212,7 +219,10 @@ def read_labels(
                 f"the observed/declared {base_alphabet}"
             )
         base_alphabet = alphabet_size
-    return LabelSequence(symbols, base_alphabet, sample_rate_hz, modality_tag)
+    try:
+        return LabelSequence(symbols, base_alphabet, sample_rate_hz, modality_tag)
+    except DataError as e:
+        raise DataError(f"{path}: {e}") from None
 
 
 def _parse_label_text(raw: bytes, path) -> np.ndarray:
@@ -243,7 +253,8 @@ def resample_nearest(stream, target_rate_hz: float):
     Output length is ``max(1, round(L * target / source))`` and output frame
     ``i`` copies source frame ``min(L - 1, floor((i + 0.5) * source / target))``.
     No interpolation, so label streams stay valid and features unsmoothed.
-    A length above the u32 row count of the file formats raises DataError.
+    A length above the u32 row count of the file formats raises DataError,
+    which names the stream by its ``modality_tag``.
     """
     if not 0 < target_rate_hz < math.inf:
         raise DataError(f"target_rate_hz must be finite and > 0, got {target_rate_hz}")
@@ -251,8 +262,9 @@ def resample_nearest(stream, target_rate_hz: float):
     rows = stream.rows
     length = rows * target_rate_hz / source_rate
     if not math.isfinite(length) or round(length) > _U32_MAX:
+        of = f" of stream {stream.modality_tag!r}" if stream.modality_tag else ""
         raise DataError(
-            f"resampling {rows} frames from {source_rate:g} Hz to {target_rate_hz:g} Hz "
+            f"resampling {rows} frames{of} from {source_rate:g} Hz to {target_rate_hz:g} Hz "
             f"gives {length:g} frames, above the limit of {_U32_MAX}"
         )
     out_rows = max(1, round(length))

@@ -17,7 +17,7 @@ import numpy as np
 from . import infotheory, quantizer
 from .errors import DataError, FormatError, ModmiError
 from .infotheory import QUANTITY_KEYS, REGIONS, InfoQuantities
-from .ingestion import FeatureMatrix, LabelSequence, Manifest, align, load_manifest
+from .ingestion import FeatureMatrix, LabelSequence, Manifest, align, check_int, load_manifest
 from .quantizer import RNG_NAME
 
 _NUMBER = (int, float)
@@ -31,6 +31,9 @@ class AnalysisConfig:
     target_rate_hz".
     ``clusters`` is the default k for continuous streams; a manifest entry's
     ``clusters`` field overrides it per stream.
+    Numpy scalars are stored as Python ones, so every config writes a report
+    that ``InfoReport.from_json`` reads.  Integer fields reject bools and
+    floats; ``tol`` and ``target_rate_hz`` reject bools and non-finite values.
     """
 
     target_rate_hz: float | None = None
@@ -42,21 +45,38 @@ class AnalysisConfig:
     log_base: str = "2"
 
     def __post_init__(self):
+        for f in fields(self):
+            if isinstance(getattr(self, f.name), np.generic):
+                object.__setattr__(self, f.name, getattr(self, f.name).item())
         object.__setattr__(self, "log_base", infotheory.normalize_base(self.log_base))
+        for name in ("clusters", "seed", "max_iter"):
+            check_int(getattr(self, name), name)
+        _check_positive(self.tol, "tol")
+        if self.target_rate_hz is not None:
+            _check_positive(self.target_rate_hz, "target_rate_hz")
+        if not isinstance(self.normalize, bool):
+            raise DataError(f"normalize must be a bool, got {self.normalize!r}")
         if self.clusters < 1:
             raise DataError(f"clusters must be >= 1, got {self.clusters}")
         # Stream i is fitted with seed + i (i <= 2), which must fit in u64.
         if not 0 <= self.seed <= 2**64 - 3:
             raise DataError(f"seed must be in [0, 2**64 - 3], got {self.seed}")
-        if self.target_rate_hz is not None and not 0 < self.target_rate_hz < math.inf:
-            raise DataError(f"target_rate_hz must be finite and > 0, got {self.target_rate_hz}")
-        if not 0 < self.tol < math.inf:
-            raise DataError(f"tol must be finite and > 0, got {self.tol}")
         if self.max_iter < 1:
             raise DataError(f"max_iter must be >= 1, got {self.max_iter}")
 
     def as_dict(self) -> dict:
         return asdict(self)
+
+
+def _check_positive(value, name: str) -> None:
+    """Reject ``value`` unless it is a number, not a bool, finite and > 0."""
+    if isinstance(value, _NUMBER) and not isinstance(value, bool):
+        try:
+            if 0 < value and math.isfinite(value):
+                return
+        except OverflowError:  # an integer too large for a float
+            pass
+    raise DataError(f"{name} must be finite and > 0 (a number, not a bool), got {value!r}")
 
 
 # AnalysisConfig field -> its JSON type in a report's "config" object.
@@ -329,7 +349,7 @@ def sweep_clusters(manifest, config: AnalysisConfig | None, ks: list[int]) -> li
         manifest = load_manifest(manifest)
     if config is None:
         config = AnalysisConfig()
-    configs = [replace(config, clusters=int(k)) for k in ks]  # rejects a bad k before loading
+    configs = [replace(config, clusters=k) for k in ks]  # rejects a bad k before loading
     streams, rate = _prepare(manifest, config)
     specs = tuple(replace(s, clusters=None) for s in manifest.streams)
     return [_report(specs, streams, replace(c, target_rate_hz=rate)) for c in configs]

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import DataError, InfeasibleError
-from .ingestion import FeatureMatrix, LabelSequence, check_size, unpack_header
+from .ingestion import FeatureMatrix, LabelSequence, check_int, check_size, unpack_header
 
 _KMC_MAGIC = b"KMC1"
 
@@ -161,16 +161,18 @@ def fit(
     ``max_iter`` assignment passes.  Distortion is the mean squared distance
     of points to their assigned centroids (in normalized space when
     ``normalize`` is on) and never increases between iterations.  A ``k``
-    above the number of distinct rows raises InfeasibleError.  The keyword
-    defaults equal AnalysisConfig's.
+    above the number of distinct rows raises InfeasibleError.  ``k``,
+    ``seed`` and ``max_iter`` are Python or numpy integers, never bools.  The
+    keyword defaults equal AnalysisConfig's.
     """
+    k, seed, max_iter = check_int(k, "k"), check_int(seed, "seed"), check_int(max_iter, "max_iter")
     if max_iter < 1:
         raise DataError(f"max_iter must be >= 1, got {max_iter}")
     if not 0 < tol < math.inf:
         raise DataError(f"tol must be finite and > 0, got {tol}")
     if k < 1:
         raise DataError(f"k must be >= 1, got {k}")
-    if not 0 <= int(seed) < 2**64:
+    if not 0 <= seed < 2**64:
         raise DataError(f"seed must fit an unsigned 64-bit integer, got {seed}")
 
     n = x.rows
@@ -179,7 +181,7 @@ def fit(
 
     normalization = _fit_normalization(x.values) if normalize else None
     data = _normalized_f64(x.values, normalization)
-    rng = np.random.Generator(np.random.PCG64(int(seed)))
+    rng = np.random.Generator(np.random.PCG64(seed))
 
     # f32 rounding keeps in-memory centroids identical to the saved codebook.
     centroids = _kmeanspp_init(data, k, rng).astype(np.float32)
@@ -208,7 +210,7 @@ def fit(
 
     return Codebook(
         centroids=centroids,
-        seed=int(seed),
+        seed=seed,
         normalization=normalization,
         distortion_history=tuple(history),
         labels=labels,

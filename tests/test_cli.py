@@ -1,4 +1,6 @@
+import hashlib
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -156,6 +158,14 @@ class TestAnalyze:
         assert out == ""
         assert err.startswith("error: resampling") and "above the limit of 4294967295" in err
 
+    def test_oversized_resample_names_the_stream(self, xor_dir, capsys):
+        code, _, err = run(capsys, "analyze", str(xor_dir / "manifest.json"), "--rate", "1e12")
+        assert code == 1
+        assert err == (
+            "error: resampling 4 frames of stream 'v' from 25 Hz to 1e+12 Hz "
+            "gives 1.6e+11 frames, above the limit of 4294967295\n"
+        )
+
 
 class TestFitAssign:
     def _features_file(self, tmp_path):
@@ -214,6 +224,16 @@ class TestFitAssign:
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and f"{k} clusters but only 240 rows" in err
+
+    def test_fit_defaults_spelled_out_write_same_codebook(self, tmp_path, capsys):
+        rng = np.random.Generator(np.random.PCG64(1))
+        path = tmp_path / "x.fmx"
+        write_feature_matrix(features(rng.standard_normal((2100, 2))), path)
+        bare, spelled = tmp_path / "bare.kmc", tmp_path / "spelled.kmc"
+        defaults = ["--clusters", "2000", "--seed", "0", "--tol", "1e-4", "--max-iter", "300"]
+        assert run(capsys, "fit", str(path), "--out", str(bare))[0] == 0
+        assert run(capsys, "fit", str(path), *defaults, "--out", str(spelled))[0] == 0
+        assert bare.read_bytes() == spelled.read_bytes()
 
     def test_assign_round_trip(self, tmp_path, capsys):
         path = self._features_file(tmp_path)
@@ -410,4 +430,92 @@ class TestSynth:
         assert code == 1
         assert stdout == ""
         assert err == f"error: {message}\n"
+        assert not out.exists()
+
+
+# The manifests and stream files synth writes, pinned byte for byte.
+XOR_MANIFEST = """{
+  "streams": [
+    {
+      "kind": "labels",
+      "name": "v",
+      "path": "v.lbl",
+      "sample_rate_hz": 25.0
+    },
+    {
+      "kind": "labels",
+      "name": "t",
+      "path": "t.lbl",
+      "sample_rate_hz": 25.0
+    },
+    {
+      "kind": "labels",
+      "name": "s",
+      "path": "s.lbl",
+      "sample_rate_hz": 25.0
+    }
+  ],
+  "target_rate_hz": 25.0
+}
+"""
+
+BLOBS_MANIFEST = """{
+  "streams": [
+    {
+      "clusters": 3,
+      "kind": "features",
+      "name": "s",
+      "path": "s.fmx",
+      "sample_rate_hz": 25.0
+    },
+    {
+      "kind": "labels",
+      "name": "t",
+      "path": "t.lbl",
+      "sample_rate_hz": 25.0
+    }
+  ],
+  "target_rate_hz": 25.0
+}
+"""
+
+
+class TestSynthFiles:
+    @pytest.mark.parametrize("copies", [1, 5])
+    def test_xor_files(self, tmp_path, capsys, copies):
+        out = tmp_path / "xor"
+        code, stdout, _ = run(capsys, "synth", "xor", "--out-dir", str(out), "--copies", str(copies))
+        assert code == 0
+        assert stdout == f"wrote {out / 'manifest.json'}\n"
+        assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "s.lbl", "t.lbl", "v.lbl"]
+        assert (out / "manifest.json").read_text() == XOR_MANIFEST
+        block = {"v": [0, 0, 1, 1], "t": [0, 1, 0, 1], "s": [0, 1, 1, 0]}  # s = v xor t
+        for name, symbols in block.items():
+            want = b"LBL1" + struct.pack("<II", 4 * copies, 2)
+            want += np.tile(np.array(symbols, dtype="<u4"), copies).tobytes()
+            assert (out / f"{name}.lbl").read_bytes() == want
+
+    def test_blobs_files(self, tmp_path, capsys):
+        out = tmp_path / "blobs"
+        code, _, _ = run(
+            capsys, "synth", "blobs", "--out-dir", str(out),
+            "--centers", "3", "--dims", "4", "--n-per-center", "100", "--seed", "1",
+        )
+        assert code == 0
+        assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "s.fmx", "t.lbl"]
+        assert (out / "manifest.json").read_text() == BLOBS_MANIFEST
+        entries = json.loads((out / "manifest.json").read_text())["streams"]
+        assert [e["kind"] for e in entries if "clusters" in e] == ["features"]
+        labels = np.repeat(np.arange(3, dtype="<u4"), 100)
+        assert (out / "t.lbl").read_bytes() == b"LBL1" + struct.pack("<II", 300, 3) + labels.tobytes()
+        assert hashlib.sha256((out / "s.fmx").read_bytes()).hexdigest() == (
+            "2139aa71a4bb6386c4fe0c7aa9dcea115fbc23a9e986a35afe841f1eeddc02f2"
+        )
+
+    def test_refused_allocation_leaves_no_directory(self, tmp_path, capsys):
+        out = tmp_path / "big"
+        code, stdout, err = run(capsys, "synth", "blobs", "--dims", str(10**15), "--out-dir", str(out))
+        assert code == 1
+        assert stdout == ""
+        assert err.startswith("error: ")
         assert not out.exists()

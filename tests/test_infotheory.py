@@ -341,3 +341,18 @@ def test_pair_quantities_fields():
 def test_base_rejected():
     with pytest.raises(DataError, match="log base"):
         entropy(joint_counts([seq([0, 1])]), base=3)
+
+
+@pytest.mark.parametrize("base", ["2", "e", "10"])
+def test_info_diagram_and_mi_share_the_pair_quantities(base):
+    """The (T, S) fields of a three-stream diagram, and plain MI, are the
+    two-stream analysis's values bit for bit."""
+    rng = np.random.Generator(np.random.PCG64(31))
+    for _ in range(30):
+        v, t, s = random_streams(rng, 3, int(rng.integers(2, 300)), alphabet=5)
+        pair = pair_quantities(t, s, base)
+        three = info_diagram(v, t, s, base)
+        for name in ("h_t", "h_s", "i_ts", "h_s_given_t", "h_t_given_s"):
+            assert getattr(three, name) == getattr(pair, name), name
+        assert mutual_information(t, s, base) == pair.i_ts
+        assert mutual_information(v, s, base) == pair_quantities(v, s, base).i_ts

@@ -1,4 +1,5 @@
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -459,3 +460,22 @@ class TestManifest:
         path = self._write(tmp_path, {"target_rate_hz": 25, "streams": [entry]})
         with pytest.raises(FormatError, match=f"stream {label}: '{key}' must be a non-empty string"):
             load_manifest(path)
+
+
+@pytest.mark.parametrize("alphabet_size", [2.5, True, "3"], ids=["float", "bool", "str"])
+def test_alphabet_size_must_be_an_integer(alphabet_size):
+    with pytest.raises(DataError, match="alphabet_size must be an integer"):
+        LabelSequence([0, 1, 2], alphabet_size, 25.0)
+
+
+def test_numpy_alphabet_size_is_stored_as_int():
+    labels = LabelSequence([0, 1, 2], np.int64(3), 25.0)
+    assert type(labels.alphabet_size) is int and labels.alphabet_size == 3
+
+
+def test_lbl1_symbol_above_stored_alphabet_names_the_file(tmp_path):
+    path = tmp_path / "bad.lbl"
+    path.write_bytes(b"LBL1" + struct.pack("<II", 3, 2) + np.array([0, 1, 5], "<u4").tobytes())
+    with pytest.raises(DataError) as exc:
+        read_labels(path)
+    assert str(exc.value) == f"{path}: symbol 5 exceeds alphabet_size 2"

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from modmi import _kernels
-from modmi._kernels import _pykernels, accumulate_means, assign_labels
+from modmi._kernels import accumulate_means, assign_labels
 from modmi.cli import main
 from util import run_cli_process
 
@@ -42,7 +42,7 @@ def test_accumulate_matches_direct_numpy():
 
 
 # Held here so counting the exact loop's rows (below) leaves the oracle out.
-_reference_assign = _pykernels.assign_chunk
+_reference_assign = _kernels.assign_chunk
 
 
 def _oracle(x, c):
@@ -67,7 +67,7 @@ def _exact_rows(monkeypatch):
         seen.append(x.shape[0])
         _reference_assign(x, *args)
 
-    monkeypatch.setattr(_pykernels, "assign_chunk", counting)
+    monkeypatch.setattr(_kernels, "assign_chunk", counting)
     return seen
 
 

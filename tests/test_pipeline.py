@@ -428,3 +428,47 @@ class TestReportSerialization:
         report = analyze(manifest)
         assert report.config.target_rate_hz == 10.0
         assert all(s.rows == 4 for s in report.streams)  # 20 frames at 50 Hz -> 10 Hz
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("seed", np.int64(3)),
+        ("clusters", np.int32(3)),
+        ("max_iter", np.uint16(5)),
+        ("tol", np.float32(1e-3)),
+        ("target_rate_hz", np.float64(12.5)),
+        ("target_rate_hz", np.int64(25)),
+        ("normalize", np.bool_(True)),
+    ],
+    ids=["seed", "clusters", "max-iter", "tol", "rate-float", "rate-int", "normalize"],
+)
+def test_numpy_scalar_config_round_trips_through_its_report(blob_manifest, field, value):
+    config = AnalysisConfig(**{"clusters": 3, field: value})
+    assert not isinstance(getattr(config, field), np.generic)
+    assert getattr(config, field) == value
+    report = analyze(blob_manifest, config)
+    assert InfoReport.from_json(report.to_json()).config == report.config
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("seed", 1.5),
+        ("seed", True),
+        ("clusters", True),
+        ("clusters", 3.0),
+        ("max_iter", 2.5),
+        ("max_iter", np.float64(5)),
+        ("tol", True),
+        ("tol", "1e-3"),
+        ("target_rate_hz", True),
+        ("target_rate_hz", 10**400),
+        ("target_rate_hz", np.float64("inf")),
+        ("normalize", 1),
+        ("normalize", "yes"),
+    ],
+)
+def test_config_rejects_bools_and_non_integers(field, value):
+    with pytest.raises(DataError, match=f"^{field} must be"):
+        AnalysisConfig(**{field: value})

@@ -351,3 +351,27 @@ def test_codebook_rejects_non_finite():
 def test_codebook_bytes_deterministic():
     cb = fit(two_blob_matrix(), 2, seed=0)
     assert codebook_to_bytes(cb) == codebook_to_bytes(cb)
+
+
+@pytest.mark.parametrize(
+    "k, kwargs, message",
+    [
+        (3, {"seed": 0.7}, "seed must be an integer, got 0.7"),
+        (True, {}, "k must be an integer, got True"),
+        (2.0, {}, "k must be an integer, got 2.0"),
+        (2, {"seed": True}, "seed must be an integer, got True"),
+        (2, {"max_iter": 2.5}, "max_iter must be an integer, got 2.5"),
+    ],
+    ids=["seed-float", "k-bool", "k-float", "seed-bool", "max-iter-float"],
+)
+def test_fit_takes_only_integer_counts_and_seeds(k, kwargs, message):
+    with pytest.raises(DataError) as exc:
+        fit(two_blob_matrix(), k, **kwargs)
+    assert str(exc.value) == message
+
+
+def test_fit_takes_numpy_integers():
+    x = two_blob_matrix()
+    cb = fit(x, np.int64(2), seed=np.uint64(5), max_iter=np.int32(300))
+    assert type(cb.seed) is int and cb.seed == 5
+    assert codebook_to_bytes(cb) == codebook_to_bytes(fit(x, 2, seed=5))
