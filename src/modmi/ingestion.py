@@ -39,12 +39,35 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def check_int(value, what: str) -> int:
-    """``value`` as a Python int: a Python or numpy integer, never a bool.
-    Anything else raises DataError."""
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
-        return int(value)
-    raise DataError(f"{what} must be an integer, got {value!r}")
+def check_int(value, what: str, minimum: int | None = None) -> int:
+    """``value`` as a Python int: a Python or numpy integer, never a bool, and
+    at least ``minimum`` when one is given.  Anything else raises DataError."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise DataError(f"{what} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise DataError(f"{what} must be >= {minimum}, got {value}")
+    return int(value)
+
+
+def check_positive(value, what: str) -> float:
+    """``value`` as a finite float > 0: a Python or numpy real number, never a
+    bool.  Anything else raises DataError."""
+    if isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:  # an integer too large for a float
+            number = math.inf
+        if 0 < number < math.inf:
+            return number
+    raise DataError(f"{what} must be finite and > 0 (a number, not a bool), got {value!r}")
+
+
+def check_bool(value, what: str) -> bool:
+    """``value`` as a Python bool: a Python or numpy bool.  Anything else
+    raises DataError."""
+    if isinstance(value, (bool, np.bool_)):
+        return bool(value)
+    raise DataError(f"{what} must be a bool, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -65,10 +88,9 @@ class FeatureMatrix:
             idx = int(np.flatnonzero(~np.isfinite(values))[0])
             r, c = divmod(idx, values.shape[1])
             raise DataError(f"non-finite feature value at row {r}, col {c}")
-        if not 0 < self.sample_rate_hz < math.inf:
-            raise DataError(f"sample_rate_hz must be finite and > 0, got {self.sample_rate_hz}")
+        rate = check_positive(self.sample_rate_hz, "sample_rate_hz")
         object.__setattr__(self, "values", _freeze(values))
-        object.__setattr__(self, "sample_rate_hz", float(self.sample_rate_hz))
+        object.__setattr__(self, "sample_rate_hz", rate)
 
     @property
     def rows(self) -> int:
@@ -101,11 +123,10 @@ class LabelSequence:
             raise DataError("symbols must be non-negative")
         if symbols.max() >= alphabet_size:
             raise DataError(f"symbol {int(symbols.max())} exceeds alphabet_size {alphabet_size}")
+        rate = check_positive(self.sample_rate_hz, "sample_rate_hz")
         object.__setattr__(self, "symbols", _freeze(symbols))
         object.__setattr__(self, "alphabet_size", alphabet_size)
-        object.__setattr__(self, "sample_rate_hz", float(self.sample_rate_hz))
-        if not 0 < self.sample_rate_hz < math.inf:
-            raise DataError(f"sample_rate_hz must be finite and > 0, got {self.sample_rate_hz}")
+        object.__setattr__(self, "sample_rate_hz", rate)
 
     @property
     def rows(self) -> int:
@@ -256,8 +277,7 @@ def resample_nearest(stream, target_rate_hz: float):
     A length above the u32 row count of the file formats raises DataError,
     which names the stream by its ``modality_tag``.
     """
-    if not 0 < target_rate_hz < math.inf:
-        raise DataError(f"target_rate_hz must be finite and > 0, got {target_rate_hz}")
+    target_rate_hz = check_positive(target_rate_hz, "target_rate_hz")
     source_rate = stream.sample_rate_hz
     rows = stream.rows
     length = rows * target_rate_hz / source_rate
@@ -268,10 +288,10 @@ def resample_nearest(stream, target_rate_hz: float):
             f"gives {length:g} frames, above the limit of {_U32_MAX}"
         )
     out_rows = max(1, round(length))
+    # Clipped before the cast: at a tiny target rate the float index overflows int64.
     idx = np.minimum(
-        rows - 1,
-        np.floor((np.arange(out_rows) + 0.5) * source_rate / target_rate_hz).astype(np.int64),
-    )
+        rows - 1, np.floor((np.arange(out_rows) + 0.5) * source_rate / target_rate_hz)
+    ).astype(np.int64)
     return _frames(stream, idx, target_rate_hz)
 
 
@@ -336,15 +356,11 @@ class Manifest:
 
 
 def _rate(value, where: str) -> float:
-    """A manifest rate: a number, not a bool, that converts to a finite float > 0."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        try:
-            rate = float(value)
-        except OverflowError:  # an integer too large for a float
-            rate = math.inf
-        if 0 < rate < math.inf:
-            return rate
-    raise FormatError(f"{where} must be a finite positive number")
+    """A manifest rate, by :func:`check_positive`'s rule."""
+    try:
+        return check_positive(value, where)
+    except DataError:
+        raise FormatError(f"{where} must be a finite positive number") from None
 
 
 def load_manifest(path) -> Manifest:
@@ -390,10 +406,13 @@ def load_manifest(path) -> Manifest:
             raise FormatError(f"{path}: stream {label}: no such file: {stream_path}")
         for key in ("clusters", "alphabet_size"):
             value = entry.get(key)
-            if value is not None and (isinstance(value, bool) or not isinstance(value, int) or value < 1):
-                raise FormatError(
-                    f"{path}: stream {label}: {key!r} must be an integer >= 1, got {value!r}"
-                )
+            if value is not None:
+                try:
+                    check_int(value, key, 1)
+                except DataError:
+                    raise FormatError(
+                        f"{path}: stream {label}: {key!r} must be an integer >= 1, got {value!r}"
+                    ) from None
         clusters = entry.get("clusters")
         if clusters is not None and kind == "labels":
             raise FormatError(

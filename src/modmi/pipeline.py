@@ -17,10 +17,9 @@ import numpy as np
 from . import infotheory, quantizer
 from .errors import DataError, FormatError, ModmiError
 from .infotheory import QUANTITY_KEYS, REGIONS, InfoQuantities
-from .ingestion import FeatureMatrix, LabelSequence, Manifest, align, check_int, load_manifest
+from .ingestion import FeatureMatrix, LabelSequence, Manifest, align, load_manifest
+from .ingestion import check_bool, check_int, check_positive
 from .quantizer import RNG_NAME
-
-_NUMBER = (int, float)
 
 
 @dataclass(frozen=True)
@@ -32,8 +31,10 @@ class AnalysisConfig:
     ``clusters`` is the default k for continuous streams; a manifest entry's
     ``clusters`` field overrides it per stream.
     Numpy scalars are stored as Python ones, so every config writes a report
-    that ``InfoReport.from_json`` reads.  Integer fields reject bools and
-    floats; ``tol`` and ``target_rate_hz`` reject bools and non-finite values.
+    that ``InfoReport.from_json`` reads.  Integer fields follow ``check_int``
+    (no bools, no floats), ``tol`` and ``target_rate_hz`` follow
+    ``check_positive`` (a number, not a bool, with a finite float > 0) and
+    ``normalize`` follows ``check_bool``; each raises DataError.
     """
 
     target_rate_hz: float | None = None
@@ -49,46 +50,18 @@ class AnalysisConfig:
             if isinstance(getattr(self, f.name), np.generic):
                 object.__setattr__(self, f.name, getattr(self, f.name).item())
         object.__setattr__(self, "log_base", infotheory.normalize_base(self.log_base))
-        for name in ("clusters", "seed", "max_iter"):
-            check_int(getattr(self, name), name)
-        _check_positive(self.tol, "tol")
-        if self.target_rate_hz is not None:
-            _check_positive(self.target_rate_hz, "target_rate_hz")
-        if not isinstance(self.normalize, bool):
-            raise DataError(f"normalize must be a bool, got {self.normalize!r}")
-        if self.clusters < 1:
-            raise DataError(f"clusters must be >= 1, got {self.clusters}")
+        check_int(self.clusters, "clusters", 1)
+        check_int(self.max_iter, "max_iter", 1)
         # Stream i is fitted with seed + i (i <= 2), which must fit in u64.
-        if not 0 <= self.seed <= 2**64 - 3:
+        if not 0 <= check_int(self.seed, "seed") <= 2**64 - 3:
             raise DataError(f"seed must be in [0, 2**64 - 3], got {self.seed}")
-        if self.max_iter < 1:
-            raise DataError(f"max_iter must be >= 1, got {self.max_iter}")
+        check_positive(self.tol, "tol")
+        if self.target_rate_hz is not None:
+            check_positive(self.target_rate_hz, "target_rate_hz")
+        check_bool(self.normalize, "normalize")
 
     def as_dict(self) -> dict:
         return asdict(self)
-
-
-def _check_positive(value, name: str) -> None:
-    """Reject ``value`` unless it is a number, not a bool, finite and > 0."""
-    if isinstance(value, _NUMBER) and not isinstance(value, bool):
-        try:
-            if 0 < value and math.isfinite(value):
-                return
-        except OverflowError:  # an integer too large for a float
-            pass
-    raise DataError(f"{name} must be finite and > 0 (a number, not a bool), got {value!r}")
-
-
-# AnalysisConfig field -> its JSON type in a report's "config" object.
-_CONFIG_TYPES = {
-    "target_rate_hz": _NUMBER + (type(None),),
-    "clusters": int,
-    "seed": int,
-    "tol": _NUMBER,
-    "max_iter": int,
-    "normalize": bool,
-    "log_base": str,
-}
 
 
 @dataclass(frozen=True)
@@ -150,10 +123,13 @@ class InfoReport:
         except (ValueError, RecursionError) as e:
             raise FormatError(f"report: invalid JSON: {e}") from None
         cfg = _field(doc, "config", dict, "report")
-        try:
-            config = AnalysisConfig(
-                **{name: _field(cfg, name, t, "config") for name, t in _CONFIG_TYPES.items()}
-            )
+        names = [f.name for f in fields(AnalysisConfig)]
+        for name in names:
+            if name not in cfg:
+                raise FormatError(f"report: config is missing {name!r}")
+        _field(cfg, "log_base", str, "config")  # normalize_base would also take the number 2
+        try:  # AnalysisConfig checks the type and range of every other value
+            config = AnalysisConfig(**{name: cfg[name] for name in names})
         except DataError as e:
             raise FormatError(f"report: config: {e}") from None
         optional = _defaults_to_none(StreamSummary)
@@ -210,7 +186,7 @@ def _field(obj, key: str, types, where: str, optional: bool = False):
 
 def _quantity(obj, key: str, where: str):
     """``obj[key]``, a JSON number that must convert to a finite float."""
-    value = _field(obj, key, _NUMBER, where)
+    value = _field(obj, key, (int, float), where)
     try:
         finite = math.isfinite(value)
     except OverflowError:  # an integer too large for a float

@@ -14,7 +14,6 @@ centroids, so a caller that quantizes its training data need not assign again.
 
 from __future__ import annotations
 
-import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -23,7 +22,8 @@ import numpy as np
 
 from . import _kernels
 from .errors import DataError, InfeasibleError
-from .ingestion import FeatureMatrix, LabelSequence, check_int, check_size, unpack_header
+from .ingestion import FeatureMatrix, LabelSequence, check_size, unpack_header
+from .ingestion import check_bool, check_int, check_positive
 
 _KMC_MAGIC = b"KMC1"
 
@@ -161,17 +161,15 @@ def fit(
     ``max_iter`` assignment passes.  Distortion is the mean squared distance
     of points to their assigned centroids (in normalized space when
     ``normalize`` is on) and never increases between iterations.  A ``k``
-    above the number of distinct rows raises InfeasibleError.  ``k``,
-    ``seed`` and ``max_iter`` are Python or numpy integers, never bools.  The
-    keyword defaults equal AnalysisConfig's.
+    above the number of distinct rows raises InfeasibleError.  The arguments
+    follow AnalysisConfig's number rules: ``k``, ``seed`` and ``max_iter``
+    pass ``check_int``, ``tol`` passes ``check_positive`` and ``normalize``
+    passes ``check_bool``; anything else raises DataError.  The keyword
+    defaults equal AnalysisConfig's.
     """
-    k, seed, max_iter = check_int(k, "k"), check_int(seed, "seed"), check_int(max_iter, "max_iter")
-    if max_iter < 1:
-        raise DataError(f"max_iter must be >= 1, got {max_iter}")
-    if not 0 < tol < math.inf:
-        raise DataError(f"tol must be finite and > 0, got {tol}")
-    if k < 1:
-        raise DataError(f"k must be >= 1, got {k}")
+    k, max_iter = check_int(k, "k", 1), check_int(max_iter, "max_iter", 1)
+    tol, normalize = check_positive(tol, "tol"), check_bool(normalize, "normalize")
+    seed = check_int(seed, "seed")
     if not 0 <= seed < 2**64:
         raise DataError(f"seed must fit an unsigned 64-bit integer, got {seed}")
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DataError
 from .infotheory import CLAMP_TOL, LOG_BASES, InfoQuantities, normalize_base
-from .ingestion import FeatureMatrix, LabelSequence
+from .ingestion import FeatureMatrix, LabelSequence, check_int
 
 DEFAULT_RATE_HZ = 25.0
 
@@ -137,9 +137,8 @@ def _streams_from_flat(flat_idx: np.ndarray, shape: tuple[int, ...], tags=None) 
 
 def sample_discrete(pmf: JointPmf, n_frames: int, seed: int, tags=None) -> list[LabelSequence]:
     """Draw ``n_frames`` i.i.d. tuples by seeded inverse-CDF sampling."""
-    if n_frames < 1:
-        raise DataError(f"n_frames must be >= 1, got {n_frames}")
-    rng = np.random.Generator(np.random.PCG64(int(seed)))
+    n_frames = check_int(n_frames, "n_frames", 1)
+    rng = np.random.Generator(np.random.PCG64(check_int(seed, "seed", 0)))
     cum = np.cumsum(pmf.table.ravel())
     u = rng.random(n_frames)
     flat = np.searchsorted(cum, u, side="right")
@@ -154,8 +153,7 @@ def exhaustive_stream(pmf: JointPmf, copies: int = 1, tags=None) -> list[LabelSe
     over grid size); each of the ``copies`` blocks lays the cells out in
     C-order, each tuple repeated proportional to its probability.
     """
-    if copies < 1:
-        raise DataError(f"copies must be >= 1, got {copies}")
+    copies = check_int(copies, "copies", 1)
     flat = pmf.table.ravel()
     nonzero = np.flatnonzero(flat)
     denom = 1
@@ -180,10 +178,9 @@ def gen_gaussian_mixture(
         raise DataError(f"centers must be (m >= 1, d >= 1), got {centers.shape}")
     if not 0 <= stddev < math.inf:
         raise DataError(f"stddev must be finite and >= 0, got {stddev}")
-    if n_per_center < 1:
-        raise DataError(f"n_per_center must be >= 1, got {n_per_center}")
+    n_per_center = check_int(n_per_center, "n_per_center", 1)
     m, d = centers.shape
-    rng = np.random.Generator(np.random.PCG64(int(seed)))
+    rng = np.random.Generator(np.random.PCG64(check_int(seed, "seed", 0)))
     rows = [centers[i] + stddev * rng.standard_normal((n_per_center, d)) for i in range(m)]
     features = FeatureMatrix(np.concatenate(rows).astype(np.float32), DEFAULT_RATE_HZ, "features")
     labels = LabelSequence(

@@ -158,6 +158,11 @@ class TestAnalyze:
         assert out == ""
         assert err.startswith("error: resampling") and "above the limit of 4294967295" in err
 
+    def test_tiny_rate_keeps_one_frame(self, xor_dir, capsys):
+        code, out, err = run(capsys, "analyze", str(xor_dir / "manifest.json"), "--rate", "1e-300")
+        assert code == 0 and err == ""
+        assert all(s["L"] == 1 for s in json.loads(out)["streams"])
+
     def test_oversized_resample_names_the_stream(self, xor_dir, capsys):
         code, _, err = run(capsys, "analyze", str(xor_dir / "manifest.json"), "--rate", "1e12")
         assert code == 1
@@ -316,7 +321,10 @@ class TestReport:
         [
             (lambda text: "not json", "invalid JSON"),
             (lambda text: json.dumps({"config": {}}), "missing"),
-            (lambda text: text.replace('"normalize": false', '"normalize": "no"'), "wrong type"),
+            (
+                lambda text: text.replace('"normalize": false', '"normalize": "no"'),
+                "config: normalize must be a bool",
+            ),
             (lambda text: text.replace('"log_base": "2"', '"log_base": 2', 1), "wrong type"),
             (lambda text: text.replace('"T": ', '"T": "x", "_": ', 1), "wrong type"),
             (lambda text: '"log_base": "7"'.join(text.rsplit('"log_base": "2"', 1)), "log base"),

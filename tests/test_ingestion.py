@@ -253,6 +253,10 @@ class TestResample:
         with pytest.raises(DataError, match="above the limit of 4294967295"):
             resample_nearest(src, target_hz)
 
+    def test_tiny_target_rate_copies_the_last_frame(self):
+        # The float source index, about 1.25e301, is clipped before the int64 cast.
+        assert resample_nearest(seq([0, 1, 2]), 1e-300).symbols.tolist() == [2]
+
     def test_upsample_replicates(self):
         src = seq([0, 1], 2, rate=25.0)
         out = resample_nearest(src, 50.0)

@@ -316,29 +316,62 @@ def _report_with_target_rate(tmp_path, rate):
     write_labels(seq([0, 1, 0, 1]), tmp_path / "t.lbl")
     entry = {"name": "t", "path": "t.lbl", "kind": "labels", "sample_rate_hz": 25.0}
     text = analyze(write_manifest(tmp_path, [entry, dict(entry, name="s")])).to_json()
-    return InfoReport.from_json(text.replace('"target_rate_hz": 25.0', f'"target_rate_hz": {rate}'))
+    return InfoReport.from_json(
+        text.replace('"target_rate_hz": 25.0', f'"target_rate_hz": {json.dumps(rate)}')
+    )
+
+
+# Every place a rate enters: entry point -> (call with the rate, error class).
+RATE_ENTRY_POINTS = {
+    "features": (lambda tmp, rate: FeatureMatrix(np.zeros((2, 2)), rate), DataError),
+    "labels": (lambda tmp, rate: LabelSequence(np.zeros(2), 1, rate), DataError),
+    "resample": (lambda tmp, rate: resample_nearest(seq([0, 1]), rate), DataError),
+    "config": (lambda tmp, rate: AnalysisConfig(target_rate_hz=rate), DataError),
+    "manifest-target": (lambda tmp, rate: _manifest_with_rates(tmp, rate, 25.0), FormatError),
+    "manifest-stream": (lambda tmp, rate: _manifest_with_rates(tmp, 25.0, rate), FormatError),
+    "report-config": (_report_with_target_rate, FormatError),
+}
+BAD_RATES = {"bool": True, "str": "25", "401-digits": 10**400}
 
 
 @pytest.mark.parametrize(
-    "build, error",
+    "entry, rate",
     [
-        (lambda tmp: FeatureMatrix(np.zeros((2, 2)), float("inf")), DataError),
-        (lambda tmp: LabelSequence(np.zeros(2), 1, float("nan")), DataError),
-        (lambda tmp: resample_nearest(seq([0, 1]), float("inf")), DataError),
-        (lambda tmp: AnalysisConfig(target_rate_hz=float("inf")), DataError),
-        (lambda tmp: _manifest_with_rates(tmp, float("inf"), 25.0), FormatError),
-        (lambda tmp: _manifest_with_rates(tmp, 25.0, float("inf")), FormatError),
-        (lambda tmp: _manifest_with_rates(tmp, 25.0, float("nan")), FormatError),
-        (lambda tmp: _report_with_target_rate(tmp, "Infinity"), FormatError),
-    ],
+        ("features", float("inf")),
+        ("labels", float("nan")),
+        ("resample", float("inf")),
+        ("config", float("inf")),
+        ("manifest-target", float("inf")),
+        ("manifest-stream", float("inf")),
+        ("manifest-stream", float("nan")),
+        ("report-config", float("inf")),
+        ("features", np.bool_(True)),
+    ]
+    + [(entry, rate) for entry in RATE_ENTRY_POINTS for rate in BAD_RATES.values()],
     ids=[
         "features", "labels", "resample", "config", "manifest-target", "manifest-stream",
-        "manifest-stream-nan", "report-config",
-    ],
+        "manifest-stream-nan", "report-config", "features-numpy-bool",
+    ]
+    + [f"{entry}-{name}" for entry in RATE_ENTRY_POINTS for name in BAD_RATES],
 )
-def test_non_finite_rates_rejected(tmp_path, build, error):
+def test_non_finite_rates_rejected(tmp_path, entry, rate):
+    build, error = RATE_ENTRY_POINTS[entry]
     with pytest.raises(error, match="finite"):
-        build(tmp_path)
+        build(tmp_path, rate)
+
+
+@pytest.mark.parametrize("rate", [np.float32(25), np.int64(25)], ids=["float32", "int64"])
+def test_numpy_rates_accepted_everywhere(tmp_path, rate):
+    """The rate rule takes numpy reals and stores them as Python floats."""
+    streams = [
+        FeatureMatrix(np.zeros((2, 2)), rate),
+        LabelSequence(np.zeros(2), 1, rate),
+        resample_nearest(seq([0, 1]), rate),
+    ]
+    for stream in streams:
+        assert type(stream.sample_rate_hz) is float and stream.sample_rate_hz == 25.0
+    assert AnalysisConfig(target_rate_hz=rate).target_rate_hz == 25.0
+    assert fit(features([[0.0], [1.0]]), 1, tol=rate).k == 1
 
 
 def _report_with_config(tmp_path, key, value):
@@ -358,13 +391,22 @@ def _report_with_config(tmp_path, key, value):
         (lambda tmp: AnalysisConfig(max_iter=0), DataError, "max_iter must be >= 1"),
         (lambda tmp: fit(features([[0.0], [1.0]]), 1, tol=float("nan")), DataError, "tol"),
         (lambda tmp: fit(features([[0.0], [1.0]]), 1, tol=float("inf")), DataError, "tol"),
+        (lambda tmp: fit(features([[0.0], [1.0]]), 1, tol=True), DataError, "tol must be finite"),
+        (lambda tmp: fit(features([[0.0], [1.0]]), 1, tol="1"), DataError, "tol must be finite"),
+        (lambda tmp: fit(features([[0.0], [1.0]]), 1, tol=10**400), DataError, "tol"),
+        (
+            lambda tmp: fit(features([[0.0], [1.0]]), 1, normalize="no"),
+            DataError,
+            "normalize must be a bool",
+        ),
         (lambda tmp: _report_with_config(tmp, "tol", "NaN"), FormatError, "tol must be finite"),
         (lambda tmp: _report_with_config(tmp, "tol", "Infinity"), FormatError, "tol"),
         (lambda tmp: _report_with_config(tmp, "max_iter", "0"), FormatError, "max_iter"),
     ],
     ids=[
         "config-tol-nan", "config-tol-inf", "config-tol-0", "config-max-iter-0", "fit-tol-nan",
-        "fit-tol-inf", "report-tol-nan", "report-tol-inf", "report-max-iter-0",
+        "fit-tol-inf", "fit-tol-bool", "fit-tol-str", "fit-tol-401-digits", "fit-normalize-str",
+        "report-tol-nan", "report-tol-inf", "report-max-iter-0",
     ],
 )
 def test_bad_stopping_rule_rejected(tmp_path, build, error, match):

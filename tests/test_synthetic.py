@@ -181,3 +181,32 @@ def test_random_pmf_always_exhaustive_compatible():
         pmf = random_pmf(rng, (int(rng.integers(2, 6)), int(rng.integers(2, 6))))
         streams = exhaustive_stream(pmf)
         assert streams[0].rows >= 1
+
+
+CENTERS = np.zeros((2, 1))
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: gen_gaussian_mixture(CENTERS, 1.0, 2.5, 0), "n_per_center must be an integer"),
+        (lambda: gen_gaussian_mixture(CENTERS, 1.0, 3, -1), "seed must be >= 0, got -1"),
+        (lambda: sample_discrete(xor_pmf(), True, 0), "n_frames must be an integer, got True"),
+        (lambda: sample_discrete(xor_pmf(), 8, -1), "seed must be >= 0, got -1"),
+        (lambda: exhaustive_stream(xor_pmf(), copies=True), "copies must be an integer"),
+    ],
+    ids=[
+        "blobs-rows-float", "blobs-seed-negative", "frames-bool", "sample-seed-negative",
+        "copies-bool",
+    ],
+)
+def test_generator_counts_and_seeds_follow_the_integer_rule(build, message):
+    with pytest.raises(DataError, match=message):
+        build()
+
+
+def test_generators_take_numpy_integer_counts():
+    x, _ = gen_gaussian_mixture(CENTERS, 1.0, np.int64(3), np.uint64(4))
+    assert x.rows == 6
+    assert sample_discrete(xor_pmf(), np.int64(5), np.int32(0))[0].rows == 5
+    assert exhaustive_stream(xor_pmf(), copies=np.int64(2))[0].rows == 8
