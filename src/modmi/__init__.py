@@ -10,19 +10,16 @@ __version__ = "0.1.0"
 from .errors import AlignmentError, DataError, FormatError, InfeasibleError, ModmiError
 from .infotheory import (
     InfoQuantities,
-    JointDistribution,
     conditional_entropy,
     conditional_mutual_information,
     entropy,
     info_diagram,
-    joint_counts,
     multivariate_mi_recursive,
     mutual_information,
     pair_quantities,
     trivariate_mmi,
 )
 from .ingestion import (
-    AlignedDataset,
     FeatureMatrix,
     LabelSequence,
     Manifest,
@@ -47,7 +44,6 @@ from .synthetic import (
 )
 
 __all__ = [
-    "AlignedDataset",
     "AlignmentError",
     "AnalysisConfig",
     "Codebook",
@@ -57,7 +53,6 @@ __all__ = [
     "InfeasibleError",
     "InfoQuantities",
     "InfoReport",
-    "JointDistribution",
     "JointPmf",
     "LabelSequence",
     "Manifest",
@@ -74,7 +69,6 @@ __all__ = [
     "fit",
     "gen_gaussian_mixture",
     "info_diagram",
-    "joint_counts",
     "load_codebook",
     "load_manifest",
     "multivariate_mi_recursive",

@@ -229,11 +229,11 @@ def cmd_report(args) -> int:
 
 
 def _check_blobs_flags(args) -> None:
-    """Reject a blobs shape, scale or seed before any centre is built."""
+    """Reject a blobs shape, scale or seed before any centre is built;
+    ``gen_gaussian_mixture`` checks ``--n-per-center`` itself."""
     for flag, value, ok, rule in (
         ("--centers", args.centers, args.centers >= 1, ">= 1"),
         ("--dims", args.dims, args.dims >= 1, ">= 1"),
-        ("--n-per-center", args.n_per_center, args.n_per_center >= 1, ">= 1"),
         ("--stddev", args.stddev, 0 <= args.stddev < math.inf, "finite and >= 0"),
         ("--spacing", args.spacing, math.isfinite(args.spacing), "finite"),
         ("--seed", args.seed, 0 <= args.seed < 2**64, "in [0, 2**64 - 1]"),

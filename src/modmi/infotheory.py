@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AlignmentError, DataError
-from .ingestion import LabelSequence
+from .ingestion import LabelSequence, shown
 
 log = logging.getLogger(__name__)
 
@@ -34,65 +34,21 @@ CLAMP_TOL = 1e-12
 
 def normalize_base(base) -> str:
     """Accepts 2 / "2" / "e" / 10 / "10" and returns the canonical token."""
-    token = str(base).strip().lower()
+    try:
+        token = str(base).strip().lower()
+    except ValueError:  # an integer too long to print is no base either
+        token = ""
     if token in ("2.0", "10.0"):
         token = token[:-2]
     if token not in LOG_BASES:
-        raise DataError(f"log base must be one of 2, e, 10, got {base!r}")
+        raise DataError(f"log base must be one of 2, e, 10, got {shown(base)}")
     return token
 
 
-@dataclass(frozen=True)
-class JointDistribution:
-    """Empirical counts over aligned symbol tuples."""
-
-    arity: int
-    counts: dict[tuple[int, ...], int]
-    total: int
-
-    def __post_init__(self):
-        if self.arity < 1:
-            raise DataError("arity must be >= 1")
-        if self.total < 1:
-            raise DataError("total must be >= 1")
-        running = 0
-        for key, count in self.counts.items():
-            if len(key) != self.arity:
-                raise DataError(f"tuple {key} does not match arity {self.arity}")
-            if count < 1:
-                raise DataError(f"count for {key} must be >= 1, got {count}")
-            running += count
-        if running != self.total:
-            raise DataError(f"counts sum to {running}, total says {self.total}")
-
-    def marginal(self, dims: tuple[int, ...]) -> "JointDistribution":
-        """Marginalize onto the given coordinate positions (in given order)."""
-        if not dims or any(d < 0 or d >= self.arity for d in dims):
-            raise DataError(f"invalid marginal dims {dims} for arity {self.arity}")
-        out: dict[tuple[int, ...], int] = {}
-        for key, count in self.counts.items():
-            sub = tuple(key[d] for d in dims)
-            out[sub] = out.get(sub, 0) + count
-        return JointDistribution(len(dims), out, self.total)
-
-
-def _check_aligned(streams) -> int:
+def _check_aligned(streams) -> None:
     lengths = {s.rows for s in streams}
     if len(lengths) != 1:
         raise AlignmentError(f"streams are not aligned: lengths {sorted(lengths)}")
-    return lengths.pop()
-
-
-def joint_counts(streams: list[LabelSequence]) -> JointDistribution:
-    """Count occurrences of each aligned symbol tuple."""
-    if not streams:
-        raise AlignmentError("need at least one stream")
-    total = _check_aligned(streams)
-    arrays = [s.symbols for s in streams]
-    _, first, counts = np.unique(_tuple_keys(arrays), return_index=True, return_counts=True)
-    rows = zip(*(a[first].tolist() for a in arrays))
-    table = {row: int(c) for row, c in zip(rows, counts)}
-    return JointDistribution(len(streams), table, total)
 
 
 def _tuple_keys(arrays: list[np.ndarray]) -> np.ndarray:
@@ -116,15 +72,11 @@ def _tuple_keys(arrays: list[np.ndarray]) -> np.ndarray:
     return key
 
 
-def _entropy_nats_from_counts(counts: np.ndarray, total: int) -> float:
-    p = counts / total
-    return float(-(p * np.log(p)).sum())
-
-
 def _h_nats(arrays: list[np.ndarray]) -> float:
     """Joint entropy (nats) of one or more aligned symbol arrays."""
     _, counts = np.unique(_tuple_keys(arrays), return_counts=True)
-    return _entropy_nats_from_counts(counts, arrays[0].shape[0])
+    p = counts / arrays[0].shape[0]
+    return float(-(p * np.log(p)).sum())
 
 
 def _mi_nats(a: np.ndarray, b: np.ndarray) -> float:
@@ -164,11 +116,13 @@ def _clamped(value: float, what: str) -> float:
     return value
 
 
-def entropy(d: JointDistribution, base=2) -> float:
-    """Shannon entropy of a joint distribution; 0*log(0) terms are omitted."""
-    token = normalize_base(base)
-    counts = np.fromiter(d.counts.values(), dtype=np.int64, count=len(d.counts))
-    return _scaled(_entropy_nats_from_counts(counts, d.total), token)
+def entropy(streams: list[LabelSequence], base=2) -> float:
+    """Joint Shannon entropy of one or more aligned streams; 0*log(0) terms
+    are omitted."""
+    if not streams:
+        raise AlignmentError("need at least one stream")
+    _check_aligned(streams)
+    return _scaled(_h_nats([s.symbols for s in streams]), normalize_base(base))
 
 
 def mutual_information(a: LabelSequence, b: LabelSequence, base=2) -> float:

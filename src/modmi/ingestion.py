@@ -39,13 +39,23 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def shown(value) -> str:
+    """``repr(value)`` for an error message; an integer too long for Python to
+    print shows as its sign and bit length."""
+    try:
+        return repr(value)
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        sign = "a negative" if value < 0 else "an"
+        return f"{sign} integer of {value.bit_length()} bits"
+
+
 def check_int(value, what: str, minimum: int | None = None) -> int:
     """``value`` as a Python int: a Python or numpy integer, never a bool, and
     at least ``minimum`` when one is given.  Anything else raises DataError."""
     if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-        raise DataError(f"{what} must be an integer, got {value!r}")
+        raise DataError(f"{what} must be an integer, got {shown(value)}")
     if minimum is not None and value < minimum:
-        raise DataError(f"{what} must be >= {minimum}, got {value}")
+        raise DataError(f"{what} must be >= {minimum}, got {shown(int(value))}")
     return int(value)
 
 
@@ -59,7 +69,7 @@ def check_positive(value, what: str) -> float:
             number = math.inf
         if 0 < number < math.inf:
             return number
-    raise DataError(f"{what} must be finite and > 0 (a number, not a bool), got {value!r}")
+    raise DataError(f"{what} must be finite and > 0 (a number, not a bool), got {shown(value)}")
 
 
 def check_bool(value, what: str) -> bool:
@@ -67,7 +77,7 @@ def check_bool(value, what: str) -> bool:
     raises DataError."""
     if isinstance(value, (bool, np.bool_)):
         return bool(value)
-    raise DataError(f"{what} must be a bool, got {value!r}")
+    raise DataError(f"{what} must be a bool, got {shown(value)}")
 
 
 @dataclass(frozen=True)
@@ -131,32 +141,6 @@ class LabelSequence:
     @property
     def rows(self) -> int:
         return self.symbols.shape[0]
-
-
-@dataclass(frozen=True)
-class AlignedDataset:
-    """Named streams, features or labels, sharing one length and one sample
-    rate."""
-
-    streams: dict[str, FeatureMatrix | LabelSequence]
-
-    def __post_init__(self):
-        if not self.streams:
-            raise AlignmentError("aligned dataset needs at least one stream")
-        lengths = {s.rows for s in self.streams.values()}
-        rates = {s.sample_rate_hz for s in self.streams.values()}
-        if len(lengths) != 1:
-            raise AlignmentError(f"stream lengths differ: {sorted(lengths)}")
-        if len(rates) != 1:
-            raise AlignmentError(f"stream rates differ: {sorted(rates)}")
-
-    @property
-    def rows(self) -> int:
-        return next(iter(self.streams.values())).rows
-
-    @property
-    def sample_rate_hz(self) -> float:
-        return next(iter(self.streams.values())).sample_rate_hz
 
 
 def write_feature_matrix(m: FeatureMatrix, path) -> None:
@@ -304,30 +288,23 @@ def _frames(stream, idx, rate: float):
     raise DataError(f"cannot resample object of type {type(stream).__name__}")
 
 
-def align(streams: list[FeatureMatrix | LabelSequence], target_rate_hz: float) -> AlignedDataset:
+def align(
+    streams: list[FeatureMatrix | LabelSequence], target_rate_hz: float
+) -> list[FeatureMatrix | LabelSequence]:
     """Resample streams of either kind to a common rate with
     :func:`resample_nearest` and truncate them to the shortest.
 
-    Each stream keeps its kind.  Stream names come from ``modality_tag``
-    (falling back to ``stream<i>``); duplicates are rejected.  The frames
-    dropped by truncation are logged per stream.
+    Returns the aligned streams in input order, each of its own kind.  The
+    frames dropped by truncation are logged per stream.
     """
     if len(streams) < 2:
         raise AlignmentError(f"align needs at least 2 streams, got {len(streams)}")
     resampled = [resample_nearest(s, target_rate_hz) for s in streams]
     rows = min(s.rows for s in resampled)
-    if rows == 0:
-        raise AlignmentError("alignment produced zero common frames")
     dropped = [(s.modality_tag, s.rows - rows) for s in resampled if s.rows > rows]
     if dropped:
         log.info("align: truncating to %d frames, dropped %s", rows, dropped)
-    named: dict[str, FeatureMatrix | LabelSequence] = {}
-    for i, s in enumerate(resampled):
-        name = s.modality_tag or f"stream{i}"
-        if name in named:
-            raise AlignmentError(f"duplicate stream name {name!r}")
-        named[name] = _frames(s, slice(rows), s.sample_rate_hz)
-    return AlignedDataset(named)
+    return [_frames(s, slice(rows), s.sample_rate_hz) for s in resampled]
 
 
 @dataclass(frozen=True)

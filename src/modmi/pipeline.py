@@ -18,7 +18,7 @@ from . import infotheory, quantizer
 from .errors import DataError, FormatError, ModmiError
 from .infotheory import QUANTITY_KEYS, REGIONS, InfoQuantities
 from .ingestion import FeatureMatrix, LabelSequence, Manifest, align, load_manifest
-from .ingestion import check_bool, check_int, check_positive
+from .ingestion import check_bool, check_int, check_positive, shown
 from .quantizer import RNG_NAME
 
 
@@ -34,7 +34,8 @@ class AnalysisConfig:
     that ``InfoReport.from_json`` reads.  Integer fields follow ``check_int``
     (no bools, no floats), ``tol`` and ``target_rate_hz`` follow
     ``check_positive`` (a number, not a bool, with a finite float > 0) and
-    ``normalize`` follows ``check_bool``; each raises DataError.
+    are stored as the float it returns, and ``normalize`` follows
+    ``check_bool``; each raises DataError.
     """
 
     target_rate_hz: float | None = None
@@ -54,10 +55,11 @@ class AnalysisConfig:
         check_int(self.max_iter, "max_iter", 1)
         # Stream i is fitted with seed + i (i <= 2), which must fit in u64.
         if not 0 <= check_int(self.seed, "seed") <= 2**64 - 3:
-            raise DataError(f"seed must be in [0, 2**64 - 3], got {self.seed}")
-        check_positive(self.tol, "tol")
+            raise DataError(f"seed must be in [0, 2**64 - 3], got {shown(self.seed)}")
+        object.__setattr__(self, "tol", check_positive(self.tol, "tol"))
         if self.target_rate_hz is not None:
-            check_positive(self.target_rate_hz, "target_rate_hz")
+            rate = check_positive(self.target_rate_hz, "target_rate_hz")
+            object.__setattr__(self, "target_rate_hz", rate)
         check_bool(self.normalize, "normalize")
 
     def as_dict(self) -> dict:
@@ -219,9 +221,8 @@ def _assign_roles(specs) -> dict[str, str]:
     return {name: role for name, role in zip(names, order)}
 
 
-def _named(e: Exception, name: str) -> ModmiError:
-    wrapped = type(e) if isinstance(e, ModmiError) else DataError
-    return wrapped(f"stream {name!r}: {e}")
+def _named(e: ModmiError, name: str) -> ModmiError:
+    return type(e)(f"stream {name!r}: {e}")
 
 
 def _prepare(manifest: Manifest, config: AnalysisConfig):
@@ -240,7 +241,7 @@ def _prepare(manifest: Manifest, config: AnalysisConfig):
             loaded.append(manifest.load_stream(spec))
         except ModmiError as e:
             raise _named(e, spec.name) from e
-    return list(align(loaded, rate).streams.values()), rate
+    return align(loaded, rate), rate
 
 
 def _quantize(spec, stream, config: AnalysisConfig, position: int):

@@ -23,7 +23,7 @@ import numpy as np
 from . import _kernels
 from .errors import DataError, InfeasibleError
 from .ingestion import FeatureMatrix, LabelSequence, check_size, unpack_header
-from .ingestion import check_bool, check_int, check_positive
+from .ingestion import check_bool, check_int, check_positive, shown
 
 _KMC_MAGIC = b"KMC1"
 
@@ -171,11 +171,11 @@ def fit(
     tol, normalize = check_positive(tol, "tol"), check_bool(normalize, "normalize")
     seed = check_int(seed, "seed")
     if not 0 <= seed < 2**64:
-        raise DataError(f"seed must fit an unsigned 64-bit integer, got {seed}")
+        raise DataError(f"seed must fit an unsigned 64-bit integer, got {shown(seed)}")
 
     n = x.rows
     if k > n:  # before seeding allocates k centres
-        raise InfeasibleError(f"infeasible k: {k} clusters but only {n} rows")
+        raise InfeasibleError(f"infeasible k: {shown(k)} clusters but only {n} rows")
 
     normalization = _fit_normalization(x.values) if normalize else None
     data = _normalized_f64(x.values, normalization)

@@ -427,9 +427,11 @@ class TestSynth:
             ("--stddev", "nan", "--stddev must be finite and >= 0, got nan"),
             ("--stddev", "inf", "--stddev must be finite and >= 0, got inf"),
             ("--seed", "-1", "--seed must be in [0, 2**64 - 1], got -1"),
+            ("--n-per-center", "0", "n_per_center must be >= 1, got 0"),
         ],
         ids=[
-            "dims-0", "centers-negative", "spacing-inf", "stddev-nan", "stddev-inf", "seed-negative"
+            "dims-0", "centers-negative", "spacing-inf", "stddev-nan", "stddev-inf",
+            "seed-negative", "n-per-center-0",
         ],
     )
     def test_blobs_bad_shape_or_scale_exit_1(self, tmp_path, capsys, flag, value, message):

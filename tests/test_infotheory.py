@@ -5,13 +5,11 @@ import pytest
 
 from modmi.errors import AlignmentError, DataError
 from modmi.infotheory import (
-    JointDistribution,
     _tuple_keys,
     conditional_entropy,
     conditional_mutual_information,
     entropy,
     info_diagram,
-    joint_counts,
     multivariate_mi_recursive,
     mutual_information,
     pair_quantities,
@@ -23,37 +21,6 @@ from util import random_streams, seq
 
 def xor_triple():
     return exhaustive_stream(xor_pmf())
-
-
-class TestJointCounts:
-    def test_two_streams_hand_count(self):
-        d = joint_counts([seq([0, 0, 1]), seq([1, 1, 0])])
-        assert d.counts == {(0, 1): 2, (1, 0): 1}
-        assert d.total == 3
-
-    def test_single_stream(self):
-        d = joint_counts([seq([0, 1, 0, 1])])
-        assert d.counts == {(0,): 2, (1,): 2}
-
-    def test_constant_streams_single_tuple(self):
-        streams = [seq([2] * 7, 3), seq([0] * 7, 1), seq([1] * 7, 2)]
-        d = joint_counts(streams)
-        assert d.counts == {(2, 0, 1): 7}
-
-    def test_misaligned_rejected(self):
-        with pytest.raises(AlignmentError):
-            joint_counts([seq([0, 1]), seq([0, 1, 0])])
-
-    def test_marginal(self):
-        d = joint_counts([seq([0, 0, 1]), seq([1, 1, 0])])
-        assert d.marginal((0,)).counts == {(0,): 2, (1,): 1}
-        assert d.marginal((1,)).counts == {(1,): 2, (0,): 1}
-
-    def test_invariant_validation(self):
-        with pytest.raises(DataError):
-            JointDistribution(1, {(0,): 2}, 3)  # counts do not sum to total
-        with pytest.raises(DataError):
-            JointDistribution(1, {(0,): 0}, 0)
 
 
 class TestTupleKeys:
@@ -75,19 +42,35 @@ class TestTupleKeys:
 
 class TestEntropy:
     def test_fair_coin_one_bit(self):
-        assert entropy(joint_counts([seq([0, 1])])) == 1.0
+        assert entropy([seq([0, 1])]) == 1.0
 
     def test_degenerate_zero(self):
-        assert entropy(joint_counts([seq([0, 0, 0, 0], 1)])) == 0.0
+        assert entropy([seq([0, 0, 0, 0], 1)]) == 0.0
 
     def test_quarter_quarter_half(self):
         # -(1/4*-2 + 1/4*-2 + 1/2*-1) = 1.5 bits
-        assert entropy(joint_counts([seq([0, 1, 2, 2])])) == 1.5
+        assert entropy([seq([0, 1, 2, 2])]) == 1.5
 
     def test_base_variants(self):
-        d = joint_counts([seq([0, 1, 2, 2])])
+        d = [seq([0, 1, 2, 2])]
         assert entropy(d, "e") == pytest.approx(1.5 * math.log(2), abs=1e-15)
         assert entropy(d, 10) == pytest.approx(1.5 * math.log(2) / math.log(10), abs=1e-15)
+
+    def test_joint_two_streams_hand_count(self):
+        # tuples (0, 1) twice and (1, 0) once: the counts of seq([0, 0, 1]) alone
+        a, b = seq([0, 0, 1]), seq([1, 1, 0])
+        assert entropy([a, b]) == pytest.approx(math.log2(3) - 2 / 3, abs=1e-15)
+        assert entropy([a, b]) == entropy([a])
+
+    def test_joint_constant_streams_zero(self):
+        assert entropy([seq([2] * 7, 3), seq([0] * 7, 1), seq([1] * 7, 2)]) == 0.0
+
+    @pytest.mark.parametrize(
+        "streams", [[], [seq([0, 1]), seq([0, 1, 0])]], ids=["empty", "misaligned"]
+    )
+    def test_joint_unaligned_rejected(self, streams):
+        with pytest.raises(AlignmentError):
+            entropy(streams)
 
 
 class TestMutualInformation:
@@ -116,7 +99,7 @@ class TestConditionalEntropy:
     def test_given_independent_equals_h(self):
         a = seq([0, 0, 1, 1])
         b = seq([0, 1, 0, 1])
-        assert conditional_entropy(a, [b]) == entropy(joint_counts([a]))
+        assert conditional_entropy(a, [b]) == entropy([a])
 
     def test_xor_of_given_bits(self):
         x = seq([0, 0, 1, 1, 0, 0, 1, 1])
@@ -129,7 +112,7 @@ class TestConditionalEntropy:
         for _ in range(50):
             a, b = random_streams(rng, 2, int(rng.integers(2, 300)), alphabet=4)
             ce = conditional_entropy(a, [b])
-            assert 0.0 <= ce <= entropy(joint_counts([a])) + 1e-12
+            assert 0.0 <= ce <= entropy([a]) + 1e-12
 
 
 class TestConditionalMI:
@@ -255,8 +238,8 @@ class TestIdentities:
         rng = np.random.Generator(np.random.PCG64(9))
         for _ in range(50):
             a, b = random_streams(rng, 2, int(rng.integers(2, 500)), alphabet=4)
-            h_a = entropy(joint_counts([a]))
-            h_b = entropy(joint_counts([b]))
+            h_a = entropy([a])
+            h_b = entropy([b])
             form1 = h_a - conditional_entropy(a, [b])
             form2 = h_b - conditional_entropy(b, [a])
             form3 = mutual_information(a, b)
@@ -267,9 +250,9 @@ class TestIdentities:
         rng = np.random.Generator(np.random.PCG64(10))
         for _ in range(50):
             a, b = random_streams(rng, 2, int(rng.integers(2, 400)), alphabet=4)
-            h_a = entropy(joint_counts([a]))
-            h_b = entropy(joint_counts([b]))
-            h_ab = entropy(joint_counts([a, b]))
+            h_a = entropy([a])
+            h_b = entropy([b])
+            h_ab = entropy([a, b])
             assert h_ab >= max(h_a, h_b) - 1e-12
             assert h_ab <= h_a + h_b + 1e-12
 
@@ -277,9 +260,9 @@ class TestIdentities:
         rng = np.random.Generator(np.random.PCG64(11))
         for _ in range(50):
             a, b = random_streams(rng, 2, int(rng.integers(2, 400)), alphabet=4)
-            h_ab = entropy(joint_counts([a, b]))
+            h_ab = entropy([a, b])
             assert h_ab == pytest.approx(
-                entropy(joint_counts([a])) + conditional_entropy(b, [a]), abs=1e-12
+                entropy([a]) + conditional_entropy(b, [a]), abs=1e-12
             )
 
     def test_data_processing(self):
@@ -340,7 +323,9 @@ def test_pair_quantities_fields():
 
 def test_base_rejected():
     with pytest.raises(DataError, match="log base"):
-        entropy(joint_counts([seq([0, 1])]), base=3)
+        entropy([seq([0, 1])], base=3)
+    with pytest.raises(DataError, match="log base .* got an integer of 16610 bits"):
+        entropy([seq([0, 1])], base=10**5000)
 
 
 @pytest.mark.parametrize("base", ["2", "e", "10"])

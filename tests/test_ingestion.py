@@ -6,7 +6,6 @@ import pytest
 
 from modmi.errors import AlignmentError, DataError, FormatError
 from modmi.ingestion import (
-    AlignedDataset,
     FeatureMatrix,
     LabelSequence,
     align,
@@ -54,12 +53,6 @@ class TestLabelSequence:
     def test_negative_symbol(self):
         with pytest.raises(DataError):
             seq([-1, 0], alphabet_size=2)
-
-    def test_aligned_dataset_checks_lengths(self):
-        with pytest.raises(AlignmentError):
-            AlignedDataset({"a": seq([0, 1]), "b": seq([0, 1, 0])})
-        with pytest.raises(AlignmentError):
-            AlignedDataset({"a": seq([0, 1], rate=25.0), "b": seq([0, 1], rate=50.0)})
 
 
 class TestFeatureFile:
@@ -269,14 +262,14 @@ class TestAlign:
         a = seq(np.zeros(100, dtype=np.int64), 1, rate=25.0, tag="a")
         b = seq(np.zeros(98, dtype=np.int64), 1, rate=25.0, tag="b")
         ds = align([a, b], 25.0)
-        assert ds.rows == 98 and set(ds.streams) == {"a", "b"}
+        assert [s.rows for s in ds] == [98, 98] and [s.modality_tag for s in ds] == ["a", "b"]
 
     def test_resample_then_truncate(self):
         a = seq(np.arange(200) % 3, 3, rate=50.0, tag="a")
         b = seq(np.arange(100) % 3, 3, rate=25.0, tag="b")
         ds = align([a, b], 25.0)
-        assert ds.rows == 100
-        assert ds.sample_rate_hz == 25.0
+        assert [s.rows for s in ds] == [100, 100]
+        assert [s.sample_rate_hz for s in ds] == [25.0, 25.0]
 
     def test_single_stream_rejected(self):
         with pytest.raises(AlignmentError, match="at least 2"):
@@ -285,19 +278,25 @@ class TestAlign:
     def test_random_alignment_invariant(self):
         rng = np.random.Generator(np.random.PCG64(3))
         for _ in range(30):
-            streams = [
-                seq(
-                    rng.integers(0, 4, size=int(rng.integers(1, 300))),
-                    4,
-                    rate=float(rng.uniform(5, 100)),
-                    tag=f"s{j}",
-                )
-                for j in range(int(rng.integers(2, 5)))
-            ]
+            streams = []
+            for j in range(int(rng.integers(2, 5))):
+                rows, rate = int(rng.integers(1, 300)), float(rng.uniform(5, 100))
+                if rng.random() < 0.5:
+                    streams.append(seq(rng.integers(0, 4, size=rows), 4, rate=rate, tag=f"s{j}"))
+                else:
+                    streams.append(features(rng.random((rows, 2)), rate=rate, tag=f"s{j}"))
             ds = align(streams, 25.0)
-            lengths = {s.rows for s in ds.streams.values()}
-            rates = {s.sample_rate_hz for s in ds.streams.values()}
-            assert lengths == {ds.rows} and rates == {25.0}
+            full = [resample_nearest(s, 25.0) for s in streams]
+            rows = min(f.rows for f in full)
+            lengths = {s.rows for s in ds}
+            rates = {s.sample_rate_hz for s in ds}
+            assert lengths == {rows} and rates == {25.0}
+            # output i is input i, resampled and truncated, and of its kind
+            assert [type(s) for s in ds] == [type(s) for s in streams]
+            for s, f, out in zip(streams, full, ds):
+                data = "values" if isinstance(s, FeatureMatrix) else "symbols"
+                assert out.modality_tag == s.modality_tag
+                assert np.array_equal(getattr(out, data), getattr(f, data)[:rows])
 
 
 class TestManifest:
@@ -361,6 +360,13 @@ class TestManifest:
             },
         )
         assert load_manifest(path).streams[0].clusters == 2000
+
+    def test_duplicate_name_rejected(self, tmp_path):
+        self._stream_files(tmp_path)
+        entry = {"name": "x", "path": "a.fmx", "kind": "features", "sample_rate_hz": 25}
+        path = self._write(tmp_path, {"target_rate_hz": 25, "streams": [entry, entry]})
+        with pytest.raises(FormatError, match="duplicate stream name 'x'"):
+            load_manifest(path)
 
     def test_unknown_kind(self, tmp_path):
         self._stream_files(tmp_path)

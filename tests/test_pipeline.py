@@ -151,7 +151,7 @@ class TestAnalyze:
         with pytest.raises(InfeasibleError, match="stream 'tiny'"):
             analyze(manifest, AnalysisConfig(clusters=5))
 
-    @pytest.mark.parametrize("seed", [-1, 2**64 - 2])
+    @pytest.mark.parametrize("seed", [-1, 2**64 - 2, pytest.param(10**5000, id="5001-digits")])
     def test_seed_out_of_range_rejected(self, seed):
         with pytest.raises(DataError, match=r"seed must be in \[0, 2\*\*64 - 3\]"):
             AnalysisConfig(seed=seed)
@@ -504,6 +504,7 @@ def test_numpy_scalar_config_round_trips_through_its_report(blob_manifest, field
         ("max_iter", np.float64(5)),
         ("tol", True),
         ("tol", "1e-3"),
+        pytest.param("tol", 10**5000, id="tol-5001-digits"),
         ("target_rate_hz", True),
         ("target_rate_hz", 10**400),
         ("target_rate_hz", np.float64("inf")),

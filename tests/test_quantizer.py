@@ -57,6 +57,10 @@ class TestFit:
         huge = f"infeasible k: {10**28} clusters but only 21 rows"
         with pytest.raises(InfeasibleError, match=huge):
             fit(seven, 10**28, seed=4)
+        # a k too long to print shows as its bit length
+        too_long = "infeasible k: an integer of 16610 bits clusters but only 21 rows"
+        with pytest.raises(InfeasibleError, match=too_long):
+            fit(seven, 10**5000, seed=4)
 
     def test_deterministic(self):
         rng = np.random.Generator(np.random.PCG64(2))
@@ -361,8 +365,13 @@ def test_codebook_bytes_deterministic():
         (2.0, {}, "k must be an integer, got 2.0"),
         (2, {"seed": True}, "seed must be an integer, got True"),
         (2, {"max_iter": 2.5}, "max_iter must be an integer, got 2.5"),
+        (
+            2,
+            {"seed": 10**5000},
+            "seed must fit an unsigned 64-bit integer, got an integer of 16610 bits",
+        ),
     ],
-    ids=["seed-float", "k-bool", "k-float", "seed-bool", "max-iter-float"],
+    ids=["seed-float", "k-bool", "k-float", "seed-bool", "max-iter-float", "seed-5001-digits"],
 )
 def test_fit_takes_only_integer_counts_and_seeds(k, kwargs, message):
     with pytest.raises(DataError) as exc:

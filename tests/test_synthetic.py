@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from modmi.errors import DataError
-from modmi.infotheory import joint_counts, mutual_information, pair_quantities
+from modmi.infotheory import mutual_information, pair_quantities
 from modmi.quantizer import assign, fit
 from modmi.synthetic import (
     JointPmf,
@@ -15,6 +15,7 @@ from modmi.synthetic import (
     sample_discrete,
     xor_pmf,
 )
+from util import tuple_counts
 
 
 class TestJointPmf:
@@ -92,9 +93,8 @@ class TestSampling:
     def test_frequencies_approach_pmf(self):
         pmf = JointPmf(np.array([[0.5, 0.25], [0.125, 0.125]]))
         a, b = sample_discrete(pmf, 200_000, seed=4)
-        d = joint_counts([a, b])
-        for key, count in d.counts.items():
-            assert count / d.total == pytest.approx(pmf.table[key], abs=5e-3)
+        for key, count in tuple_counts([a, b]).items():
+            assert count / a.rows == pytest.approx(pmf.table[key], abs=5e-3)
 
 
 class TestExhaustive:
@@ -113,12 +113,12 @@ class TestExhaustive:
             arity = int(rng.integers(2, 4))
             pmf = random_pmf(rng, tuple(int(rng.integers(2, 5)) for _ in range(arity)))
             streams = exhaustive_stream(pmf, copies=2)
-            d = joint_counts(streams)
-            total = d.total
-            for key, count in d.counts.items():
+            counts = tuple_counts(streams)
+            total = streams[0].rows
+            for key, count in counts.items():
                 assert count / total == pytest.approx(pmf.table[key], abs=1e-12)
             # and no tuples outside the pmf support
-            assert len(d.counts) == int(np.count_nonzero(pmf.table))
+            assert len(counts) == int(np.count_nonzero(pmf.table))
 
     def test_estimator_equals_oracle_exactly(self):
         pmf = xor_pmf()
@@ -191,13 +191,17 @@ CENTERS = np.zeros((2, 1))
     [
         (lambda: gen_gaussian_mixture(CENTERS, 1.0, 2.5, 0), "n_per_center must be an integer"),
         (lambda: gen_gaussian_mixture(CENTERS, 1.0, 3, -1), "seed must be >= 0, got -1"),
+        (
+            lambda: gen_gaussian_mixture(CENTERS, 1.0, 3, -(10**5000)),
+            "seed must be >= 0, got a negative integer of 16610 bits",
+        ),
         (lambda: sample_discrete(xor_pmf(), True, 0), "n_frames must be an integer, got True"),
         (lambda: sample_discrete(xor_pmf(), 8, -1), "seed must be >= 0, got -1"),
         (lambda: exhaustive_stream(xor_pmf(), copies=True), "copies must be an integer"),
     ],
     ids=[
-        "blobs-rows-float", "blobs-seed-negative", "frames-bool", "sample-seed-negative",
-        "copies-bool",
+        "blobs-rows-float", "blobs-seed-negative", "blobs-seed-5001-digits", "frames-bool",
+        "sample-seed-negative", "copies-bool",
     ],
 )
 def test_generator_counts_and_seeds_follow_the_integer_rule(build, message):

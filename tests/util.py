@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,11 @@ def seq(symbols, alphabet_size=None, rate=25.0, tag="") -> LabelSequence:
     if alphabet_size is None:
         alphabet_size = int(symbols.max()) + 1
     return LabelSequence(symbols, alphabet_size, rate, tag)
+
+
+def tuple_counts(streams) -> Counter:
+    """How often each aligned symbol tuple occurs in ``streams``."""
+    return Counter(zip(*(s.symbols.tolist() for s in streams)))
 
 
 def features(values, rate=25.0, tag="") -> FeatureMatrix:
