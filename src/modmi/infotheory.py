@@ -72,36 +72,32 @@ def _tuple_keys(arrays: list[np.ndarray]) -> np.ndarray:
     return key
 
 
+def cell_counts(arrays: list[np.ndarray]) -> np.ndarray:
+    """How often each occupied cell of the aligned symbol arrays occurs, in
+    tuple order (the first array most significant)."""
+    return np.unique(_tuple_keys(arrays), return_counts=True)[1]
+
+
 def _h_nats(arrays: list[np.ndarray]) -> float:
     """Joint entropy (nats) of one or more aligned symbol arrays."""
-    _, counts = np.unique(_tuple_keys(arrays), return_counts=True)
-    p = counts / arrays[0].shape[0]
+    p = cell_counts(arrays) / arrays[0].shape[0]
     return float(-(p * np.log(p)).sum())
-
-
-def _mi_nats(a: np.ndarray, b: np.ndarray) -> float:
-    return _h_nats([a]) + _h_nats([b]) - _h_nats([a, b])
 
 
 def _cmmi_nats(arrays: list[np.ndarray], given: np.ndarray) -> float:
     """Conditional multivariate MI: sum_z p(z) * MMI(arrays | given = z)."""
     order = np.argsort(given, kind="stable")
-    z_sorted = given[order]
-    boundaries = np.flatnonzero(np.diff(z_sorted)) + 1
-    starts = np.concatenate(([0], boundaries))
-    ends = np.concatenate((boundaries, [z_sorted.shape[0]]))
     total = given.shape[0]
     value = 0.0
-    for lo, hi in zip(starts, ends):
-        idx = order[lo:hi]
-        value += (hi - lo) / total * _mmi_nats([arr[idx] for arr in arrays])
+    for idx in np.split(order, np.cumsum(cell_counts([given]))[:-1]):
+        value += idx.size / total * _mmi_nats([arr[idx] for arr in arrays])
     return value
 
 
 def _mmi_nats(arrays: list[np.ndarray]) -> float:
     """Recursive multivariate MI; the n=2 base case is plain MI."""
     if len(arrays) == 2:
-        return _mi_nats(arrays[0], arrays[1])
+        return _h_nats(arrays[:1]) + _h_nats(arrays[1:]) - _h_nats(arrays)
     return _mmi_nats(arrays[:-1]) - _cmmi_nats(arrays[:-1], arrays[-1])
 
 
@@ -239,29 +235,55 @@ QUANTITY_KEYS = {
 REGIONS = ("V|T,S", "T|V,S", "S|V,T", "V;T|S", "T;S|V", "V;S|T", "V;T;S")
 
 
-def _ts_quantities(t: LabelSequence, s: LabelSequence, token: str):
-    """H(T), H(S), H(T;S) and I(T;S) in nats, and the five (T, S) fields of
-    InfoQuantities (log base ``token``) as keyword arguments."""
-    h_t = _h_nats([t.symbols])
-    h_s = _h_nats([s.symbols])
-    h_ts = _h_nats([t.symbols, s.symbols])
-    i_ts = h_t + h_s - h_ts
-    fields = {
-        "log_base": token,
-        "h_t": _scaled(h_t, token),
-        "h_s": _scaled(h_s, token),
-        "i_ts": _clamped(_scaled(i_ts, token), "I(T;S)"),
-        "h_s_given_t": _clamped(_scaled(h_ts - h_t, token), "H(S|T)"),
-        "h_t_given_s": _clamped(_scaled(h_ts - h_s, token), "H(T|S)"),
-    }
-    return (h_t, h_s, h_ts, i_ts), fields
+# Pair of roles XY -> the InfoQuantities fields of I(X;Y), H(Y|X) and H(X|Y).
+# The roles' order is the key order of the joint H(X,Y).
+_PAIRS = {
+    "TS": ("i_ts", "h_s_given_t", "h_t_given_s"),
+    "TV": ("i_tv", "h_v_given_t", "h_t_given_v"),
+    "VS": ("i_vs", "h_s_given_v", "h_v_given_s"),
+}
+
+
+def _table(by_role: dict[str, LabelSequence], token: str) -> InfoQuantities:
+    """The quantity table, in log base ``token``, of aligned streams keyed by
+    role: T and S, and V for a three-variable analysis."""
+    h = {role: _h_nats([seq.symbols]) for role, seq in by_role.items()}
+    mi = {}
+    fields = {"log_base": token, **{f"h_{r.lower()}": _scaled(h[r], token) for r in h}}
+    for pair, (i_xy, y_given_x, x_given_y) in _PAIRS.items():
+        x, y = pair
+        if x in by_role and y in by_role:
+            h[pair] = _h_nats([by_role[x].symbols, by_role[y].symbols])
+            mi[pair] = h[x] + h[y] - h[pair]
+            fields[i_xy] = _clamped(_scaled(mi[pair], token), f"I({x};{y})")
+            fields[y_given_x] = _clamped(_scaled(h[pair] - h[x], token), f"H({y}|{x})")
+            fields[x_given_y] = _clamped(_scaled(h[pair] - h[y], token), f"H({x}|{y})")
+    if "V" in by_role:
+        h_vts = _h_nats([by_role[r].symbols for r in "VTS"])
+        center = h["V"] + h["T"] + h["S"] - h["TV"] - h["TS"] - h["VS"] + h_vts
+        pair_vt = mi["TV"] - center  # = I(V;T|S)
+        pair_ts = mi["TS"] - center  # = I(T;S|V)
+        pair_vs = mi["VS"] - center  # = I(V;S|T)
+        parts = {
+            "V|T,S": h["V"] - pair_vt - pair_vs - center,
+            "T|V,S": h["T"] - pair_vt - pair_ts - center,
+            "S|V,T": h["S"] - pair_ts - pair_vs - center,
+            "V;T|S": pair_vt,
+            "T;S|V": pair_ts,
+            "V;S|T": pair_vs,
+        }
+        fields["i_vts"] = _scaled(center, token)
+        fields["regions"] = {
+            **{r: _clamped(_scaled(x, token), f"region {r}") for r, x in parts.items()},
+            "V;T;S": fields["i_vts"],
+        }
+    return InfoQuantities(**fields)
 
 
 def pair_quantities(t: LabelSequence, s: LabelSequence, base=2) -> InfoQuantities:
     """Entropies, MI and conditionals for a two-variable analysis."""
     _check_aligned([t, s])
-    _, fields = _ts_quantities(t, s, normalize_base(base))
-    return InfoQuantities(**fields)
+    return _table({"T": t, "S": s}, normalize_base(base))
 
 
 def info_diagram(v: LabelSequence, t: LabelSequence, s: LabelSequence, base=2) -> InfoQuantities:
@@ -272,38 +294,4 @@ def info_diagram(v: LabelSequence, t: LabelSequence, s: LabelSequence, base=2) -
     I(V;T;S); the regions touching any one variable sum to its entropy.
     """
     _check_aligned([v, t, s])
-    token = normalize_base(base)
-    (h_t, h_s, h_ts, i_ts), ts_fields = _ts_quantities(t, s, token)
-    av, at, as_ = v.symbols, t.symbols, s.symbols
-    h_v = _h_nats([av])
-    h_tv = _h_nats([at, av])
-    h_vs = _h_nats([av, as_])
-    h_vts = _h_nats([av, at, as_])
-
-    i_tv = h_t + h_v - h_tv
-    i_vs = h_v + h_s - h_vs
-    center = h_v + h_t + h_s - h_tv - h_ts - h_vs + h_vts
-    pair_vt = i_tv - center  # = I(V;T|S)
-    pair_ts = i_ts - center  # = I(T;S|V)
-    pair_vs = i_vs - center  # = I(V;S|T)
-    regions = {
-        "V|T,S": _clamped(_scaled(h_v - pair_vt - pair_vs - center, token), "region V|T,S"),
-        "T|V,S": _clamped(_scaled(h_t - pair_vt - pair_ts - center, token), "region T|V,S"),
-        "S|V,T": _clamped(_scaled(h_s - pair_ts - pair_vs - center, token), "region S|V,T"),
-        "V;T|S": _clamped(_scaled(pair_vt, token), "region V;T|S"),
-        "T;S|V": _clamped(_scaled(pair_ts, token), "region T;S|V"),
-        "V;S|T": _clamped(_scaled(pair_vs, token), "region V;S|T"),
-        "V;T;S": _scaled(center, token),
-    }
-    return InfoQuantities(
-        **ts_fields,
-        h_v=_scaled(h_v, token),
-        i_tv=_clamped(_scaled(i_tv, token), "I(T;V)"),
-        i_vs=_clamped(_scaled(i_vs, token), "I(V;S)"),
-        i_vts=_scaled(center, token),
-        h_v_given_t=_clamped(_scaled(h_tv - h_t, token), "H(V|T)"),
-        h_t_given_v=_clamped(_scaled(h_tv - h_v, token), "H(T|V)"),
-        h_v_given_s=_clamped(_scaled(h_vs - h_s, token), "H(V|S)"),
-        h_s_given_v=_clamped(_scaled(h_vs - h_v, token), "H(S|V)"),
-        regions=regions,
-    )
+    return _table({"V": v, "T": t, "S": s}, normalize_base(base))

@@ -283,7 +283,7 @@ def _report(specs, streams, config: AnalysisConfig) -> InfoReport:
                 rows=stream.rows,
                 dims=dims,
                 clusters=k,
-                distinct=int(np.unique(labels.symbols).size),
+                distinct=infotheory.cell_counts([labels.symbols]).size,
                 codebook_sha256=digest,
             )
         )

@@ -68,30 +68,29 @@ def oracle_quantities(pmf: JointPmf, base=2) -> InfoQuantities:
     Conditional-MI regions use the entropy identity
     I(X;Y|Z) = H(X;Z) + H(Y;Z) - H(Z) - H(X;Y;Z) and unique regions use
     H(X|Y,Z) = H(X;Y;Z) - H(Y;Z), independent of the estimator's
-    partition-and-recurse route.
+    inclusion-exclusion around the center I(V;T;S).
     """
     token = normalize_base(base)
-    t = pmf.table
-    if pmf.arity == 2:
-        h_t = _h_axes(t, (0,))
-        h_s = _h_axes(t, (1,))
-        h_ts = _h_axes(t, (0, 1))
-        return InfoQuantities(
-            log_base=token,
-            h_t=h_t / LOG_BASES[token],
-            h_s=h_s / LOG_BASES[token],
-            i_ts=_clamp_tiny((h_t + h_s - h_ts) / LOG_BASES[token]),
-            h_s_given_t=_clamp_tiny((h_ts - h_t) / LOG_BASES[token]),
-            h_t_given_s=_clamp_tiny((h_ts - h_s) / LOG_BASES[token]),
-        )
-    if pmf.arity != 3:
+    if pmf.arity not in (2, 3):
         raise DataError(f"oracle supports arity 2 or 3, got {pmf.arity}")
+    t = pmf.table
+    ax_t, ax_s = pmf.arity - 2, pmf.arity - 1  # the axes (V, T, S) or (T, S)
+    h_t = _h_axes(t, (ax_t,))
+    h_s = _h_axes(t, (ax_s,))
+    h_ts = _h_axes(t, (ax_t, ax_s))
+    ts_fields = {
+        "log_base": token,
+        "h_t": h_t / LOG_BASES[token],
+        "h_s": h_s / LOG_BASES[token],
+        "i_ts": _clamp_tiny((h_t + h_s - h_ts) / LOG_BASES[token]),
+        "h_s_given_t": _clamp_tiny((h_ts - h_t) / LOG_BASES[token]),
+        "h_t_given_s": _clamp_tiny((h_ts - h_s) / LOG_BASES[token]),
+    }
+    if pmf.arity == 2:
+        return InfoQuantities(**ts_fields)
     h_v = _h_axes(t, (0,))
-    h_t = _h_axes(t, (1,))
-    h_s = _h_axes(t, (2,))
     h_vt = _h_axes(t, (0, 1))
     h_vs = _h_axes(t, (0, 2))
-    h_ts = _h_axes(t, (1, 2))
     h_vts = _h_axes(t, (0, 1, 2))
     center = h_v + h_t + h_s - h_vt - h_ts - h_vs + h_vts
     regions = {
@@ -104,17 +103,12 @@ def oracle_quantities(pmf: JointPmf, base=2) -> InfoQuantities:
         "V;T;S": center / LOG_BASES[token],
     }
     return InfoQuantities(
-        log_base=token,
-        h_t=h_t / LOG_BASES[token],
-        h_s=h_s / LOG_BASES[token],
+        **ts_fields,
         h_v=h_v / LOG_BASES[token],
-        i_ts=_clamp_tiny((h_t + h_s - h_ts) / LOG_BASES[token]),
         i_tv=_clamp_tiny((h_t + h_v - h_vt) / LOG_BASES[token]),
         i_vs=_clamp_tiny((h_v + h_s - h_vs) / LOG_BASES[token]),
         i_vts=center / LOG_BASES[token],
-        h_s_given_t=_clamp_tiny((h_ts - h_t) / LOG_BASES[token]),
         h_v_given_t=_clamp_tiny((h_vt - h_t) / LOG_BASES[token]),
-        h_t_given_s=_clamp_tiny((h_ts - h_s) / LOG_BASES[token]),
         h_t_given_v=_clamp_tiny((h_vt - h_v) / LOG_BASES[token]),
         h_v_given_s=_clamp_tiny((h_vs - h_s) / LOG_BASES[token]),
         h_s_given_v=_clamp_tiny((h_vs - h_v) / LOG_BASES[token]),
