@@ -20,7 +20,7 @@ import json
 import logging
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -218,6 +218,7 @@ def read_labels(
     if symbols.size == 0:
         raise FormatError(f"{path}: empty label file (rows >= 1 required)")
     if alphabet_size is not None:
+        alphabet_size = check_int(alphabet_size, "alphabet_size", 1)
         if alphabet_size < base_alphabet:
             raise DataError(
                 f"{path}: alphabet_size override {alphabet_size} is below "
@@ -340,6 +341,14 @@ def _rate(value, where: str) -> float:
         raise FormatError(f"{where} must be a finite positive number") from None
 
 
+def _check_keys(obj: dict, cls, where: str) -> None:
+    """Reject a key of manifest object ``obj`` that names no field of ``cls``."""
+    known = {f.name for f in fields(cls)}
+    for key in obj:
+        if key not in known:
+            raise FormatError(f"{where}: unknown key {key!r}")
+
+
 def load_manifest(path) -> Manifest:
     """Parse and validate a JSON manifest; relative paths resolve against it."""
     path = Path(path)
@@ -349,6 +358,7 @@ def load_manifest(path) -> Manifest:
         raise FormatError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(doc, dict) or "target_rate_hz" not in doc:
         raise FormatError(f"{path}: manifest must be an object with 'target_rate_hz'")
+    _check_keys(doc, Manifest, str(path))
     rate = _rate(doc["target_rate_hz"], f"{path}: target_rate_hz")
     entries = doc.get("streams")
     if not isinstance(entries, list) or not entries:
@@ -360,6 +370,7 @@ def load_manifest(path) -> Manifest:
         label = name if isinstance(name, str) and name else f"#{i}"
         if not isinstance(entry, dict):
             raise FormatError(f"{path}: stream {label}: entry must be an object")
+        _check_keys(entry, StreamSpec, f"{path}: stream {label}")
         for key in ("name", "path", "kind", "sample_rate_hz"):
             if key not in entry:
                 raise FormatError(f"{path}: stream {label}: missing field {key!r}")
@@ -381,7 +392,7 @@ def load_manifest(path) -> Manifest:
             stream_path = path.parent / stream_path
         if not stream_path.is_file():
             raise FormatError(f"{path}: stream {label}: no such file: {stream_path}")
-        for key in ("clusters", "alphabet_size"):
+        for key, only in (("clusters", "features"), ("alphabet_size", "labels")):
             value = entry.get(key)
             if value is not None:
                 try:
@@ -390,11 +401,10 @@ def load_manifest(path) -> Manifest:
                     raise FormatError(
                         f"{path}: stream {label}: {key!r} must be an integer >= 1, got {value!r}"
                     ) from None
-        clusters = entry.get("clusters")
-        if clusters is not None and kind == "labels":
-            raise FormatError(
-                f"{path}: stream {label}: 'clusters' applies to features streams only"
-            )
+                if kind != only:
+                    raise FormatError(
+                        f"{path}: stream {label}: {key!r} applies to {only} streams only"
+                    )
         specs.append(
             StreamSpec(
                 name=entry["name"],
@@ -402,7 +412,7 @@ def load_manifest(path) -> Manifest:
                 kind=kind,
                 sample_rate_hz=stream_rate,
                 alphabet_size=entry.get("alphabet_size"),
-                clusters=clusters,
+                clusters=entry.get("clusters"),
             )
         )
     return Manifest(target_rate_hz=rate, streams=tuple(specs))

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DataError
 from .infotheory import CLAMP_TOL, LOG_BASES, InfoQuantities, normalize_base
-from .ingestion import FeatureMatrix, LabelSequence, check_int
+from .ingestion import FeatureMatrix, LabelSequence, check_int, check_positive
 
 DEFAULT_RATE_HZ = 25.0
 
@@ -74,7 +74,7 @@ def oracle_quantities(pmf: JointPmf, base=2) -> InfoQuantities:
     if pmf.arity not in (2, 3):
         raise DataError(f"oracle supports arity 2 or 3, got {pmf.arity}")
     t = pmf.table
-    ax_t, ax_s = pmf.arity - 2, pmf.arity - 1  # the axes (V, T, S) or (T, S)
+    ax_t, ax_s = pmf.arity - 2, pmf.arity - 1  # axes are (V, T, S) or (T, S)
     h_t = _h_axes(t, (ax_t,))
     h_s = _h_axes(t, (ax_s,))
     h_ts = _h_axes(t, (ax_t, ax_s))
@@ -117,6 +117,8 @@ def oracle_quantities(pmf: JointPmf, base=2) -> InfoQuantities:
 
 
 def _streams_from_flat(flat_idx: np.ndarray, shape: tuple[int, ...], tags=None) -> list[LabelSequence]:
+    if tags is not None and len(tags) != len(shape):
+        raise DataError(f"tags must hold one tag per variable ({len(shape)}), got {len(tags)}")
     coords = np.unravel_index(flat_idx, shape)
     return [
         LabelSequence(
@@ -170,8 +172,8 @@ def gen_gaussian_mixture(
     centers = np.asarray(centers, dtype=np.float64)
     if centers.ndim != 2 or centers.shape[0] < 1 or centers.shape[1] < 1:
         raise DataError(f"centers must be (m >= 1, d >= 1), got {centers.shape}")
-    if not 0 <= stddev < math.inf:
-        raise DataError(f"stddev must be finite and >= 0, got {stddev}")
+    if isinstance(stddev, (bool, np.bool_)) or stddev != 0:  # 0 puts every row on its center
+        stddev = check_positive(stddev, "a non-zero stddev")
     n_per_center = check_int(n_per_center, "n_per_center", 1)
     m, d = centers.shape
     rng = np.random.Generator(np.random.PCG64(check_int(seed, "seed", 0)))

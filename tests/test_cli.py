@@ -131,6 +131,16 @@ class TestAnalyze:
         assert cli_json == modmi.analyze(manifest).to_json()
         assert json.loads(cli_json)["streams"][0]["L"] == 8  # 20 frames at 25 Hz -> 10 Hz
 
+    def test_misspelled_manifest_key_exit_1(self, blobs_dir, capsys):
+        manifest = blobs_dir / "manifest.json"
+        doc = json.loads(manifest.read_text())
+        entry = next(e for e in doc["streams"] if e["name"] == "s")
+        entry["clusteres"] = entry.pop("clusters")
+        manifest.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "analyze", str(manifest))
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "stream s: unknown key 'clusteres'" in err
+
     def test_base_flag(self, xor_dir, capsys):
         code, out, _ = run(
             capsys, "analyze", str(xor_dir / "manifest.json"), "--base", "e", "--format", "json"

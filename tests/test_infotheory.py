@@ -6,6 +6,7 @@ import pytest
 from modmi.errors import AlignmentError, DataError
 from modmi.infotheory import (
     _tuple_keys,
+    cell_counts,
     conditional_entropy,
     conditional_mutual_information,
     entropy,
@@ -38,6 +39,7 @@ class TestTupleKeys:
         _, first, counts = np.unique(_tuple_keys(arrays), return_index=True, return_counts=True)
         assert np.array_equal(counts, ref_counts)
         assert np.array_equal(np.stack(arrays, axis=1)[first], rows)
+        assert np.array_equal(cell_counts(arrays), ref_counts)
 
 
 class TestEntropy:
@@ -341,3 +343,23 @@ def test_info_diagram_and_mi_share_the_pair_quantities(base):
             assert getattr(three, name) == getattr(pair, name), name
         assert mutual_information(t, s, base) == pair.i_ts
         assert mutual_information(v, s, base) == pair_quantities(v, s, base).i_ts
+
+
+def test_every_information_function_returns_python_floats():
+    v, t, s, x = random_streams(np.random.Generator(np.random.PCG64(8)), 4, 300)
+    values = [
+        entropy([v, t]),
+        mutual_information(v, t),
+        conditional_entropy(v, [t, s]),
+        conditional_mutual_information([v, t], s),
+        conditional_mutual_information([v, t, s], x),
+        multivariate_mi_recursive([v, t]),
+        multivariate_mi_recursive([v, t, s, x]),
+        trivariate_mmi(v, t, s),
+    ]
+    for q in (pair_quantities(t, s), info_diagram(v, t, s)):
+        fields = {k: value for k, value in vars(q).items() if k not in ("log_base", "regions")}
+        values += [value for value in fields.values() if value is not None]
+        values += list((q.regions or {}).values())
+    assert len(values) == 8 + 5 + 13 + 7
+    assert {type(value) for value in values} == {float}

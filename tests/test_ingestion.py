@@ -416,6 +416,29 @@ class TestManifest:
             load_manifest(path)
 
     @pytest.mark.parametrize(
+        "kind, key, value, message",
+        [
+            ("features", "clusteres", 3, "stream cam: unknown key 'clusteres'"),
+            ("labels", "alphabet", 3, "stream cam: unknown key 'alphabet'"),
+            ("features", "alphabet_size", 3, "stream cam: 'alphabet_size' applies to labels"),
+            ("manifest", "target_rate", 25, r"manifest\.json: unknown key 'target_rate'"),
+        ],
+        ids=["typo-clusters", "typo-alphabet", "alphabet-on-features", "manifest-typo"],
+    )
+    def test_unknown_or_misplaced_keys_rejected(self, tmp_path, kind, key, value, message):
+        self._stream_files(tmp_path)
+        entry = {
+            "name": "cam",
+            "path": "t.lbl" if kind == "labels" else "a.fmx",
+            "kind": "labels" if kind == "labels" else "features",
+            "sample_rate_hz": 25,
+        }
+        doc = {"target_rate_hz": 25, "streams": [entry]}
+        (doc if kind == "manifest" else entry)[key] = value
+        with pytest.raises(FormatError, match=message):
+            load_manifest(self._write(tmp_path, doc))
+
+    @pytest.mark.parametrize(
         "raw",
         [b'{"target_rate_hz": 25, "streams": ["\xff"]}', b"[" * 100000],
         ids=["not-utf8", "deep"],
@@ -472,10 +495,22 @@ class TestManifest:
             load_manifest(path)
 
 
-@pytest.mark.parametrize("alphabet_size", [2.5, True, "3"], ids=["float", "bool", "str"])
-def test_alphabet_size_must_be_an_integer(alphabet_size):
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda path: LabelSequence([0, 1, 2], 2.5, 25.0),
+        lambda path: LabelSequence([0, 1, 2], True, 25.0),
+        lambda path: LabelSequence([0, 1, 2], "3", 25.0),
+        lambda path: read_labels(path, alphabet_size=True),
+        lambda path: read_labels(path, alphabet_size="5"),
+    ],
+    ids=["float", "bool", "str", "read-override-bool", "read-override-str"],
+)
+def test_alphabet_size_must_be_an_integer(tmp_path, build):
+    path = tmp_path / "t.txt"
+    path.write_text("0\n2\n")
     with pytest.raises(DataError, match="alphabet_size must be an integer"):
-        LabelSequence([0, 1, 2], alphabet_size, 25.0)
+        build(path)
 
 
 def test_numpy_alphabet_size_is_stored_as_int():

@@ -135,6 +135,19 @@ class TestAnalyze:
         assert by_name["t"].clusters is None and by_name["t"].codebook_sha256 is None
         assert by_name["t"].rows == 360
 
+    def test_distinct_counts_symbols_near_the_u32_limit(self, tmp_path):
+        rng = np.random.Generator(np.random.PCG64(3))
+        entries, expected = [], []
+        for name in ("t", "s"):
+            symbols = 2**32 - 2 - rng.integers(0, 40, size=500)
+            write_labels(LabelSequence(symbols, 2**32 - 1, 25.0), tmp_path / f"{name}.lbl")
+            entries.append(
+                {"name": name, "path": f"{name}.lbl", "kind": "labels", "sample_rate_hz": 25.0}
+            )
+            expected.append(len(set(symbols.tolist())))
+        report = analyze(write_manifest(tmp_path, entries))
+        assert [s.distinct for s in report.streams] == expected
+
     def test_errors_carry_stream_name(self, tmp_path):
         # 2 distinct rows cannot support 5 clusters
         write_feature_matrix(

@@ -140,8 +140,11 @@ class TestGaussianMixture:
             (0, 1.0, "d >= 1"),
             (2, math.inf, "stddev must be finite"),
             (2, math.nan, "stddev must be finite"),
+            (2, "1", r"stddev must be finite and > 0 \(a number, not a bool\), got '1'"),
+            (2, True, r"stddev must be finite and > 0 \(a number, not a bool\), got True"),
+            (2, -1.0, "stddev must be finite and > 0"),
         ],
-        ids=["no-dims", "stddev-inf", "stddev-nan"],
+        ids=["no-dims", "stddev-inf", "stddev-nan", "stddev-str", "stddev-bool", "stddev-negative"],
     )
     def test_bad_shape_or_scale_rejected(self, dims, stddev, match):
         with pytest.raises(DataError, match=match):
@@ -198,10 +201,12 @@ CENTERS = np.zeros((2, 1))
         (lambda: sample_discrete(xor_pmf(), True, 0), "n_frames must be an integer, got True"),
         (lambda: sample_discrete(xor_pmf(), 8, -1), "seed must be >= 0, got -1"),
         (lambda: exhaustive_stream(xor_pmf(), copies=True), "copies must be an integer"),
+        (lambda: exhaustive_stream(xor_pmf(), tags=["a"]), r"one tag per variable \(3\), got 1"),
+        (lambda: sample_discrete(xor_pmf(), 8, 0, tags="vtsx"), r"one tag per variable \(3\), got 4"),
     ],
     ids=[
         "blobs-rows-float", "blobs-seed-negative", "blobs-seed-5001-digits", "frames-bool",
-        "sample-seed-negative", "copies-bool",
+        "sample-seed-negative", "copies-bool", "exhaustive-tags-short", "sample-tags-long",
     ],
 )
 def test_generator_counts_and_seeds_follow_the_integer_rule(build, message):
