@@ -74,8 +74,16 @@ def _tuple_keys(arrays: list[np.ndarray]) -> np.ndarray:
 
 def cell_counts(arrays: list[np.ndarray]) -> np.ndarray:
     """How often each occupied cell of the aligned symbol arrays occurs, in
-    tuple order (the first array most significant)."""
-    return np.unique(_tuple_keys(arrays), return_counts=True)[1]
+    tuple order (the first array most significant).
+
+    When the product of the radices is at most the row count, the keys are
+    counted with ``bincount``, whose table is then no larger than the keys.
+    """
+    key = _tuple_keys(arrays)
+    if math.prod(int(a.max()) + 1 for a in arrays) <= key.size:
+        counts = np.bincount(key)
+        return counts[counts.nonzero()]
+    return np.unique(key, return_counts=True)[1]
 
 
 def _h_nats(arrays: list[np.ndarray]) -> float:

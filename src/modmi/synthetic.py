@@ -23,6 +23,14 @@ from .ingestion import FeatureMatrix, LabelSequence, check_int, check_positive
 DEFAULT_RATE_HZ = 25.0
 
 
+def _float_array(value, what: str) -> np.ndarray:
+    """``value`` as a float64 array; a value numpy cannot convert raises DataError."""
+    try:
+        return np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DataError(f"{what} must be an array of numbers: {exc}") from None
+
+
 @dataclass(frozen=True)
 class JointPmf:
     """Dense joint probability table over 2 or more discrete variables."""
@@ -30,7 +38,7 @@ class JointPmf:
     table: np.ndarray
 
     def __post_init__(self):
-        table = np.ascontiguousarray(self.table, dtype=np.float64)
+        table = np.ascontiguousarray(_float_array(self.table, "pmf table"))
         if table.ndim < 1:
             raise DataError("pmf table must have at least one axis")
         if not np.all(np.isfinite(table)) or (table < 0).any():
@@ -169,7 +177,7 @@ def gen_gaussian_mixture(
     centers, stddev: float, n_per_center: int, seed: int
 ) -> tuple[FeatureMatrix, LabelSequence]:
     """Isotropic Gaussian blobs plus the ground-truth component labels."""
-    centers = np.asarray(centers, dtype=np.float64)
+    centers = _float_array(centers, "centers")
     if centers.ndim != 2 or centers.shape[0] < 1 or centers.shape[1] < 1:
         raise DataError(f"centers must be (m >= 1, d >= 1), got {centers.shape}")
     if isinstance(stddev, (bool, np.bool_)) or stddev != 0:  # 0 puts every row on its center

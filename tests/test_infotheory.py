@@ -25,6 +25,8 @@ def xor_triple():
 
 
 class TestTupleKeys:
+    # On 3000 rows "one", "two" and "three-small" have radix products of at most
+    # 3000 and take cell_counts' bincount branch; the other two take np.unique.
     @pytest.mark.parametrize(
         "n_streams, low, high",
         [(1, 0, 5), (2, 0, 40), (3, 0, 7), (3, 2**32 - 6, 2**32), (4, 0, 2**20)],
@@ -40,6 +42,22 @@ class TestTupleKeys:
         assert np.array_equal(counts, ref_counts)
         assert np.array_equal(np.stack(arrays, axis=1)[first], rows)
         assert np.array_equal(cell_counts(arrays), ref_counts)
+
+    @pytest.mark.parametrize(
+        "rows, bincount_calls",
+        [(3000, 1), (2999, 0)],
+        ids=["radix-product-equals-rows", "radix-product-one-above-rows"],
+    )
+    def test_counts_at_the_bincount_guard(self, monkeypatch, rows, bincount_calls):
+        rng = np.random.Generator(np.random.PCG64(rows))
+        arrays = [rng.integers(0, 50, size=rows), rng.integers(0, 60, size=rows)]
+        arrays[0][0], arrays[1][0] = 49, 59  # radices 50 * 60 = 3000
+        _, ref_counts = np.unique(np.stack(arrays, axis=1), axis=0, return_counts=True)
+        calls = []
+        bincount = np.bincount
+        monkeypatch.setattr(np, "bincount", lambda key: calls.append(key) or bincount(key))
+        assert np.array_equal(cell_counts(arrays), ref_counts)
+        assert len(calls) == bincount_calls
 
 
 class TestEntropy:

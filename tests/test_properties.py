@@ -12,6 +12,8 @@ from modmi.infotheory import REGIONS, InfoQuantities
 from modmi.ingestion import (
     FeatureMatrix,
     LabelSequence,
+    _parse_label_lines,
+    _parse_label_text,
     load_manifest,
     read_feature_matrix,
     read_labels,
@@ -86,6 +88,44 @@ def test_lbl1_round_trip_bit_exact(workdir, labels):
     assert back.alphabet_size == labels.alphabet_size
     assert back.symbols.dtype == labels.symbols.dtype
     assert np.array_equal(back.symbols, labels.symbols)
+
+
+digit_lines = st.one_of(
+    st.integers(0, U32_MAX).map(str),
+    st.integers(U32_MAX - 3, U32_MAX + 3).map(str),  # 10 digits on both sides of the limit
+    st.tuples(st.integers(1, 3), st.integers(0, 10**6)).map(lambda z: "0" * z[0] + str(z[1])),
+)
+odd_lines = st.sampled_from(
+    ["", "+5", "1_0", " 7 ", "-3", "\u0663", "00000000001", "12345678901", "x"]
+)
+
+
+@st.composite
+def label_texts(draw):
+    """Digit lines ending in \\n, with up to two other lines (odd ones, or
+    ending in \\r\\n) spliced in, and maybe no final line break."""
+    lines = [line + "\n" for line in draw(st.lists(digit_lines, max_size=40))]
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        line = draw(digit_lines | odd_lines) + draw(st.sampled_from(["\n", "\r\n"]))
+        lines.insert(draw(st.integers(0, len(lines))), line)
+    text = "".join(lines)
+    if draw(st.sampled_from([False, False, True])):
+        text = text[:-1]
+    return text.encode()
+
+
+def _parsed(parse, raw):
+    try:
+        symbols = parse(raw, "labels.txt")
+    except ModmiError as exc:
+        return type(exc), str(exc)
+    return symbols.dtype, symbols.tolist()
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw=label_texts() | st.binary(max_size=60))
+def test_text_label_parse_equals_the_line_loop(raw):
+    assert _parsed(_parse_label_text, raw) == _parsed(_parse_label_lines, raw)
 
 
 @st.composite

@@ -135,20 +135,24 @@ class TestExhaustive:
 
 class TestGaussianMixture:
     @pytest.mark.parametrize(
-        "dims, stddev, match",
+        "centers, stddev, match",
         [
-            (0, 1.0, "d >= 1"),
-            (2, math.inf, "stddev must be finite"),
-            (2, math.nan, "stddev must be finite"),
-            (2, "1", r"stddev must be finite and > 0 \(a number, not a bool\), got '1'"),
-            (2, True, r"stddev must be finite and > 0 \(a number, not a bool\), got True"),
-            (2, -1.0, "stddev must be finite and > 0"),
+            (np.zeros((3, 0)), 1.0, "d >= 1"),
+            (np.zeros((3, 2)), math.inf, "stddev must be finite"),
+            (np.zeros((3, 2)), math.nan, "stddev must be finite"),
+            (np.zeros((3, 2)), "1", r"stddev must be finite and > 0 \(a number, not a bool\), got '1'"),
+            (np.zeros((3, 2)), True, r"stddev must be finite and > 0 \(a number, not a bool\), got True"),
+            (np.zeros((3, 2)), -1.0, "stddev must be finite and > 0"),
+            ([["a"]], 1.0, "centers must be an array of numbers: could not convert string"),
         ],
-        ids=["no-dims", "stddev-inf", "stddev-nan", "stddev-str", "stddev-bool", "stddev-negative"],
+        ids=[
+            "no-dims", "stddev-inf", "stddev-nan", "stddev-str", "stddev-bool", "stddev-negative",
+            "centers-str",
+        ],
     )
-    def test_bad_shape_or_scale_rejected(self, dims, stddev, match):
+    def test_bad_shape_or_scale_rejected(self, centers, stddev, match):
         with pytest.raises(DataError, match=match):
-            gen_gaussian_mixture(np.zeros((3, dims)), stddev, 3, seed=0)
+            gen_gaussian_mixture(centers, stddev, 3, seed=0)
 
     def test_zero_stddev_rows_equal_centers(self):
         centers = np.array([[1.0, 2.0], [3.0, 4.0]])
@@ -203,10 +207,12 @@ CENTERS = np.zeros((2, 1))
         (lambda: exhaustive_stream(xor_pmf(), copies=True), "copies must be an integer"),
         (lambda: exhaustive_stream(xor_pmf(), tags=["a"]), r"one tag per variable \(3\), got 1"),
         (lambda: sample_discrete(xor_pmf(), 8, 0, tags="vtsx"), r"one tag per variable \(3\), got 4"),
+        (lambda: JointPmf("x"), "pmf table must be an array of numbers: could not convert string"),
     ],
     ids=[
         "blobs-rows-float", "blobs-seed-negative", "blobs-seed-5001-digits", "frames-bool",
         "sample-seed-negative", "copies-bool", "exhaustive-tags-short", "sample-tags-long",
+        "pmf-str",
     ],
 )
 def test_generator_counts_and_seeds_follow_the_integer_rule(build, message):
