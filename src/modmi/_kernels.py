@@ -4,13 +4,16 @@ accumulation.
 ``assign_chunk`` is the exact loop: it sums squared distances over the
 dimensions in order, so its result does not depend on BLAS, and it is the
 oracle the kernel tests compare against.  Assignment scores every centroid
-with one BLAS GEMM per chunk, then settles any row the GEMM cannot decide
-with ``assign_chunk``, so labels and distances are bit-identical to it.
-Seeding bounds each row's distance to a new centre from below with one GEMV
-and recomputes the fixed-order distance only where the bound cannot rule
-the row out.  The kernels walk their chunks serially and reduce them in
-chunk order.  BLAS is the only parallelism, and results do not depend on its
-thread count.
+with one BLAS GEMM per chunk, ``[x, 1] @ [-2 C^T; |c|^2]``, which folds the
+centroid norms into the product.  One count over the chunk's candidate mask
+certifies that every row has a single candidate; only a chunk where it fails
+counts row by row and settles its ambiguous rows with ``assign_chunk``, so
+labels and distances are bit-identical to it.  Distances are recomputed in
+dimension order by ``row_dist2`` on (rows, d) blocks.  Seeding bounds each
+row's distance to a new centre from below with one GEMV and recomputes the
+fixed-order distance only where the bound cannot rule the row out.  The
+kernels walk their chunks serially and reduce them in chunk order.  BLAS is
+the only parallelism, and results do not depend on its thread count.
 """
 
 from __future__ import annotations
@@ -25,8 +28,8 @@ backend_name = "python"
 ASSIGN_CHUNK = 1024
 UPDATE_CHUNK = 65536
 
-# Columns up to which row_dist2 sums with one accumulate call (the
-# crossover measured for d from 4 to 64).
+# Rows up to which row_dist2 sums with one accumulate call (at or below the
+# crossover measured for d from 4 to 128).
 _ACCUMULATE_MAX = 128
 
 _UNIT_ROUNDOFF = 2.0**-53
@@ -52,29 +55,26 @@ def assign_chunk(x, centroids, labels_out, dist2_out):
     dist2_out[:] = acc[np.arange(n), labels_out]
 
 
-def row_dist2(x_cols, centre_cols):
-    """Squared distance from each point to its centre, summed in dimension
+def row_dist2(rows, centres):
+    """Squared distance from each row to its centre, summed in dimension
     order with the same operations as ``assign_chunk``, so bit-identical to
     it.
 
-    Takes columns: ``x_cols`` is (d, m), the points transposed (a view is
-    fine), and ``centre_cols`` is (d,) for one shared centre or (d, m) for one
-    centre per point.  The (d, m) squared differences take two numpy calls.
-    Their rows are then added in order, never with ``sum(axis=0)``, which sums
-    a single column pairwise.  ``np.add.accumulate`` adds them in order by
-    definition in one call, but its inner loop runs down the columns, so past
-    ``_ACCUMULATE_MAX`` columns the d row additions are cheaper.
+    ``rows`` is (m, d) and ``centres`` is (d,) for one shared centre or
+    (m, d) for one centre per row.  The (m, d) squared differences take two
+    contiguous numpy calls.  Their columns are then added in dimension order,
+    never with ``sum(axis=1)``, which sums a row pairwise.
+    ``np.add.accumulate`` adds them in order by definition in one call, but it
+    walks the rows one at a time, so past ``_ACCUMULATE_MAX`` rows the d
+    column additions are cheaper.
     """
-    centre_cols = np.asarray(centre_cols)
-    if centre_cols.ndim == 1:
-        centre_cols = centre_cols[:, None]
-    sq = np.subtract(x_cols, centre_cols, order="C")
+    sq = np.subtract(rows, centres)
     np.multiply(sq, sq, out=sq)
-    if sq.shape[1] <= _ACCUMULATE_MAX:
-        return np.add.accumulate(sq, axis=0)[-1]
-    acc = sq[0].copy()
-    for row in sq[1:]:
-        acc += row
+    if sq.shape[0] <= _ACCUMULATE_MAX:
+        return np.add.accumulate(sq, axis=1)[:, -1]
+    acc = sq[:, 0].copy()
+    for dim in range(1, sq.shape[1]):
+        acc += sq[:, dim]
     return acc
 
 
@@ -89,45 +89,66 @@ def assign_labels(x, centroids):
     labels = np.empty(n, dtype=np.int64)
     dist2 = np.empty(n, dtype=np.float64)
     c_sq = np.einsum("ij,ij->i", centroids, centroids)
-    minus_2c = (-2.0 * centroids).T  # exact: scaling by -2 rounds nothing
+    # [x, 1] @ weights is the score |c_j|^2 - 2 x.c_j in one GEMM; scaling
+    # by -2 rounds nothing.
+    weights = np.empty((d + 1, centroids.shape[0]))
+    np.multiply(centroids.T, -2.0, out=weights[:d])
+    weights[d] = c_sq
     # Why one candidate settles a row (Higham, Accuracy and Stability of
     # Numerical Algorithms, 2nd ed., §3.1; u = 2^-53, gamma_n = nu/(1 - nu)).
     # Let D_j = |x - c_j|^2 and M = |x|^2 + max_j |c_j|^2, so D_j <= 2M.
     # - The exact loop sums d terms of 3 roundings each, so its r_j is within
     #   gamma_{d+2} D_j of D_j.  Its winner j* has r_{j*} <= r_j, hence
     #   D_{j*} - D_j <= gamma_{d+2} (D_{j*} + D_j) <= 4 gamma_{d+2} M.
-    # - In any summation order, FMA or not, x.c_j is within
-    #   gamma_d sum_k |x_k c_jk| <= gamma_d M / 2 of exact and |c_j|^2 within
-    #   gamma_d M.  With the final addition, the score
-    #   s_j = |c_j|^2 - 2 x.c_j (which is D_j - |x|^2) is within
-    #   2 gamma_{d+1} M of exact.
-    # - So s_{j*} - min_j s_j <= 4 gamma_{d+2} M + 4 gamma_{d+1} M
-    #   <= 8 gamma_{d+2} M: j* is always a candidate.  Using gamma_{d+4}
-    #   leaves at least 16 u M over that, which covers the rounding of the
-    #   computed M and of the slack, and the addition min_j s_j + slack that
-    #   forms the cutoff: |s_j| <= 2M, so it rounds by at most 3 u M.
-    c_sq_max = c_sq.max()
-    slack_factor = 8.0 * _gamma(d + 4)
+    # - The einsum's |c_j|^2, call it q_j, is within gamma_d |c_j|^2 <=
+    #   gamma_d M of exact, and q_j <= (1 + gamma_d) M.
+    # - The GEMM forms s_j = x.(-2 c_j) + 1 q_j, a dot product of d + 1 terms
+    #   whose absolute values sum to at most 2 sum_k |x_k c_jk| + q_j <=
+    #   M + q_j <= (2 + gamma_d) M.  In any summation order, FMA or not, it is
+    #   within gamma_{d+1} (2 + gamma_d) M of x.(-2 c_j) + q_j.  So s_j is
+    #   within (3 + gamma_d) gamma_{d+1} M of |c_j|^2 - 2 x.c_j, which is
+    #   D_j - |x|^2.
+    # - So s_{j*} - min_j s_j <= 4 gamma_{d+2} M + 2 (3 + gamma_d) gamma_{d+1} M
+    #   <= (10 + 2 gamma_d) gamma_{d+2} M.  As nu <= gamma_n <= nu (1 + gamma_n),
+    #   the slack 12 gamma_{d+4} M exceeds that by (2d + 28) u M less terms of
+    #   order (d u)^2 M.
+    # - The computed slack is at least (1 - gamma_{d+5}) times exact (the
+    #   einsum, one addition, _gamma's three roundings and the product), a
+    #   loss under 12 gamma_{d+4} gamma_{d+5} M.  The addition
+    #   min_j s_j + slack that forms the cutoff rounds by at most 3 u M, as
+    #   |s_j| <= 2.01 M.  For any d below 2^40 the margin covers both, so j*
+    #   is always a candidate.
+    slack = np.einsum("ij,ij->i", x, x)
+    slack += c_sq.max()
+    slack *= 12.0 * _gamma(d + 4)
 
     def work(lo, hi):
-        xc = x[lo:hi]
-        scores = xc @ minus_2c
-        scores += c_sq
+        m = hi - lo
+        x1 = np.empty((m, d + 1))
+        x1[:, :d] = x[lo:hi]
+        x1[:, d] = 1.0
+        scores = x1 @ weights
+        del x1  # not held alongside the candidate mask
         best = scores.argmin(axis=1)
-        cutoff = scores[np.arange(hi - lo), best]
-        cutoff += slack_factor * (np.einsum("ij,ij->i", xc, xc) + c_sq_max)
-        candidates = np.count_nonzero(scores <= cutoff[:, None], axis=1)
-        ambiguous = np.flatnonzero(candidates != 1)
-        if ambiguous.size:
+        cutoff = scores[np.arange(m), best]
+        cutoff += slack[lo:hi]
+        candidates = scores <= cutoff[:, None]
+        # Each row's argmin is a candidate, so m candidates in all means one
+        # per row; only a chunk with more counts them row by row.
+        if np.count_nonzero(candidates) != m:
+            ambiguous = np.flatnonzero(np.count_nonzero(candidates, axis=1) != 1)
             exact = np.empty(ambiguous.size, dtype=np.int64)
-            assign_chunk(xc[ambiguous], centroids, exact, np.empty(ambiguous.size))
+            assign_chunk(x[lo:hi][ambiguous], centroids, exact, np.empty(ambiguous.size))
             best[ambiguous] = exact
-        labels[lo:hi] = best
-        dist2[lo:hi] = row_dist2(xc.T, centroids[best].T)
+        return best
 
-    # One chunk per call, so its score matrix is freed before the next.
     for lo in range(0, n, ASSIGN_CHUNK):
-        work(lo, min(lo + ASSIGN_CHUNK, n))
+        hi = min(lo + ASSIGN_CHUNK, n)
+        # The chunk's scores and mask are freed when work returns, before the
+        # distances and the next chunk.
+        best = work(lo, hi)
+        labels[lo:hi] = best
+        dist2[lo:hi] = row_dist2(x[lo:hi], centroids[best])
     return labels, dist2
 
 
@@ -147,7 +168,7 @@ class ClosestDist2:
         self.x = x
         self.closest = np.empty(n)
         for lo in range(0, n, ASSIGN_CHUNK):  # chunks keep row_dist2's temporaries small
-            self.closest[lo:lo + ASSIGN_CHUNK] = row_dist2(x[lo:lo + ASSIGN_CHUNK].T, first)
+            self.closest[lo:lo + ASSIGN_CHUNK] = row_dist2(x[lo:lo + ASSIGN_CHUNK], first)
         # Why a skipped row keeps ``closest`` exact (notation as in
         # assign_labels; D = |x - c|^2 and M = |x|^2 + |c|^2, so D <= 2M).
         # - row_dist2 returns r within gamma_{d+2} D <= 2 gamma_{d+2} M of D.
@@ -175,7 +196,7 @@ class ClosestDist2:
         rows = np.flatnonzero(low <= self.closest)
         for lo in range(0, rows.size, ASSIGN_CHUNK):
             idx = rows[lo:lo + ASSIGN_CHUNK]
-            exact = row_dist2(self.x[idx].T, centre)
+            exact = row_dist2(self.x[idx], centre)
             self.closest[idx] = np.minimum(self.closest[idx], exact)
 
 

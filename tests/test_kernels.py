@@ -1,10 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from modmi import _kernels
+from modmi import _kernels, quantizer
 from modmi._kernels import accumulate_means, assign_labels
 from modmi.cli import main
-from util import run_cli_process
+from modmi.quantizer import fit
+from util import features, repair_every_pass_matrix, run_cli_process
 
 pytestmark = pytest.mark.filterwarnings("error")
 
@@ -108,23 +111,100 @@ def test_gemm_path_decides_well_separated_rows(monkeypatch):
     assert sum(exact_rows) < x.shape[0] // 100
 
 
+def test_only_the_near_tie_row_reaches_the_exact_loop(monkeypatch):
+    rng = np.random.Generator(np.random.PCG64(13))
+    c = 10.0 * rng.standard_normal((50, 8))
+    c[1] = c[0] + 1.0
+    c = np.ascontiguousarray(c)
+    n = 2 * _kernels.ASSIGN_CHUNK
+    x = c[rng.integers(50, size=n)] + 0.1 * rng.standard_normal((n, 8))
+    exact_rows = _exact_rows(monkeypatch)
+    _assert_matches_oracle(np.ascontiguousarray(x), c)
+    assert exact_rows == []  # well-separated chunks are certified by one count
+    x[5] = (c[0] + c[1]) / 2  # equidistant from centroids 0 and 1 up to rounding
+    _assert_matches_oracle(np.ascontiguousarray(x), c)
+    assert exact_rows == [1]  # that row alone, and nothing from the second chunk
+
+
+def test_assign_holds_one_chunk_of_scores_at_a_time():
+    x, c, k = _random_case(14, n=3000, d=32, k=500)
+    tracemalloc.start()
+    try:
+        assign_labels(x, c)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * _kernels.ASSIGN_CHUNK * k * 8
+
+
+def _fit_rows(kind):
+    rng = np.random.Generator(np.random.PCG64(5))
+    centers = rng.normal(0.0, 3.0, (40, 6))
+    rows = centers[rng.integers(40, size=2000)] + rng.standard_normal((2000, 6))
+    # Float32 rows within one binade make the GEMM exact; the small columns
+    # below give it rounding to get wrong, so a zero slack fails the k = 500
+    # fits of both kinds.
+    if kind == "offset":  # cancellation in half the columns
+        return 1e-2 * rows + np.array([1e4] * 3 + [0.0] * 3)
+    if kind == "duplicates":  # rows on a 0.1 grid, each twice: ties and near-ties
+        rows = np.round(rows) / 10
+        return np.concatenate([rows, rows])
+    return rows
+
+
+def _assert_same_fit(got, want):
+    assert got.centroids.tobytes() == want.centroids.tobytes()
+    assert got.labels.tobytes() == want.labels.tobytes()
+    assert np.array(got.distortion_history).tobytes() == np.array(want.distortion_history).tobytes()
+
+
+@pytest.mark.parametrize("normalize", [False, True])
+@pytest.mark.parametrize("k", [1, 7, 64, 500])
+@pytest.mark.parametrize("kind", ["blobs", "offset", "duplicates"])
+def test_fit_equals_exact_loop_fit(kind, k, normalize, monkeypatch):
+    x = features(_fit_rows(kind))
+    got = fit(x, k, seed=1, tol=1e-12, max_iter=8, normalize=normalize)
+    monkeypatch.setattr(_kernels, "assign_labels", _oracle)
+    want = fit(x, k, seed=1, tol=1e-12, max_iter=8, normalize=normalize)
+    _assert_same_fit(got, want)
+    # k = 1 reaches its fixed point, the column means, on the third pass.
+    assert got.iterations_run >= (3 if k == 1 else 6)
+
+
+def test_fit_equals_exact_loop_fit_through_repairs(monkeypatch):
+    x = repair_every_pass_matrix()
+    got = fit(x, 4, seed=0, tol=1e-12, max_iter=8, normalize=True)
+    repairs = []
+    original = quantizer._repair_empty
+
+    def counting(*args):
+        repairs.append(args)
+        original(*args)
+
+    monkeypatch.setattr(quantizer, "_repair_empty", counting)
+    monkeypatch.setattr(_kernels, "assign_labels", _oracle)
+    want = fit(x, 4, seed=0, tol=1e-12, max_iter=8, normalize=True)
+    _assert_same_fit(got, want)
+    assert len(repairs) == want.iterations_run  # an empty cluster on every pass
+
+
 @pytest.mark.parametrize("offset", [0.0, 1e4])
 def test_seeding_distance_equals_reference(offset):
     x, c, _ = _random_case(10, n=2100, d=13, k=1)
     x = np.ascontiguousarray(x + offset)
     c = np.ascontiguousarray(c + offset)
     _, ref_dist2 = _oracle(x, c)
-    assert np.array_equal(_kernels.row_dist2(np.ascontiguousarray(x.T), c[0]), ref_dist2)
+    assert np.array_equal(_kernels.row_dist2(x, c[0]), ref_dist2)
 
 
 @pytest.mark.parametrize("d", [13, 32, 40])
 def test_seeding_distance_of_one_point_equals_reference(d):
-    # One column: numpy's sum over the dimensions would add it pairwise.
+    # One row: numpy's sum over the dimensions would add it pairwise.
     x, c, _ = _random_case(11 + d, n=50, d=d, k=1)
     _, ref_dist2 = _oracle(x, c)
     for row in range(x.shape[0]):
-        assert _kernels.row_dist2(x[row:row + 1].T, c[0]) == ref_dist2[row]
-        assert _kernels.row_dist2(x[row:row + 1].T, c[:1].T) == ref_dist2[row]
+        assert _kernels.row_dist2(x[row:row + 1], c[0]) == ref_dist2[row]
+        assert _kernels.row_dist2(x[row:row + 1], c[:1]) == ref_dist2[row]
 
 
 def test_closest_dist2_equals_exact_minimum():
