@@ -299,21 +299,26 @@ def resample_nearest(stream, target_rate_hz: float):
     which names the stream by its ``modality_tag``.
     """
     target_rate_hz = check_positive(target_rate_hz, "target_rate_hz")
+    out_rows = resampled_rows(stream, target_rate_hz)
+    # Clipped before the cast: at a tiny target rate the float index overflows int64.
+    idx = np.minimum(
+        stream.rows - 1,
+        np.floor((np.arange(out_rows) + 0.5) * stream.sample_rate_hz / target_rate_hz),
+    ).astype(np.int64)
+    return _frames(stream, idx, target_rate_hz)
+
+
+def resampled_rows(stream, target_rate_hz: float) -> int:
+    """The frame count :func:`resample_nearest` gives ``stream`` at ``target_rate_hz``."""
     source_rate = stream.sample_rate_hz
-    rows = stream.rows
-    length = rows * target_rate_hz / source_rate
+    length = stream.rows * target_rate_hz / source_rate
     if not math.isfinite(length) or round(length) > _U32_MAX:
         of = f" of stream {stream.modality_tag!r}" if stream.modality_tag else ""
         raise DataError(
-            f"resampling {rows} frames{of} from {source_rate:g} Hz to {target_rate_hz:g} Hz "
-            f"gives {length:g} frames, above the limit of {_U32_MAX}"
+            f"resampling {stream.rows} frames{of} from {source_rate:g} Hz to "
+            f"{target_rate_hz:g} Hz gives {length:g} frames, above the limit of {_U32_MAX}"
         )
-    out_rows = max(1, round(length))
-    # Clipped before the cast: at a tiny target rate the float index overflows int64.
-    idx = np.minimum(
-        rows - 1, np.floor((np.arange(out_rows) + 0.5) * source_rate / target_rate_hz)
-    ).astype(np.int64)
-    return _frames(stream, idx, target_rate_hz)
+    return max(1, round(length))
 
 
 def _frames(stream, idx, rate: float):

@@ -15,10 +15,10 @@ from dataclasses import asdict, dataclass, fields, replace
 import numpy as np
 
 from . import infotheory, quantizer
-from .errors import DataError, FormatError, ModmiError
+from .errors import AlignmentError, DataError, FormatError, ModmiError
 from .infotheory import QUANTITY_KEYS, REGIONS, InfoQuantities
 from .ingestion import FeatureMatrix, LabelSequence, Manifest, align, load_manifest
-from .ingestion import check_bool, check_int, check_positive, shown
+from .ingestion import check_bool, check_int, check_positive, resampled_rows, shown
 from .quantizer import RNG_NAME
 
 
@@ -229,6 +229,8 @@ def _prepare(manifest: Manifest, config: AnalysisConfig):
     """Load all manifest streams and align them to one rate and length.
 
     Returns the aligned streams in manifest order and the effective rate.
+    Raises AlignmentError if truncation would drop more than half of any
+    stream's resampled frames.
     """
     if len(manifest.streams) < 2:
         raise DataError(f"analysis needs >= 2 streams, got {len(manifest.streams)}")
@@ -241,7 +243,16 @@ def _prepare(manifest: Manifest, config: AnalysisConfig):
             loaded.append(manifest.load_stream(spec))
         except ModmiError as e:
             raise _named(e, spec.name) from e
-    return align(loaded, rate), rate
+    aligned = align(loaded, rate)
+    kept = aligned[0].rows
+    for spec, stream in zip(manifest.streams, loaded):
+        total = resampled_rows(stream, rate)
+        if 2 * kept < total:
+            raise AlignmentError(
+                f"stream {spec.name!r}: alignment would keep {kept} of its {total} "
+                f"frames at {rate:g} Hz; refusing to drop more than half of a stream"
+            )
+    return aligned, rate
 
 
 def _quantize(spec, stream, config: AnalysisConfig, position: int):

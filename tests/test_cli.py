@@ -181,6 +181,22 @@ class TestAnalyze:
             "gives 1.6e+11 frames, above the limit of 4294967295\n"
         )
 
+    def test_alignment_dropping_most_of_a_stream_exit_1(self, tmp_path, capsys):
+        # The label stream declared at 2.5 Hz resamples to 30,000 frames at
+        # 25 Hz; truncating it to the features' 3,000 used to print H(T) 0.
+        out = tmp_path / "blobs"
+        assert run(capsys, "synth", "blobs", "--out-dir", str(out))[0] == 0
+        manifest = out / "manifest.json"
+        doc = json.loads(manifest.read_text())
+        next(e for e in doc["streams"] if e["name"] == "t")["sample_rate_hz"] = 2.5
+        manifest.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "analyze", str(manifest), "--format", "table")
+        assert code == 1 and out == ""
+        assert err == (
+            "error: stream 't': alignment would keep 3000 of its 30000 frames at 25 Hz; "
+            "refusing to drop more than half of a stream\n"
+        )
+
 
 class TestFitAssign:
     def _features_file(self, tmp_path):

@@ -83,6 +83,10 @@ def test_gemm_path_equals_reference(d, k):
 
 @pytest.mark.parametrize("d", [1, 7, 24, 40])
 def test_gemm_path_equals_reference_on_ties(d):
+    """Tie-breaking: duplicate centroids, duplicate points and points exactly
+    equidistant from two centroids.  The inputs are integers and halves, so
+    every GEMM score is exact and this test cannot see the rounding slack; the
+    cancellation, near-tie and whole-fit tests check that."""
     rng = np.random.Generator(np.random.PCG64(d))
     base = rng.integers(-2, 3, size=(40, d)).astype(np.float64)
     c = np.ascontiguousarray(np.concatenate([base, base[::3]]))  # duplicate centroids

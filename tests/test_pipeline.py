@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from modmi import quantizer
-from modmi.errors import DataError, FormatError, InfeasibleError
+from modmi.errors import AlignmentError, DataError, FormatError, InfeasibleError
 from modmi.infotheory import info_diagram
 from modmi.ingestion import (
     FeatureMatrix,
@@ -185,6 +185,23 @@ class TestAnalyze:
         )
         report = analyze(manifest, AnalysisConfig())
         assert all(s.rows == 100 for s in report.streams)
+
+    @pytest.mark.parametrize("short_rows, refused", [(50, False), (49, True)])
+    def test_alignment_keeps_at_least_half_of_each_stream(self, tmp_path, short_rows, refused):
+        write_labels(seq(np.arange(100) % 3, 3), tmp_path / "long.lbl")
+        write_labels(seq(np.arange(short_rows) % 3, 3), tmp_path / "short.lbl")
+        manifest = write_manifest(
+            tmp_path,
+            [
+                {"name": "long", "path": "long.lbl", "kind": "labels", "sample_rate_hz": 25.0},
+                {"name": "short", "path": "short.lbl", "kind": "labels", "sample_rate_hz": 25.0},
+            ],
+        )
+        if refused:
+            with pytest.raises(AlignmentError, match="stream 'long': .* keep 49 of its 100"):
+                analyze(manifest, AnalysisConfig())
+        else:
+            assert all(s.rows == 50 for s in analyze(manifest, AnalysisConfig()).streams)
 
     def test_stream_count_bounds(self, tmp_path):
         write_labels(seq([0, 1]), tmp_path / "only.lbl")

@@ -50,12 +50,25 @@ def random_streams(rng, n_streams, length, alphabet=4, correlated=True):
     return out
 
 
+THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def child_env(**env_vars: str) -> dict:
+    """An environment for a fresh interpreter that imports this checkout's
+    modmi and sees no BLAS thread variable other than ``env_vars``."""
+    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARIABLES}
+    env.update(env_vars)
+    src = str(Path(modmi.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 def run_cli_process(args, openblas_threads: str) -> None:
     """Run the modmi CLI in a fresh process under ``OPENBLAS_NUM_THREADS``
     (OpenBLAS reads its thread count once, when it loads)."""
-    env = dict(os.environ, OPENBLAS_NUM_THREADS=openblas_threads)
-    src = str(Path(modmi.__file__).parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     subprocess.run(
-        [sys.executable, "-m", "modmi.cli", *args], check=True, capture_output=True, env=env
+        [sys.executable, "-m", "modmi.cli", *args],
+        check=True,
+        capture_output=True,
+        env=child_env(OPENBLAS_NUM_THREADS=openblas_threads),
     )
