@@ -201,7 +201,7 @@ class ClosestDist2:
 
 
 def accumulate_means(x, labels, k):
-    """Per-centroid float64 sums and int64 counts.
+    """Per-centroid float64 sums, (k, d).
 
     Each chunk sums its points into every (centroid, dimension) cell in point
     order, as a per-chunk ``np.add.at`` would; the chunk partials are then
@@ -213,4 +213,4 @@ def accumulate_means(x, labels, k):
         hi = min(lo + UPDATE_CHUNK, n)
         cells = (labels[lo:hi, None] * d + np.arange(d)).ravel()
         sums += np.bincount(cells, weights=x[lo:hi].ravel(), minlength=k * d)
-    return sums.reshape(k, d), np.bincount(labels, minlength=k)
+    return sums.reshape(k, d)

@@ -19,8 +19,9 @@ from __future__ import annotations
 import json
 import logging
 import math
+import os
 import struct
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -349,9 +350,18 @@ def align(
     return [_frames(s, slice(rows), s.sample_rate_hz) for s in resampled]
 
 
+def _rate(value, what: str) -> float:
+    """A manifest rate, by :func:`check_positive`'s rule."""
+    try:
+        return check_positive(value, what)
+    except DataError:
+        raise DataError(f"{what} must be a finite positive number") from None
+
+
 @dataclass(frozen=True)
 class StreamSpec:
-    """One manifest entry: where a stream lives and how to read it."""
+    """One manifest entry, whose field names are a stream entry's keys; a value
+    that breaks the manifest's rules raises DataError."""
 
     name: str
     path: Path
@@ -360,13 +370,42 @@ class StreamSpec:
     alphabet_size: int | None = None
     clusters: int | None = None
 
+    def __post_init__(self):
+        path = os.fspath(self.path) if isinstance(self.path, os.PathLike) else self.path
+        for key, value in (("name", self.name), ("path", path)):
+            if not isinstance(value, str) or not value:
+                raise DataError(f"{key!r} must be a non-empty string, got {shown(value)}")
+        if not isinstance(self.kind, str) or self.kind not in ("features", "labels"):
+            raise DataError(f"unknown kind {shown(self.kind)}")
+        object.__setattr__(self, "path", Path(path))
+        object.__setattr__(self, "sample_rate_hz", _rate(self.sample_rate_hz, "sample_rate_hz"))
+        for key, only in (("clusters", "features"), ("alphabet_size", "labels")):
+            value = getattr(self, key)
+            if value is None:
+                continue
+            try:
+                object.__setattr__(self, key, check_int(value, key, 1))
+            except DataError:
+                raise DataError(f"{key!r} must be an integer >= 1, got {shown(value)}") from None
+            if self.kind != only:
+                raise DataError(f"{key!r} applies to {only} streams only")
+
 
 @dataclass(frozen=True)
 class Manifest:
-    """Parsed stream manifest for one analysis."""
+    """Parsed stream manifest for one analysis, whose field names are a manifest's
+    keys; a bad rate or stream, or a repeated stream name, raises DataError."""
 
     target_rate_hz: float
     streams: tuple[StreamSpec, ...] = field(default_factory=tuple)
+
+    def __post_init__(self):
+        object.__setattr__(self, "target_rate_hz", _rate(self.target_rate_hz, "target_rate_hz"))
+        for i, spec in enumerate(self.streams):
+            if not isinstance(spec, StreamSpec):
+                raise DataError(f"streams[{i}] must be a StreamSpec, got {type(spec).__name__}")
+            if spec.name in [s.name for s in self.streams[:i]]:
+                raise DataError(f"duplicate stream name {spec.name!r}")
 
     def load_stream(self, spec: StreamSpec):
         if spec.kind == "features":
@@ -374,86 +413,64 @@ class Manifest:
         return read_labels(spec.path, spec.sample_rate_hz, spec.alphabet_size, spec.name)
 
 
-def _rate(value, where: str) -> float:
-    """A manifest rate, by :func:`check_positive`'s rule."""
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's key/value ``pairs`` as a dict; a repeated key raises FormatError."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise FormatError(f"repeated key {key!r}")
+        obj[key] = value
+    return obj
+
+
+def read_json(raw: str | bytes, where: str):
+    """The JSON document ``raw``; invalid JSON or a repeated key in any object
+    raises FormatError prefixed with ``where``."""
     try:
-        return check_positive(value, where)
-    except DataError:
-        raise FormatError(f"{where} must be a finite positive number") from None
+        return json.loads(raw, object_pairs_hook=_unique_keys)
+    except FormatError as exc:
+        raise FormatError(f"{where}: {exc}") from None
+    except (ValueError, RecursionError) as exc:
+        raise FormatError(f"{where}: invalid JSON: {exc}") from None
 
 
-def _check_keys(obj: dict, cls, where: str) -> None:
-    """Reject a key of manifest object ``obj`` that names no field of ``cls``."""
-    known = {f.name for f in fields(cls)}
+def check_keys(obj: dict, known, where: str) -> None:
+    """Reject a key of JSON object ``obj`` that is not in ``known``."""
     for key in obj:
         if key not in known:
             raise FormatError(f"{where}: unknown key {key!r}")
 
 
 def load_manifest(path) -> Manifest:
-    """Parse and validate a JSON manifest; relative paths resolve against it."""
+    """Parse a JSON manifest checked by StreamSpec and Manifest; paths resolve against it."""
     path = Path(path)
-    try:
-        doc = json.loads(path.read_bytes())
-    except (ValueError, RecursionError) as exc:
-        raise FormatError(f"{path}: invalid JSON: {exc}") from None
+    doc = read_json(path.read_bytes(), str(path))
     if not isinstance(doc, dict) or "target_rate_hz" not in doc:
         raise FormatError(f"{path}: manifest must be an object with 'target_rate_hz'")
-    _check_keys(doc, Manifest, str(path))
-    rate = _rate(doc["target_rate_hz"], f"{path}: target_rate_hz")
+    check_keys(doc, {f.name for f in fields(Manifest)}, str(path))
     entries = doc.get("streams")
     if not isinstance(entries, list) or not entries:
         raise FormatError(f"{path}: manifest needs a non-empty 'streams' list")
+    required = [f.name for f in fields(StreamSpec) if f.default is MISSING]
     specs = []
-    seen = set()
     for i, entry in enumerate(entries):
         name = entry.get("name") if isinstance(entry, dict) else None
-        label = name if isinstance(name, str) and name else f"#{i}"
+        where = f"{path}: stream {name if isinstance(name, str) and name else f'#{i}'}"
         if not isinstance(entry, dict):
-            raise FormatError(f"{path}: stream {label}: entry must be an object")
-        _check_keys(entry, StreamSpec, f"{path}: stream {label}")
-        for key in ("name", "path", "kind", "sample_rate_hz"):
+            raise FormatError(f"{where}: entry must be an object")
+        check_keys(entry, {f.name for f in fields(StreamSpec)}, where)
+        for key in required:
             if key not in entry:
-                raise FormatError(f"{path}: stream {label}: missing field {key!r}")
-        for key in ("name", "path"):
-            if not isinstance(entry[key], str) or not entry[key]:
-                raise FormatError(
-                    f"{path}: stream {label}: {key!r} must be a non-empty string, "
-                    f"got {entry[key]!r}"
-                )
-        kind = entry["kind"]
-        if kind not in ("features", "labels"):
-            raise FormatError(f"{path}: stream {label}: unknown kind {kind!r}")
-        stream_rate = _rate(entry["sample_rate_hz"], f"{path}: stream {label}: sample_rate_hz")
-        if entry["name"] in seen:
-            raise FormatError(f"{path}: duplicate stream name {entry['name']!r}")
-        seen.add(entry["name"])
-        stream_path = Path(entry["path"])
-        if not stream_path.is_absolute():
-            stream_path = path.parent / stream_path
-        if not stream_path.is_file():
-            raise FormatError(f"{path}: stream {label}: no such file: {stream_path}")
-        for key, only in (("clusters", "features"), ("alphabet_size", "labels")):
-            value = entry.get(key)
-            if value is not None:
-                try:
-                    check_int(value, key, 1)
-                except DataError:
-                    raise FormatError(
-                        f"{path}: stream {label}: {key!r} must be an integer >= 1, got {value!r}"
-                    ) from None
-                if kind != only:
-                    raise FormatError(
-                        f"{path}: stream {label}: {key!r} applies to {only} streams only"
-                    )
-        specs.append(
-            StreamSpec(
-                name=entry["name"],
-                path=stream_path,
-                kind=kind,
-                sample_rate_hz=stream_rate,
-                alphabet_size=entry.get("alphabet_size"),
-                clusters=entry.get("clusters"),
-            )
-        )
-    return Manifest(target_rate_hz=rate, streams=tuple(specs))
+                raise FormatError(f"{where}: missing field {key!r}")
+        try:
+            spec = StreamSpec(**entry)
+        except DataError as exc:
+            raise FormatError(f"{where}: {exc}") from None
+        spec = replace(spec, path=path.parent / spec.path)
+        if not spec.path.is_file():
+            raise FormatError(f"{where}: no such file: {spec.path}")
+        specs.append(spec)
+    try:
+        return Manifest(doc["target_rate_hz"], tuple(specs))
+    except DataError as exc:
+        raise FormatError(f"{path}: {exc}") from None

@@ -18,7 +18,8 @@ from . import infotheory, quantizer
 from .errors import AlignmentError, DataError, FormatError, ModmiError
 from .infotheory import QUANTITY_KEYS, REGIONS, InfoQuantities
 from .ingestion import FeatureMatrix, LabelSequence, Manifest, align, load_manifest
-from .ingestion import check_bool, check_int, check_positive, resampled_rows, shown
+from .ingestion import check_bool, check_int, check_keys, check_positive, read_json
+from .ingestion import resampled_rows, shown
 from .quantizer import RNG_NAME
 
 
@@ -119,13 +120,16 @@ class InfoReport:
 
     @classmethod
     def from_json(cls, text: str | bytes) -> "InfoReport":
-        """Parse a report written by ``to_json``; malformed input raises FormatError."""
-        try:
-            doc = json.loads(text)
-        except (ValueError, RecursionError) as e:
-            raise FormatError(f"report: invalid JSON: {e}") from None
+        """Parse a report written by ``to_json``; malformed input raises FormatError.
+
+        A repeated key anywhere, an unknown key outside ``quantities`` and an
+        ``rng`` other than ``RNG_NAME`` are malformed too.
+        """
+        doc = read_json(text, "report")
         cfg = _field(doc, "config", dict, "report")
+        check_keys(doc, {*(f.name for f in fields(cls)), "rng"}, "report")
         names = [f.name for f in fields(AnalysisConfig)]
+        check_keys(cfg, names, "report: config")
         for name in names:
             if name not in cfg:
                 raise FormatError(f"report: config is missing {name!r}")
@@ -134,7 +138,11 @@ class InfoReport:
             config = AnalysisConfig(**{name: cfg[name] for name in names})
         except DataError as e:
             raise FormatError(f"report: config: {e}") from None
+        rng = _field(doc, "rng", str, "report")
+        if rng != RNG_NAME:
+            raise FormatError(f"report: rng must be {RNG_NAME!r}, got {rng!r}")
         optional = _defaults_to_none(StreamSummary)
+        entries = _field(doc, "streams", list, "report")
         streams = tuple(
             StreamSummary(
                 **{
@@ -142,8 +150,10 @@ class InfoReport:
                     for name, (key, types) in _STREAM_KEYS.items()
                 }
             )
-            for e in _field(doc, "streams", list, "report")
+            for e in entries
         )
+        for e in entries:
+            check_keys(e, [key for key, _ in _STREAM_KEYS.values()], "report: streams[]")
         q = _field(doc, "quantities", dict, "report")
         three = "I3" in q  # the three-way fields are required only then
         three_way = _defaults_to_none(InfoQuantities)

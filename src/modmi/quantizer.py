@@ -128,7 +128,8 @@ def _kmeanspp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarra
 def _repair_empty(x, centroids, labels, dist2, counts):
     """Give each empty cluster the point farthest from its current centroid.
 
-    Mutates all four arrays; loops until every cluster owns a point.
+    Mutates all four arrays (a float64 row stored into float32 ``centroids``
+    rounds as ``astype`` does); loops until every cluster owns a point.
     """
     for _ in range(centroids.shape[0] + 1):
         empty = np.flatnonzero(counts == 0)
@@ -187,15 +188,13 @@ def fit(
     labels = None
     for _ in range(max_iter):
         if labels is not None:  # update step for every pass after the first
-            sums, counts = _kernels.accumulate_means(data, labels, k)
+            sums = _kernels.accumulate_means(data, labels, k)
             centroids = (sums / counts[:, None]).astype(np.float32)
         labels, dist2 = _kernels.assign_labels(data, centroids.astype(np.float64))
         counts = np.bincount(labels, minlength=k)
         repaired = bool((counts == 0).any())
         if repaired:
-            centroids64 = centroids.astype(np.float64)
-            _repair_empty(data, centroids64, labels, dist2, counts)
-            centroids = centroids64.astype(np.float32)
+            _repair_empty(data, centroids, labels, dist2, counts)
         distortion = float(dist2.sum()) / n
         if history and distortion > history[-1] * (1 + 1e-6) + 1e-12:
             raise AssertionError(f"distortion increased: {history[-1]} -> {distortion}")

@@ -141,6 +141,13 @@ class TestAnalyze:
         assert code == 1 and out == ""
         assert err.startswith("error: ") and "stream s: unknown key 'clusteres'" in err
 
+    def test_repeated_manifest_key_exit_1(self, blobs_dir, capsys):
+        manifest = blobs_dir / "manifest.json"
+        text = manifest.read_text()
+        manifest.write_text(text.replace('"clusters": 3', '"clusters": 3, "clusters": 2', 1))
+        code, out, err = run(capsys, "analyze", str(manifest))
+        assert (code, out, err) == (1, "", f"error: {manifest}: repeated key 'clusters'\n")
+
     def test_base_flag(self, xor_dir, capsys):
         code, out, _ = run(
             capsys, "analyze", str(xor_dir / "manifest.json"), "--base", "e", "--format", "json"
@@ -361,11 +368,23 @@ class TestReport:
             (lambda text: text.replace('"T": ', '"T": 1' + "0" * 400 + ', "_": ', 1), "finite"),
             (lambda text: text.replace('"T": ', '"T": NaN, "_": ', 1), "not a finite number"),
             (lambda text: text.replace('"V;T;S": ', '"V;T;S": -Infinity, "_": ', 1), "finite"),
+            (lambda text: text.replace('"pcg64"', '"mt19937"'), "rng must be 'pcg64', got 'mt19937'"),
+            (lambda text: text.replace('"rng": "pcg64",', ""), "report is missing 'rng'"),
+            (lambda text: text.replace('"rng": ', '"note": 1, "rng": '), "unknown key 'note'"),
+            (lambda text: text.replace('"seed": ', '"sed": 0, "seed": '), "config: unknown key 'sed'"),
+            (
+                lambda text: text.replace('"kind": ', '"kinds": 1, "kind": ', 1),
+                "streams[]: unknown key 'kinds'",
+            ),
+            (lambda text: text.replace('"seed": ', '"seed": 1, "seed": '), "repeated key 'seed'"),
+            (lambda text: text.replace('"T": ', '"T": 0.5, "T": ', 1), "repeated key 'T'"),
         ],
         ids=[
             "invalid-json", "missing-key", "bool-as-string", "base-as-number", "entropy-as-string",
             "unknown-quantities-base", "not-utf8", "deeply-nested", "missing-region",
-            "missing-cond", "huge-int", "nan-quantity", "infinite-region",
+            "missing-cond", "huge-int", "nan-quantity", "infinite-region", "foreign-rng", "no-rng",
+            "unknown-top-key", "unknown-config-key", "unknown-stream-key", "repeated-config-key",
+            "repeated-quantity-key",
         ],
     )
     def test_malformed_report_exit_1(self, xor_dir, tmp_path, capsys, mutate, message):

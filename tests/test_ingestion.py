@@ -1,5 +1,7 @@
 import re
 import struct
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +10,8 @@ from modmi.errors import AlignmentError, DataError, FormatError
 from modmi.ingestion import (
     FeatureMatrix,
     LabelSequence,
+    Manifest,
+    StreamSpec,
     align,
     load_manifest,
     read_feature_matrix,
@@ -493,6 +497,66 @@ class TestManifest:
         path = self._write(tmp_path, {"target_rate_hz": 25, "streams": [entry]})
         with pytest.raises(FormatError, match=f"stream {label}: '{key}' must be a non-empty string"):
             load_manifest(path)
+
+
+# A features and a labels spec; the checks never touch the files.
+CAM = StreamSpec("cam", "a.fmx", "features", 25.0)
+TXT = StreamSpec("txt", "t.lbl", "labels", 25.0)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Manifest(25.0, (CAM, replace(TXT, name="cam"))), "duplicate stream name 'cam'"),
+        (lambda: Manifest(25.0, (CAM, {"name": "t"})), "streams[1] must be a StreamSpec, got dict"),
+        (lambda: replace(CAM, kind="feature"), "unknown kind 'feature'"),
+        (lambda: replace(TXT, clusters=5), "'clusters' applies to features streams only"),
+        (lambda: replace(CAM, alphabet_size=7), "'alphabet_size' applies to labels streams only"),
+        (lambda: replace(CAM, clusters=0), "'clusters' must be an integer >= 1, got 0"),
+        (lambda: replace(TXT, alphabet_size=2.0), "'alphabet_size' must be an integer >= 1"),
+        (lambda: replace(CAM, sample_rate_hz=True), "sample_rate_hz must be a finite positive"),
+        (lambda: Manifest(float("nan"), (CAM,)), "target_rate_hz must be a finite positive"),
+        (lambda: replace(CAM, name=""), "'name' must be a non-empty string, got ''"),
+        (lambda: replace(CAM, path=None), "'path' must be a non-empty string, got None"),
+        (
+            lambda: replace(CAM, clusters=-(10**5000)),
+            "'clusters' must be an integer >= 1, got a negative integer of 16610 bits",
+        ),
+    ],
+    ids=[
+        "duplicate-name", "not-a-spec", "unknown-kind", "clusters-on-labels", "alphabet-on-features",
+        "zero-clusters", "float-alphabet", "bool-rate", "nan-target-rate", "empty-name",
+        "no-path", "unprintable-clusters",
+    ],
+)
+def test_specs_built_in_code_follow_the_manifest_rules(build, message):
+    with pytest.raises(DataError, match=f"^{re.escape(message)}"):
+        build()
+
+
+def test_spec_values_are_stored_as_python_types():
+    spec = StreamSpec("cam", Path("a.fmx"), "features", np.int64(25), clusters=np.int64(3))
+    assert spec.path == Path("a.fmx") == StreamSpec("cam", "a.fmx", "features", 25).path
+    assert type(spec.sample_rate_hz) is float and type(spec.clusters) is int
+    manifest = Manifest(np.float32(10), [spec])
+    assert type(manifest.target_rate_hz) is float and manifest.target_rate_hz == 10.0
+
+
+@pytest.mark.parametrize(
+    "top, extra, key",
+    [
+        (', "target_rate_hz": 10', "", "target_rate_hz"),
+        ("", ', "clusters": 3, "clusters": 2', "clusters"),
+    ],
+    ids=["top-level", "stream-entry"],
+)
+def test_repeated_manifest_key_rejected(tmp_path, top, extra, key):
+    write_feature_matrix(features([[0.0]] * 4), tmp_path / "a.fmx")
+    entry = '{"name": "cam", "path": "a.fmx", "kind": "features", "sample_rate_hz": 25' + extra + "}"
+    path = tmp_path / "manifest.json"
+    path.write_text('{"target_rate_hz": 25' + top + ', "streams": [' + entry + "]}")
+    with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: repeated key '{key}'$"):
+        load_manifest(path)
 
 
 @pytest.mark.parametrize(

@@ -1,17 +1,21 @@
 """Property tests: malformed bytes end in ModmiError, and the binary formats
 and report JSON round-trip exactly."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from modmi.errors import ModmiError
+from modmi.errors import DataError, FormatError, ModmiError
 from modmi.infotheory import REGIONS, InfoQuantities
 from modmi.ingestion import (
     FeatureMatrix,
     LabelSequence,
+    Manifest,
+    StreamSpec,
     _parse_label_lines,
     _parse_label_text,
     load_manifest,
@@ -20,7 +24,7 @@ from modmi.ingestion import (
     write_feature_matrix,
     write_labels,
 )
-from modmi.pipeline import AnalysisConfig, InfoReport, StreamSummary
+from modmi.pipeline import AnalysisConfig, InfoReport, StreamSummary, analyze
 from modmi.quantizer import Codebook, load_codebook, save_codebook
 
 SETTINGS = settings(max_examples=100, deadline=None)
@@ -207,3 +211,66 @@ def test_report_json_round_trip(arity, data):
     again = InfoReport.from_json(text)
     assert again.to_json() == text
     assert again == report
+
+
+# JSON values no manifest field accepts, or only some do.
+junk = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.sampled_from([2**64, 10**400, -(10**400)]),
+    st.floats(),
+    st.text(max_size=4),
+    st.lists(st.integers(), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+)
+
+
+def mostly(valid):
+    """A value of ``valid`` three times in four, of ``junk`` otherwise."""
+    return st.sampled_from([valid, valid, valid, junk]).flatmap(lambda values: values)
+
+
+@SETTINGS
+@given(
+    name=mostly(st.sampled_from(["cam", "t"])),
+    kind=mostly(st.sampled_from(["features", "labels"])),
+    rate=mostly(st.sampled_from([25, 50.0]) | st.floats(1e-3, 1e3)),
+    clusters=mostly(st.sampled_from([None, None, 1, 3])),
+    alphabet_size=mostly(st.sampled_from([None, None, 1, 3])),
+)
+def test_stream_specs_and_manifests_share_one_rule_set(
+    workdir, name, kind, rate, clusters, alphabet_size
+):
+    """A StreamSpec built in code raises DataError exactly when load_manifest
+    raises FormatError on the same entry, which ends with the same text; a
+    spec that passes makes a manifest that analyze ends in a report or a
+    ModmiError."""
+    write_feature_matrix(FeatureMatrix(np.arange(4.0)[:, None], 25.0), workdir / "a.fmx")
+    write_labels(LabelSequence(np.array([0, 1, 0, 1]), 2, 25.0), workdir / "t.lbl")
+    file = "t.lbl" if kind == "labels" else "a.fmx"
+    entry = {
+        "name": name,
+        "path": file,
+        "kind": kind,
+        "sample_rate_hz": rate,
+        "clusters": clusters,
+        "alphabet_size": alphabet_size,
+    }
+    path = workdir / "specs.json"
+    path.write_text(json.dumps({"target_rate_hz": 25, "streams": [entry]}))
+    try:
+        spec = StreamSpec(**dict(entry, path=workdir / file))
+    except DataError as exc:
+        with pytest.raises(FormatError) as caught:
+            load_manifest(path)
+        assert str(caught.value).endswith(f": {exc}")
+        return
+    assert load_manifest(path).streams == (spec,)
+    # Below 1 Hz the 4-frame stream would resample to up to 2**32 frames at 25 Hz.
+    if spec.sample_rate_hz >= 1:
+        labels = StreamSpec("t", workdir / "t.lbl", "labels", 25)
+        try:
+            analyze(Manifest(25, (spec, labels)), AnalysisConfig(clusters=2))
+        except ModmiError:
+            pass
