@@ -23,10 +23,12 @@ import numpy as np
 # Recorded by the benchmark's environment probe; there is one implementation.
 backend_name = "python"
 
-# Chunk sizes bound temporary memory (assign materializes chunk*k doubles)
-# and fix the summation order that makes runs bit-reproducible.
+# Chunk sizes bound temporary memory and fix the summation order that makes
+# runs bit-reproducible.  Assignment scores at most ASSIGN_CHUNK rows and
+# _SCORE_BUDGET scores (1 MiB of doubles) per chunk.
 ASSIGN_CHUNK = 1024
 UPDATE_CHUNK = 65536
+_SCORE_BUDGET = 2**17
 
 # Rows up to which row_dist2 sums with one accumulate call (at or below the
 # crossover measured for d from 4 to 128).
@@ -142,8 +144,9 @@ def assign_labels(x, centroids):
             best[ambiguous] = exact
         return best
 
-    for lo in range(0, n, ASSIGN_CHUNK):
-        hi = min(lo + ASSIGN_CHUNK, n)
+    chunk = max(1, min(ASSIGN_CHUNK, _SCORE_BUDGET // centroids.shape[0]))
+    for lo in range(0, n, chunk):
+        hi = min(lo + chunk, n)
         # The chunk's scores and mask are freed when work returns, before the
         # distances and the next chunk.
         best = work(lo, hi)
@@ -204,13 +207,22 @@ def accumulate_means(x, labels, k):
     """Per-centroid float64 sums, (k, d).
 
     Each chunk sums its points into every (centroid, dimension) cell in point
-    order, as a per-chunk ``np.add.at`` would; the chunk partials are then
-    added in chunk order.
+    order with ``np.add.at``, which is unbuffered, one piece of at most
+    ``ASSIGN_CHUNK`` rows at a time so its cell indices stay small; the chunk
+    partials are then added in chunk order.
     """
     n, d = x.shape
     sums = np.zeros(k * d, dtype=np.float64)
+    partial = np.empty(k * d, dtype=np.float64)
+    dims = np.arange(d)
+    cells = np.empty((min(ASSIGN_CHUNK, n), d), dtype=np.int64)
     for lo in range(0, n, UPDATE_CHUNK):
         hi = min(lo + UPDATE_CHUNK, n)
-        cells = (labels[lo:hi, None] * d + np.arange(d)).ravel()
-        sums += np.bincount(cells, weights=x[lo:hi].ravel(), minlength=k * d)
+        partial.fill(0.0)
+        for start in range(lo, hi, ASSIGN_CHUNK):
+            stop = min(start + ASSIGN_CHUNK, hi)
+            piece = cells[:stop - start]
+            np.add(labels[start:stop, None] * d, dims, out=piece)
+            np.add.at(partial, piece.ravel(), x[start:stop].ravel())
+        sums += partial
     return sums.reshape(k, d)

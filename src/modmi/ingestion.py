@@ -296,11 +296,15 @@ def resample_nearest(stream, target_rate_hz: float):
     Output length is ``max(1, round(L * target / source))`` and output frame
     ``i`` copies source frame ``min(L - 1, floor((i + 0.5) * source / target))``.
     No interpolation, so label streams stay valid and features unsmoothed.
-    A length above the u32 row count of the file formats raises DataError,
-    which names the stream by its ``modality_tag``.
+    At the source rate that index is the identity, so the result shares the
+    stream's frames instead of copying them.  A length above the u32 row
+    count of the file formats raises DataError, which names the stream by
+    its ``modality_tag``.
     """
     target_rate_hz = check_positive(target_rate_hz, "target_rate_hz")
     out_rows = resampled_rows(stream, target_rate_hz)
+    if target_rate_hz == stream.sample_rate_hz:
+        return _frames(stream, slice(None), target_rate_hz)
     # Clipped before the cast: at a tiny target rate the float index overflows int64.
     idx = np.minimum(
         stream.rows - 1,

@@ -239,8 +239,9 @@ def _prepare(manifest: Manifest, config: AnalysisConfig):
     """Load all manifest streams and align them to one rate and length.
 
     Returns the aligned streams in manifest order and the effective rate.
-    Raises AlignmentError if truncation would drop more than half of any
-    stream's resampled frames.
+    A stream file that cannot be read raises FormatError naming the stream
+    and the path.  Raises AlignmentError if truncation would drop more than
+    half of any stream's resampled frames.
     """
     if len(manifest.streams) < 2:
         raise DataError(f"analysis needs >= 2 streams, got {len(manifest.streams)}")
@@ -253,6 +254,9 @@ def _prepare(manifest: Manifest, config: AnalysisConfig):
             loaded.append(manifest.load_stream(spec))
         except ModmiError as e:
             raise _named(e, spec.name) from e
+        except OSError as e:
+            reason = e.strerror or e
+            raise FormatError(f"stream {spec.name!r}: cannot read {spec.path}: {reason}") from e
     aligned = align(loaded, rate)
     kept = aligned[0].rows
     for spec, stream in zip(manifest.streams, loaded):

@@ -85,18 +85,19 @@ class Codebook:
         return self.centroids.shape[1]
 
 
-def _normalized_f64(values: np.ndarray, normalization: np.ndarray | None) -> np.ndarray:
-    x = values.astype(np.float64)
+def _normalize(data: np.ndarray, normalization: np.ndarray | None) -> np.ndarray:
+    """Apply ``normalization`` to the float64 rows ``data`` in place, as
+    ``(data - mean) / std``, and return ``data``."""
     if normalization is not None:
-        mean = normalization[:, 0].astype(np.float64)
-        std = normalization[:, 1].astype(np.float64)
-        x = (x - mean) / std
-    return np.ascontiguousarray(x)
+        data -= normalization[:, 0].astype(np.float64)
+        data /= normalization[:, 1].astype(np.float64)
+    return data
 
 
-def _fit_normalization(values: np.ndarray) -> np.ndarray:
-    mean = values.astype(np.float64).mean(axis=0)
-    std = values.astype(np.float64).std(axis=0)
+def _fit_normalization(data: np.ndarray) -> np.ndarray:
+    """Per-dimension (mean, stddev) of the float64 rows ``data``, as float32."""
+    mean = data.mean(axis=0)
+    std = data.std(axis=0)
     std[std.astype(np.float32) == 0.0] = 1.0  # constant dims map to 0, not a division by 0
     return np.stack([mean, std], axis=1).astype(np.float32)
 
@@ -178,8 +179,10 @@ def fit(
     if k > n:  # before seeding allocates k centres
         raise InfeasibleError(f"infeasible k: {shown(k)} clusters but only {n} rows")
 
-    normalization = _fit_normalization(x.values) if normalize else None
-    data = _normalized_f64(x.values, normalization)
+    # The one float64 copy of the stream; normalization works on it in place.
+    data = x.values.astype(np.float64)
+    normalization = _fit_normalization(data) if normalize else None
+    _normalize(data, normalization)
     rng = np.random.Generator(np.random.PCG64(seed))
 
     # f32 rounding keeps in-memory centroids identical to the saved codebook.
@@ -218,7 +221,7 @@ def assign(cb: Codebook, x: FeatureMatrix) -> LabelSequence:
     """Label every frame of ``x`` with its nearest centroid's index."""
     if x.dims != cb.dims:
         raise DataError(f"dimension mismatch: features have {x.dims} dims, codebook {cb.dims}")
-    data = _normalized_f64(x.values, cb.normalization)
+    data = _normalize(x.values.astype(np.float64), cb.normalization)
     labels, _ = _kernels.assign_labels(data, cb.centroids.astype(np.float64))
     return LabelSequence(labels, cb.k, x.sample_rate_hz, x.modality_tag)
 

@@ -230,6 +230,19 @@ class TestResample:
         out = resample_nearest(src, 25.0)
         assert np.array_equal(out.values, src.values)
 
+    def test_source_rate_shares_the_frames(self):
+        feats = features(np.random.default_rng(0).standard_normal((17, 3)), rate=25.0)
+        labels = seq(np.arange(17) % 3, 3, rate=25.0)
+        assert np.shares_memory(resample_nearest(feats, 25.0).values, feats.values)
+        assert np.shares_memory(resample_nearest(labels, 25.0).symbols, labels.symbols)
+        assert not np.shares_memory(resample_nearest(feats, 50.0).values, feats.values)
+        # The docstring's index at equal rates is the identity, at any rate.
+        rng = np.random.Generator(np.random.PCG64(5))
+        i = np.arange(100_000)
+        for rate in rng.uniform(1e-3, 1e6, size=50):
+            assert np.array_equal(np.floor((i + 0.5) * rate / rate), i)
+            assert round(i.size * rate / rate) == i.size
+
     def test_length_formula_property(self):
         rng = np.random.Generator(np.random.PCG64(11))
         for _ in range(200):

@@ -129,15 +129,41 @@ def test_only_the_near_tie_row_reaches_the_exact_loop(monkeypatch):
     assert exact_rows == [1]  # that row alone, and nothing from the second chunk
 
 
-def test_assign_holds_one_chunk_of_scores_at_a_time():
-    x, c, k = _random_case(14, n=3000, d=32, k=500)
+def _peak_bytes(call):
     tracemalloc.start()
     try:
-        assign_labels(x, c)
-        _, peak = tracemalloc.get_traced_memory()
+        call()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.5 * _kernels.ASSIGN_CHUNK * k * 8
+
+
+def test_assign_holds_one_chunk_of_scores_at_a_time():
+    for k in (500, 2000):
+        x, c, _ = _random_case(14, n=3000, d=32, k=k)
+        # One chunk's scores (at most _SCORE_BUDGET doubles) and their
+        # candidate mask, plus the GEMM's (d + 1, k) weights.
+        held = _kernels._SCORE_BUDGET * 9 + (x.shape[1] + 1) * k * 8
+        assert _peak_bytes(lambda: assign_labels(x, c)) < 1.25 * held
+
+
+def test_accumulate_holds_chunk_sized_scratch():
+    x, _, _ = _random_case(15, n=50_000, d=64, k=1)
+    k = 500
+    labels = np.random.Generator(np.random.PCG64(16)).integers(k, size=x.shape[0])
+    # The sums, one chunk's partial sums and one piece's cell indices.
+    held = 2 * k * x.shape[1] * 8 + _kernels.ASSIGN_CHUNK * x.shape[1] * 8
+    assert _peak_bytes(lambda: accumulate_means(x, labels, k)) < 1.25 * held
+
+
+@pytest.mark.parametrize("normalize, copies", [(False, 1.5), (True, 2.25)], ids=["raw", "normalized"])
+def test_fit_holds_one_float64_copy_of_its_stream(normalize, copies):
+    x = features(np.random.Generator(np.random.PCG64(17)).standard_normal((20_000, 32)))
+    one_copy = x.rows * x.dims * 8
+    # Beyond the copy: a few per-row vectors, and while the normalization is
+    # fitted, np.std's own temporary copy.
+    peak = _peak_bytes(lambda: fit(x, 16, seed=1, max_iter=5, normalize=normalize))
+    assert peak < copies * one_copy
 
 
 def _fit_rows(kind):

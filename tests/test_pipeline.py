@@ -12,6 +12,7 @@ from modmi.ingestion import (
     FeatureMatrix,
     LabelSequence,
     Manifest,
+    StreamSpec,
     load_manifest,
     resample_nearest,
     write_feature_matrix,
@@ -202,6 +203,15 @@ class TestAnalyze:
                 analyze(manifest, AnalysisConfig())
         else:
             assert all(s.rows == 50 for s in analyze(manifest, AnalysisConfig()).streams)
+
+    def test_missing_stream_file_in_a_manifest_built_in_code(self, tmp_path):
+        write_labels(seq(np.arange(100) % 3, 3), tmp_path / "t.lbl")
+        missing = tmp_path / "absent.fmx"
+        manifest = Manifest(25.0, (StreamSpec("s", missing, "features", 25.0),
+                                   StreamSpec("t", tmp_path / "t.lbl", "labels", 25.0)))
+        with pytest.raises(FormatError) as info:
+            analyze(manifest, AnalysisConfig())
+        assert str(info.value) == f"stream 's': cannot read {missing}: No such file or directory"
 
     def test_stream_count_bounds(self, tmp_path):
         write_labels(seq([0, 1]), tmp_path / "only.lbl")
