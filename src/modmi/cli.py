@@ -37,8 +37,9 @@ from .infotheory import LOG_BASES, InfoQuantities
 from .ingestion import FeatureMatrix, load_manifest, read_feature_matrix
 from .ingestion import write_feature_matrix, write_labels
 from .pipeline import AnalysisConfig, InfoReport, analyze, sweep_clusters
-from .quantizer import assign, fit, load_codebook, save_codebook
-from .synthetic import exhaustive_stream, gen_gaussian_mixture, xor_pmf
+
+# quantizer (with _kernels) and synthetic load only in the commands that use
+# them, so a label-only `modmi analyze` never imports them.
 
 # Table column -> the InfoQuantities field it prints, in column order.  A
 # two-variable report leaves out the columns whose field is None.
@@ -186,6 +187,8 @@ def _render_report(report: InfoReport, fmt: str, out: str | None, title: str = "
 
 
 def cmd_fit(args) -> int:
+    from .quantizer import fit, save_codebook
+
     features = read_feature_matrix(args.features)
     # Not an AnalysisConfig: fit takes any u64 seed, while an analysis stops
     # at 2**64 - 3 because stream i is fitted with seed + i.  fit's keyword
@@ -198,6 +201,8 @@ def cmd_fit(args) -> int:
 
 
 def cmd_assign(args) -> int:
+    from .quantizer import assign, load_codebook
+
     cb = load_codebook(args.codebook)
     features = read_feature_matrix(args.features)
     labels = assign(cb, features)
@@ -255,6 +260,8 @@ def _check_blobs_flags(args) -> None:
 
 
 def cmd_synth(args) -> int:
+    from .synthetic import exhaustive_stream, gen_gaussian_mixture, xor_pmf
+
     if args.generator == "xor":
         streams = exhaustive_stream(xor_pmf(), copies=args.copies, tags=["v", "t", "s"])
     else:  # blobs

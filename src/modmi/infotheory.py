@@ -14,7 +14,6 @@ convention.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 
@@ -22,8 +21,6 @@ import numpy as np
 
 from .errors import AlignmentError, DataError
 from .ingestion import LabelSequence, shown
-
-log = logging.getLogger(__name__)
 
 LOG_BASES = {"2": math.log(2.0), "e": 1.0, "10": math.log(10.0)}
 
@@ -78,12 +75,20 @@ def cell_counts(arrays: list[np.ndarray]) -> np.ndarray:
 
     When the product of the radices is at most the row count, the keys are
     counted with ``bincount``, whose table is then no larger than the keys.
+    Otherwise the keys are sorted in place, as int32 when they fit, and each
+    run of equal keys is one cell: the counts ``np.unique`` would give, in
+    the same order.
     """
     key = _tuple_keys(arrays)
     if math.prod(int(a.max()) + 1 for a in arrays) <= key.size:
         counts = np.bincount(key)
         return counts[counts.nonzero()]
-    return np.unique(key, return_counts=True)[1]
+    if key.max() < 2**31:
+        key = key.astype(np.int32)
+    key.sort()
+    starts = np.flatnonzero(key[1:] != key[:-1])
+    starts += 1
+    return np.diff(starts, prepend=0, append=key.size)
 
 
 def _h_nats(arrays: list[np.ndarray]) -> float:
@@ -115,7 +120,9 @@ def _scaled(nats: float, base_token: str) -> float:
 
 def _clamped(value: float, what: str) -> float:
     if -CLAMP_TOL <= value < 0.0:
-        log.debug("clamping %s = %.3e to 0", what, value)
+        import logging  # loaded only when there is a message to emit
+
+        logging.getLogger(__name__).debug("clamping %s = %.3e to 0", what, value)
         return 0.0
     return value
 

@@ -17,7 +17,6 @@ optional alphabet/cluster overrides).
 from __future__ import annotations
 
 import json
-import logging
 import math
 import os
 import struct
@@ -28,11 +27,10 @@ import numpy as np
 
 from .errors import AlignmentError, DataError, FormatError
 
-log = logging.getLogger(__name__)
-
 _FMX_MAGIC = b"FMX1"
 _LBL_MAGIC = b"LBL1"
 _U32_MAX = 2**32 - 1
+_MAX_SYMBOL = _U32_MAX - 1  # a symbol is below its alphabet, which is at most _U32_MAX
 _NEWLINE, _ZERO = ord("\n"), ord("0")
 
 
@@ -240,7 +238,7 @@ def _parse_label_text(raw: bytes, path) -> np.ndarray:
     """The symbols of a one-integer-per-line text file, as int64.
 
     A file of ``\\n``-terminated lines of 1 to 10 ASCII digits, each at most
-    ``_U32_MAX``, is parsed with numpy, one pass per digit position counted
+    ``_MAX_SYMBOL``, is parsed with numpy, one pass per digit position counted
     from the line ends.  Every other file goes to :func:`_parse_label_lines`,
     which gives the same values and the same errors.
     """
@@ -251,18 +249,24 @@ def _parse_label_text(raw: bytes, path) -> np.ndarray:
     # Digits map to 0..9 and every other byte wraps above 9.
     if np.count_nonzero(buf - _ZERO <= 9) + ends.size != buf.size:
         return _parse_label_lines(raw, path)
-    widths = np.diff(ends, prepend=-1) - 1
+    widths = ends.copy()  # line i spans ends[i - 1] + 1 .. ends[i] - 1
+    widths[1:] -= ends[:-1]
+    widths[1:] -= 1
     widest = int(widths.max())
     if widths.min() < 1 or widest > 10:
         return _parse_label_lines(raw, path)
-    values = np.zeros(ends.size, dtype=np.int64)
-    for place in range(widest):
-        digit = buf[ends - (place + 1)].astype(np.int64)  # a shorter line reads a byte before it
+    at = ends - 1
+    values = buf[at].astype(np.int64)  # every line has a units digit
+    values -= _ZERO
+    scaled = np.empty_like(values)
+    for place in range(1, widest):
+        at -= 1
+        digit = buf[at]  # a shorter line reads a byte before it, masked out next
         digit -= _ZERO
-        digit[widths <= place] = 0
-        digit *= 10**place
-        values += digit
-    if int(values.max()) > _U32_MAX:
+        digit *= widths > place
+        np.multiply(digit, 10**place, out=scaled, dtype=np.int64)
+        values += scaled
+    if int(values.max()) > _MAX_SYMBOL:
         return _parse_label_lines(raw, path)
     return values
 
@@ -284,8 +288,11 @@ def _parse_label_lines(raw: bytes, path) -> np.ndarray:
             raise FormatError(f"{path}:{lineno}: not an integer: {token!r}") from None
         if value < 0:
             raise FormatError(f"{path}:{lineno}: negative symbol {value}")
-        if value > _U32_MAX:
-            raise FormatError(f"{path}:{lineno}: symbol {value} exceeds the u32 limit {_U32_MAX}")
+        if value > _MAX_SYMBOL:
+            raise FormatError(
+                f"{path}:{lineno}: symbol {value} exceeds the u32 limit {_MAX_SYMBOL} "
+                f"(an alphabet holds at most {_U32_MAX} symbols)"
+            )
         symbols.append(value)
     return np.asarray(symbols, dtype=np.int64)
 
@@ -350,6 +357,9 @@ def align(
     rows = min(s.rows for s in resampled)
     dropped = [(s.modality_tag, s.rows - rows) for s in resampled if s.rows > rows]
     if dropped:
+        import logging  # loaded only when there is a message to emit
+
+        log = logging.getLogger(__name__)
         log.info("align: truncating to %d frames, dropped %s", rows, dropped)
     return [_frames(s, slice(rows), s.sample_rate_hz) for s in resampled]
 

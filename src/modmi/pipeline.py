@@ -7,20 +7,20 @@ number can be traced to (manifest, config, seed) and regenerated.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
-from . import infotheory, quantizer
+from . import infotheory
 from .errors import AlignmentError, DataError, FormatError, ModmiError
 from .infotheory import QUANTITY_KEYS, REGIONS, InfoQuantities
 from .ingestion import FeatureMatrix, LabelSequence, Manifest, align, load_manifest
 from .ingestion import check_bool, check_int, check_keys, check_positive, read_json
 from .ingestion import resampled_rows, shown
-from .quantizer import RNG_NAME
+
+RNG_NAME = "pcg64"  # the generator every fit draws from, recorded in reports
 
 
 @dataclass(frozen=True)
@@ -270,7 +270,14 @@ def _prepare(manifest: Manifest, config: AnalysisConfig):
 
 
 def _quantize(spec, stream, config: AnalysisConfig, position: int):
-    """Fit one continuous stream; returns (its training labels, summary fields)."""
+    """Fit one continuous stream; returns (its training labels, summary fields).
+
+    The quantizer and hashlib load here, so a label-only analysis never loads them.
+    """
+    import hashlib
+
+    from . import quantizer
+
     k = spec.clusters if spec.clusters is not None else config.clusters
     try:
         cb = quantizer.fit(

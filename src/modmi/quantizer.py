@@ -27,8 +27,6 @@ from .ingestion import check_bool, check_int, check_positive, shown
 
 _KMC_MAGIC = b"KMC1"
 
-RNG_NAME = "pcg64"  # generator recorded in reports
-
 
 @dataclass(frozen=True)
 class Codebook:

@@ -54,6 +54,24 @@ class TestAnalyze:
         assert header == "H(T) H(S) H(V) I(T;V) I(T;S) I(V;S) I(V;T;S)"
         assert row.endswith("-1.0000")
 
+    def test_text_labels_parse_alike_with_lf_and_crlf(self, tmp_path):
+        """The same 200 symbols with LF endings (the fast parse) and with CRLF
+        endings and one blank line (the line loop) give the same report."""
+        run_cli_process(["synth", "xor", "--out-dir", str(tmp_path), "--copies", "50"], "1")
+        s = [str(i * 7 % 13) for i in range(200)]
+        (tmp_path / "lf.txt").write_bytes(("\n".join(s) + "\n").encode())
+        crlf = "\r\n".join(s[:100]) + "\r\n\r\n" + "\r\n".join(s[100:]) + "\r\n"
+        (tmp_path / "crlf.txt").write_bytes(crlf.encode())
+        for f in ("lf", "crlf"):
+            streams = [
+                {"name": "t", "path": "t.lbl", "kind": "labels", "sample_rate_hz": 25},
+                {"name": "s", "path": f"{f}.txt", "kind": "labels", "sample_rate_hz": 25},
+            ]
+            manifest = tmp_path / f"{f}.json"
+            manifest.write_text(json.dumps({"target_rate_hz": 25, "streams": streams}))
+            run_cli_process(["analyze", str(manifest), "--out", str(tmp_path / f"{f}.report")], "1")
+        assert (tmp_path / "lf.report").read_bytes() == (tmp_path / "crlf.report").read_bytes()
+
     def test_missing_manifest_exit_1(self, tmp_path, capsys):
         code, _, err = run(capsys, "analyze", str(tmp_path / "gone.json"))
         assert code == 1

@@ -26,11 +26,28 @@ def xor_triple():
 
 class TestTupleKeys:
     # On 3000 rows "one", "two" and "three-small" have radix products of at most
-    # 3000 and take cell_counts' bincount branch; the other two take np.unique.
+    # 3000 and take cell_counts' bincount branch; the others sort their keys,
+    # as int32 up to the largest key 2**31 - 1 and as int64 from 2**31 on.
     @pytest.mark.parametrize(
         "n_streams, low, high",
-        [(1, 0, 5), (2, 0, 40), (3, 0, 7), (3, 2**32 - 6, 2**32), (4, 0, 2**20)],
-        ids=["one", "two", "three-small", "three-near-u32-max", "four-ranked"],
+        [
+            (1, 0, 5),
+            (2, 0, 40),
+            (3, 0, 7),
+            (3, 2**32 - 6, 2**32),
+            (4, 0, 2**20),
+            (1, 2**31 - 8, 2**31),
+            (1, 2**31 - 7, 2**31 + 1),
+        ],
+        ids=[
+            "one",
+            "two",
+            "three-small",
+            "three-near-u32-max",
+            "four-ranked",
+            "one-int32-sort",
+            "one-int64-sort",
+        ],
     )
     def test_counts_equal_unique_rows(self, n_streams, low, high):
         rng = np.random.Generator(np.random.PCG64(n_streams + high))

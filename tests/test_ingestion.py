@@ -140,11 +140,23 @@ class TestLabelFile:
         with pytest.raises(FormatError, match=":2:"):
             read_labels(path)
 
-    @pytest.mark.parametrize("symbol", [2**32, 2**63, 99999999999999999999999])
-    def test_oversized_symbol_names_line(self, tmp_path, symbol):
+    # A symbol is below its alphabet, which LBL1 caps at 2**32 - 1.
+    @pytest.mark.parametrize(
+        "symbol, line",
+        [
+            pytest.param(2**32 - 2, 1, id="4294967294"),
+            pytest.param(2**32 - 1, 1, id="4294967295"),
+            *(pytest.param(s, 2, id=str(s)) for s in (2**32, 2**63, 99999999999999999999999)),
+        ],
+    )
+    def test_oversized_symbol_names_line(self, tmp_path, symbol, line):
         path = tmp_path / "big.txt"
-        path.write_text(f"0\n{symbol}\n")
-        with pytest.raises(FormatError, match=f"big.txt:2: symbol {symbol} exceeds the u32 limit"):
+        path.write_text("0\n" * (line - 1) + f"{symbol}\n")
+        if symbol == 2**32 - 2:  # the largest symbol
+            assert read_labels(path).alphabet_size == 2**32 - 1
+            return
+        match = f"big.txt:{line}: symbol {symbol} exceeds the u32 limit"
+        with pytest.raises(FormatError, match=match):
             read_labels(path)
 
     def test_binary_round_trip(self, tmp_path):

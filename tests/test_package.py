@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -7,7 +8,8 @@ import numpy as np
 import pytest
 
 import modmi
-from util import child_env
+from modmi.ingestion import write_feature_matrix
+from util import child_env, features
 
 
 def run_python(code: str, **env_vars: str) -> str:
@@ -32,6 +34,40 @@ def test_import_loads_no_numpy_and_keeps_the_environment():
         "print('numpy' in sys.modules, dict(os.environ) == before)\n"
     )
     assert out.split() == ["False", "True", "True", "True"]
+
+
+# Modules that a label-only analysis has no use for.
+_DEFERRED = ("modmi.quantizer", "modmi._kernels", "modmi.synthetic", "hashlib", "logging")
+
+
+def test_each_command_loads_only_the_modules_it_uses(tmp_path):
+    rng = np.random.Generator(np.random.PCG64(3))
+    streams = []
+    for name in ("v", "t", "s"):
+        (tmp_path / f"{name}.txt").write_text("".join(f"{x}\n" for x in rng.integers(0, 6, 200)))
+        streams.append(dict(name=name, path=f"{name}.txt", kind="labels", sample_rate_hz=25))
+    (tmp_path / "labels.json").write_text(json.dumps({"target_rate_hz": 25, "streams": streams}))
+    write_feature_matrix(features(rng.normal(size=(200, 2))), tmp_path / "v.fmx")
+    streams[0] = dict(name="v", path="v.fmx", kind="features", sample_rate_hz=25)
+    (tmp_path / "features.json").write_text(json.dumps({"target_rate_hz": 25, "streams": streams}))
+    commands = [
+        ["analyze", str(tmp_path / "labels.json"), "--out", str(tmp_path / "labels.report")],
+        ["analyze", str(tmp_path / "features.json"), "--clusters", "3", "--out", os.devnull],
+        ["synth", "xor", "--out-dir", str(tmp_path / "xor")],
+    ]
+    out = run_python(
+        "import json, sys\n"
+        "from modmi.cli import main\n"
+        f"for argv in {commands!r}:\n"
+        "    assert main(argv) == 0\n"
+        f"    print(json.dumps([m for m in {_DEFERRED!r} if m in sys.modules]))\n"
+    )
+    label_only, with_features, synth = [
+        json.loads(line) for line in out.splitlines() if line.startswith("[")
+    ]
+    assert label_only == []
+    assert "modmi.quantizer" in with_features and "modmi.synthetic" not in with_features
+    assert "modmi.synthetic" in synth
 
 
 def test_every_exported_name_resolves_from_its_submodule():
