@@ -91,9 +91,9 @@ def cell_counts(arrays: list[np.ndarray]) -> np.ndarray:
     return np.diff(starts, prepend=0, append=key.size)
 
 
-def _h_nats(arrays: list[np.ndarray]) -> float:
-    """Joint entropy (nats) of one or more aligned symbol arrays."""
-    p = cell_counts(arrays) / arrays[0].shape[0]
+def _h_nats(arrays: list[np.ndarray], counts: np.ndarray | None = None) -> float:
+    """Joint entropy (nats) of aligned symbol arrays, from their ``counts`` if given."""
+    p = (cell_counts(arrays) if counts is None else counts) / arrays[0].shape[0]
     return float(-(p * np.log(p)).sum())
 
 
@@ -259,10 +259,10 @@ _PAIRS = {
 }
 
 
-def _table(by_role: dict[str, LabelSequence], token: str) -> InfoQuantities:
+def _table(by_role: dict[str, LabelSequence], token: str, counts=None) -> InfoQuantities:
     """The quantity table, in log base ``token``, of aligned streams keyed by
-    role: T and S, and V for a three-variable analysis."""
-    h = {role: _h_nats([seq.symbols]) for role, seq in by_role.items()}
+    role (T and S, and V for three) and, if given, their ``cell_counts`` by role."""
+    h = {role: _h_nats([seq.symbols], (counts or {}).get(role)) for role, seq in by_role.items()}
     mi = {}
     fields = {"log_base": token, **{f"h_{r.lower()}": _scaled(h[r], token) for r in h}}
     for pair, (i_xy, y_given_x, x_given_y) in _PAIRS.items():

@@ -121,7 +121,14 @@ class LabelSequence:
     modality_tag: str = ""
 
     def __post_init__(self):
-        symbols = np.ascontiguousarray(self.symbols, dtype=np.int64)
+        given = np.asarray(self.symbols)
+        if given.dtype.kind == "f":  # checked before the cast, which would truncate
+            whole = (given >= 0) & (given <= np.float64(_MAX_SYMBOL)) & (np.trunc(given) == given)
+            if not whole.all():
+                i = int(np.argmin(whole))
+                raise DataError(f"symbols must be integers in [0, {_MAX_SYMBOL}], got "
+                                f"{given.flat[i].item()!r} at index {i}")
+        symbols = np.ascontiguousarray(given, dtype=np.int64)
         if symbols.ndim != 1:
             raise DataError(f"symbols must be 1-D, got shape {symbols.shape}")
         if symbols.shape[0] < 1:
@@ -309,19 +316,14 @@ def resample_nearest(stream, target_rate_hz: float):
     its ``modality_tag``.
     """
     target_rate_hz = check_positive(target_rate_hz, "target_rate_hz")
-    out_rows = resampled_rows(stream, target_rate_hz)
-    if target_rate_hz == stream.sample_rate_hz:
-        return _frames(stream, slice(None), target_rate_hz)
-    # Clipped before the cast: at a tiny target rate the float index overflows int64.
-    idx = np.minimum(
-        stream.rows - 1,
-        np.floor((np.arange(out_rows) + 0.5) * stream.sample_rate_hz / target_rate_hz),
-    ).astype(np.int64)
-    return _frames(stream, idx, target_rate_hz)
+    return _frames(stream, target_rate_hz, resampled_rows(stream, target_rate_hz))
 
 
 def resampled_rows(stream, target_rate_hz: float) -> int:
-    """The frame count :func:`resample_nearest` gives ``stream`` at ``target_rate_hz``."""
+    """The frame count :func:`resample_nearest` gives ``stream`` at ``target_rate_hz``;
+    anything but a FeatureMatrix or a LabelSequence raises DataError."""
+    if not isinstance(stream, (FeatureMatrix, LabelSequence)):
+        raise DataError(f"cannot resample object of type {type(stream).__name__}")
     source_rate = stream.sample_rate_hz
     length = stream.rows * target_rate_hz / source_rate
     if not math.isfinite(length) or round(length) > _U32_MAX:
@@ -333,35 +335,40 @@ def resampled_rows(stream, target_rate_hz: float) -> int:
     return max(1, round(length))
 
 
-def _frames(stream, idx, rate: float):
-    """Frames ``idx`` (an index array or a slice) of a stream, same kind, at ``rate`` Hz."""
+def _frames(stream, rate: float, rows: int):
+    """The first ``rows`` frames of ``stream`` resampled to ``rate`` Hz, same kind."""
+    if rate == stream.sample_rate_hz:
+        idx = slice(rows)
+    else:  # clipped before the cast: at a tiny rate the float index overflows int64
+        source = np.floor((np.arange(rows) + 0.5) * stream.sample_rate_hz / rate)
+        idx = np.minimum(stream.rows - 1, source).astype(np.int64)
     if isinstance(stream, FeatureMatrix):
         return FeatureMatrix(stream.values[idx], rate, stream.modality_tag)
-    if isinstance(stream, LabelSequence):
-        return LabelSequence(stream.symbols[idx], stream.alphabet_size, rate, stream.modality_tag)
-    raise DataError(f"cannot resample object of type {type(stream).__name__}")
+    return LabelSequence(stream.symbols[idx], stream.alphabet_size, rate, stream.modality_tag)
 
 
 def align(
     streams: list[FeatureMatrix | LabelSequence], target_rate_hz: float
 ) -> list[FeatureMatrix | LabelSequence]:
-    """Resample streams of either kind to a common rate with
-    :func:`resample_nearest` and truncate them to the shortest.
+    """Resample streams of either kind to a common rate as
+    :func:`resample_nearest` does and truncate them to the shortest.
 
-    Returns the aligned streams in input order, each of its own kind.  The
-    frames dropped by truncation are logged per stream.
+    Returns the aligned streams in input order, each of its own kind and
+    built once, from its source frames cut to the common length.  The frames
+    dropped by truncation are logged per stream.
     """
     if len(streams) < 2:
         raise AlignmentError(f"align needs at least 2 streams, got {len(streams)}")
-    resampled = [resample_nearest(s, target_rate_hz) for s in streams]
-    rows = min(s.rows for s in resampled)
-    dropped = [(s.modality_tag, s.rows - rows) for s in resampled if s.rows > rows]
+    target_rate_hz = check_positive(target_rate_hz, "target_rate_hz")
+    totals = [resampled_rows(s, target_rate_hz) for s in streams]
+    rows = min(totals)
+    dropped = [(s.modality_tag, n - rows) for s, n in zip(streams, totals) if n > rows]
     if dropped:
         import logging  # loaded only when there is a message to emit
 
         log = logging.getLogger(__name__)
         log.info("align: truncating to %d frames, dropped %s", rows, dropped)
-    return [_frames(s, slice(rows), s.sample_rate_hz) for s in resampled]
+    return [_frames(s, target_rate_hz, rows) for s in streams]
 
 
 def _rate(value, what: str) -> float:

@@ -257,16 +257,14 @@ def _prepare(manifest: Manifest, config: AnalysisConfig):
         except OSError as e:
             reason = e.strerror or e
             raise FormatError(f"stream {spec.name!r}: cannot read {spec.path}: {reason}") from e
-    aligned = align(loaded, rate)
-    kept = aligned[0].rows
-    for spec, stream in zip(manifest.streams, loaded):
-        total = resampled_rows(stream, rate)
-        if 2 * kept < total:
+    totals = [resampled_rows(stream, rate) for stream in loaded]
+    for spec, total in zip(manifest.streams, totals):
+        if 2 * min(totals) < total:
             raise AlignmentError(
-                f"stream {spec.name!r}: alignment would keep {kept} of its {total} "
+                f"stream {spec.name!r}: alignment would keep {min(totals)} of its {total} "
                 f"frames at {rate:g} Hz; refusing to drop more than half of a stream"
             )
-    return aligned, rate
+    return align(loaded, rate), rate
 
 
 def _quantize(spec, stream, config: AnalysisConfig, position: int):
@@ -298,35 +296,30 @@ def _quantize(spec, stream, config: AnalysisConfig, position: int):
 def _report(specs, streams, config: AnalysisConfig) -> InfoReport:
     """Quantize the continuous aligned streams and compute the quantity table."""
     roles = _assign_roles(specs)
-    discretized: list[LabelSequence] = []
+    by_role, counts = {}, {}  # role -> discretized stream, and its cell counts
     summaries: list[StreamSummary] = []
     for position, (spec, stream) in enumerate(zip(specs, streams)):
+        role = roles[spec.name]
         if isinstance(stream, FeatureMatrix):
             labels, k, digest = _quantize(spec, stream, config, position)
             dims = stream.dims
         else:
             labels, k, digest, dims = stream, None, None, None
-        discretized.append(labels)
+        by_role[role] = labels
+        counts[role] = infotheory.cell_counts([labels.symbols])
         summaries.append(
             StreamSummary(
                 name=spec.name,
-                role=roles[spec.name],
+                role=role,
                 kind=spec.kind,
                 rows=stream.rows,
                 dims=dims,
                 clusters=k,
-                distinct=infotheory.cell_counts([labels.symbols]).size,
+                distinct=counts[role].size,
                 codebook_sha256=digest,
             )
         )
-
-    by_role = {s.role: seq for s, seq in zip(summaries, discretized)}
-    if len(discretized) == 3:
-        quantities = infotheory.info_diagram(
-            by_role["V"], by_role["T"], by_role["S"], config.log_base
-        )
-    else:
-        quantities = infotheory.pair_quantities(by_role["T"], by_role["S"], config.log_base)
+    quantities = infotheory._table(by_role, config.log_base, counts)
     return InfoReport(quantities=quantities, streams=tuple(summaries), config=config)
 
 

@@ -206,6 +206,29 @@ class TestAnalyze:
             "gives 1.6e+11 frames, above the limit of 4294967295\n"
         )
 
+    def test_bad_inputs_end_in_an_error_line(self, tmp_path, capsys):
+        """In fresh processes: a tiny rate still writes a report, while a huge
+        rate, a repeated manifest key and an edited report rng each exit 1
+        with one error line and no traceback."""
+        assert run(capsys, "synth", "xor", "--out-dir", str(tmp_path / "xor"))[0] == 0
+        assert run(capsys, "synth", "blobs", "--out-dir", str(tmp_path / "blobs"), "--centers",
+                   "3", "--dims", "4", "--n-per-center", "50", "--seed", "1")[0] == 0
+        xor, blobs = tmp_path / "xor" / "manifest.json", tmp_path / "blobs" / "manifest.json"
+        repeated, tiny, rng = tmp_path / "repeated.json", tmp_path / "tiny.json", tmp_path / "rng.json"
+        repeated.write_text(blobs.read_text().replace('"clusters": 3,', '"clusters": 3, "clusters": 2,'))
+        done = run_cli_process(["analyze", str(xor), "--rate", "1e-300", "--out", str(tiny)], None)
+        assert "Traceback" not in done.stderr
+        rng.write_text(tiny.read_text().replace('"pcg64"', '"mt19937"'))
+        for argv in (
+            ["analyze", str(xor), "--rate", "1e300"],
+            ["analyze", str(repeated)],
+            ["report", str(rng), "--format", "json"],
+        ):
+            done = run_cli_process(argv, None, check=False)
+            assert done.returncode == 1, argv
+            assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1, done.stderr
+            assert "Traceback" not in done.stderr
+
     def test_alignment_dropping_most_of_a_stream_exit_1(self, tmp_path, capsys):
         # The label stream declared at 2.5 Hz resamples to 30,000 frames at
         # 25 Hz; truncating it to the features' 3,000 used to print H(T) 0.
@@ -361,11 +384,18 @@ class TestReport:
         assert table_from_report == table_direct
 
     def test_rerender_json_round_trip(self, xor_dir, tmp_path, capsys):
-        saved = tmp_path / "r.json"
-        run(capsys, "analyze", str(xor_dir / "manifest.json"), "--out", str(saved))
-        code, out, _ = run(capsys, "report", str(saved), "--format", "json")
-        assert code == 0
-        assert out == saved.read_text()
+        blobs_dir = tmp_path / "blobs"
+        assert run(capsys, "synth", "blobs", "--out-dir", str(blobs_dir), "--centers", "3",
+                   "--dims", "4", "--n-per-center", "100", "--seed", "1")[0] == 0
+        for data in (xor_dir, blobs_dir):
+            saved, again = tmp_path / f"{data.name}.json", tmp_path / f"{data.name}.again.json"
+            manifest = str(data / "manifest.json")
+            assert run(capsys, "analyze", manifest, "--clusters", "3", "--out", str(saved))[0] == 0
+            code, out, _ = run(capsys, "report", str(saved), "--format", "json")
+            assert code == 0
+            assert out == saved.read_text()
+            assert run(capsys, "report", str(saved), "--format", "json", "--out", str(again))[0] == 0
+            assert again.read_bytes() == saved.read_bytes()
 
     @pytest.mark.parametrize(
         "mutate, message",
@@ -417,12 +447,27 @@ class TestReport:
 
 class TestDeterminism:
     def test_byte_identical_reports_across_threads(self, blobs_dir, tmp_path):
-        manifest = str(blobs_dir / "manifest.json")
+        """analyze, sweep and a re-rendered table keep their bytes in fresh
+        processes with no thread variable (the command's one-thread default),
+        under OPENBLAS_NUM_THREADS=1 and under 2."""
+        big = tmp_path / "big"
+        assert main(["synth", "blobs", "--out-dir", str(big), "--centers", "6", "--dims", "16",
+                     "--n-per-center", "400", "--seed", "2"]) == 0
+        commands = {
+            "small.json": ["analyze", str(blobs_dir / "manifest.json"), "--seed", "5"],
+            "analyze.json": ["analyze", str(big / "manifest.json"), "--clusters", "64", "--seed", "4"],
+            "sweep.json": ["sweep", str(big / "manifest.json"), "--ks", "3,6", "--seed", "4",
+                           "--format", "json"],
+            "report.txt": ["report", "{out}/analyze.json", "--format", "table"],
+        }
         outputs = []
-        for threads, name in (("1", "one.json"), ("1", "again.json"), ("2", "two.json")):
-            out = tmp_path / name
-            run_cli_process(["analyze", manifest, "--seed", "5", "--out", str(out)], threads)
-            outputs.append(out.read_bytes())
+        for threads in (None, "1", "2"):
+            out = tmp_path / f"threads-{threads}"
+            out.mkdir()
+            for name, argv in commands.items():
+                argv = [arg.format(out=out) for arg in argv]
+                run_cli_process([*argv, "--out", str(out / name)], threads)
+            outputs.append({name: (out / name).read_bytes() for name in commands})
         assert outputs[0] == outputs[1] == outputs[2]
 
 

@@ -58,6 +58,22 @@ class TestLabelSequence:
         with pytest.raises(DataError):
             seq([-1, 0], alphabet_size=2)
 
+    @pytest.mark.parametrize(
+        "symbols, shown",
+        [([0.5, 1.2], "0.5 at index 0"), ([1.0, np.nan], "nan at index 1"),
+         ([0.0, 1.0, -np.inf], "-inf at index 2"), ([1e30, 0.0], "1e+30 at index 0")],
+        ids=["fraction", "nan", "inf", "beyond-u32"],
+    )
+    def test_non_integral_symbols_rejected(self, symbols, shown):
+        # A cast to int64 would truncate 0.5 to 0 and warn on NaN or inf.
+        with pytest.raises(DataError, match=f"must be integers .*, got {re.escape(shown)}$"):
+            LabelSequence(np.array(symbols), 2, 25.0)
+
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64, np.uint8, np.bool_])
+    def test_integral_symbols_of_any_dtype_accepted(self, dtype):
+        labels = LabelSequence(np.array([0, 1, 1], dtype=dtype), 2, 25.0)
+        assert labels.symbols.dtype == np.int64 and labels.symbols.tolist() == [0, 1, 1]
+
 
 class TestFeatureFile:
     def test_round_trip(self, tmp_path):
@@ -279,6 +295,10 @@ class TestResample:
         # The float source index, about 1.25e301, is clipped before the int64 cast.
         assert resample_nearest(seq([0, 1, 2]), 1e-300).symbols.tolist() == [2]
 
+    def test_non_stream_rejected(self):
+        with pytest.raises(DataError, match="^cannot resample object of type str$"):
+            resample_nearest("x", 25.0)
+
     def test_upsample_replicates(self):
         src = seq([0, 1], 2, rate=25.0)
         out = resample_nearest(src, 50.0)
@@ -304,12 +324,18 @@ class TestAlign:
         with pytest.raises(AlignmentError, match="at least 2"):
             align([seq([0, 1])], 25.0)
 
+    def test_non_stream_rejected(self):
+        with pytest.raises(DataError, match="^cannot resample object of type int$"):
+            align([seq([0, 1]), 3], 25.0)
+
     def test_random_alignment_invariant(self):
         rng = np.random.Generator(np.random.PCG64(3))
         for _ in range(30):
             streams = []
             for j in range(int(rng.integers(2, 5))):
                 rows, rate = int(rng.integers(1, 300)), float(rng.uniform(5, 100))
+                if rng.random() < 0.3:
+                    rate = 25.0  # the target rate: aligned frames share the input's
                 if rng.random() < 0.5:
                     streams.append(seq(rng.integers(0, 4, size=rows), 4, rate=rate, tag=f"s{j}"))
                 else:
@@ -326,6 +352,9 @@ class TestAlign:
                 data = "values" if isinstance(s, FeatureMatrix) else "symbols"
                 assert out.modality_tag == s.modality_tag
                 assert np.array_equal(getattr(out, data), getattr(f, data)[:rows])
+                assert getattr(out, data).dtype == getattr(f, data)[:rows].dtype
+                shared = np.shares_memory(getattr(out, data), getattr(s, data))
+                assert shared == (s.sample_rate_hz == 25.0)
 
 
 class TestManifest:

@@ -63,12 +63,16 @@ def child_env(**env_vars: str) -> dict:
     return env
 
 
-def run_cli_process(args, openblas_threads: str) -> None:
+def run_cli_process(args, openblas_threads: str | None, check: bool = True):
     """Run the modmi CLI in a fresh process under ``OPENBLAS_NUM_THREADS``
-    (OpenBLAS reads its thread count once, when it loads)."""
-    subprocess.run(
+    (OpenBLAS reads its thread count once, when it loads), or with no thread
+    variable at all when ``openblas_threads`` is None; returns the finished
+    process, whose exit code must be 0 when ``check`` is set."""
+    env = child_env() if openblas_threads is None else child_env(OPENBLAS_NUM_THREADS=openblas_threads)
+    return subprocess.run(
         [sys.executable, "-m", "modmi.cli", *args],
-        check=True,
+        check=check,
         capture_output=True,
-        env=child_env(OPENBLAS_NUM_THREADS=openblas_threads),
+        text=True,
+        env=env,
     )
