@@ -5,8 +5,9 @@ import pytest
 
 from modmi import _kernels, quantizer
 from modmi._kernels import accumulate_means, assign_labels
+from modmi.cli import main
 from modmi.quantizer import fit
-from util import features, repair_every_pass_matrix
+from util import features, repair_every_pass_matrix, run_cli_process
 
 pytestmark = pytest.mark.filterwarnings("error")
 
@@ -271,3 +272,16 @@ def test_accumulate_means_equals_chunked_add_at(monkeypatch):
         ref_sums += partial
     sums = accumulate_means(x, labels, k)
     assert np.array_equal(sums, ref_sums)
+
+
+def test_blas_threads_invisible_in_reports(tmp_path):
+    out_dir = tmp_path / "blobs"
+    assert main(["synth", "blobs", "--out-dir", str(out_dir), "--centers", "6", "--dims", "16",
+                 "--n-per-center", "400", "--seed", "2"]) == 0
+    reports = []
+    for threads in ("1", "2"):
+        report_path = tmp_path / f"threads{threads}.json"
+        run_cli_process(["analyze", str(out_dir / "manifest.json"), "--clusters", "64",
+                         "--seed", "4", "--out", str(report_path)], threads)
+        reports.append(report_path.read_bytes())
+    assert reports[0] == reports[1]
