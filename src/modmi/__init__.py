@@ -21,7 +21,6 @@ _EXPORTS = {
     ),
     **dict.fromkeys(
         [
-            "InfoQuantities",
             "conditional_entropy",
             "conditional_mutual_information",
             "entropy",
@@ -49,10 +48,8 @@ _EXPORTS = {
         ],
         "ingestion",
     ),
-    **dict.fromkeys(
-        ["AnalysisConfig", "InfoReport", "StreamSummary", "analyze", "sweep_clusters"],
-        "pipeline",
-    ),
+    **dict.fromkeys(["analyze", "sweep_clusters"], "pipeline"),
+    **dict.fromkeys(["AnalysisConfig", "InfoQuantities", "InfoReport", "StreamSummary"], "report"),
     **dict.fromkeys(["Codebook", "assign", "fit", "load_codebook", "save_codebook"], "quantizer"),
     **dict.fromkeys(
         [

@@ -16,8 +16,6 @@ kernels walk their chunks serially and reduce them in chunk order.  BLAS is
 the only parallelism, and results do not depend on its thread count.
 """
 
-from __future__ import annotations
-
 import numpy as np
 
 # Recorded by the benchmark's environment probe; there is one implementation.

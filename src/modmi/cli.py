@@ -8,8 +8,6 @@ Exit codes: 0 success, 1 runtime/data error, 2 usage error (including an
 infeasible cluster count).
 """
 
-from __future__ import annotations
-
 import os
 
 # Run BLAS on one thread unless the user set OPENBLAS_NUM_THREADS,
@@ -33,104 +31,14 @@ import numpy as np
 
 from . import __version__
 from .errors import DataError, InfeasibleError, ModmiError
-from .infotheory import LOG_BASES, InfoQuantities
 from .ingestion import FeatureMatrix, load_manifest, read_feature_matrix
 from .ingestion import write_feature_matrix, write_labels
-from .pipeline import AnalysisConfig, InfoReport, analyze, sweep_clusters
+from .pipeline import analyze, sweep_clusters
+from .report import LOG_BASES, AnalysisConfig, InfoReport, render_diagram_svg
+from .report import render_sweep_table, render_table
 
 # quantizer (with _kernels) and synthetic load only in the commands that use
 # them, so a label-only `modmi analyze` never imports them.
-
-# Table column -> the InfoQuantities field it prints, in column order.  A
-# two-variable report leaves out the columns whose field is None.
-TABLE_COLUMNS = {
-    "H(T)": "h_t",
-    "H(S)": "h_s",
-    "H(V)": "h_v",
-    "I(T;V)": "i_tv",
-    "I(T;S)": "i_ts",
-    "I(V;S)": "i_vs",
-    "I(V;T;S)": "i_vts",
-}
-
-
-def _fmt(value: float) -> str:
-    text = f"{value:.4f}"
-    return "0.0000" if text == "-0.0000" else text
-
-
-def _columns(q: InfoQuantities) -> dict[str, float]:
-    """The table's columns for ``q``, each with its value."""
-    values = {column: getattr(q, name) for column, name in TABLE_COLUMNS.items()}
-    return {column: value for column, value in values.items() if value is not None}
-
-
-def _row(q: InfoQuantities) -> str:
-    return " ".join(_fmt(v) for v in _columns(q).values())
-
-
-def render_table(report: InfoReport) -> str:
-    return " ".join(_columns(report.quantities)) + "\n" + _row(report.quantities) + "\n"
-
-
-def render_sweep_table(reports: list[InfoReport]) -> str:
-    lines = ["k " + " ".join(_columns(reports[0].quantities))]
-    for report in reports:
-        lines.append(f"{report.config.clusters} {_row(report.quantities)}")
-    return "\n".join(lines) + "\n"
-
-
-# Fixed layout for the three-circle diagram: circle centers and the anchor
-# point of each of the seven region labels.
-_CIRCLES = {"V": (250.0, 215.0), "S": (390.0, 215.0), "T": (320.0, 330.0)}
-_RADIUS = 118.0
-_REGION_XY = {
-    "V|T,S": (205.0, 185.0),
-    "S|V,T": (435.0, 185.0),
-    "T|V,S": (320.0, 390.0),
-    "V;S|T": (320.0, 185.0),
-    "V;T|S": (255.0, 295.0),
-    "T;S|V": (385.0, 295.0),
-    "V;T;S": (320.0, 255.0),
-}
-
-
-def render_diagram_svg(q: InfoQuantities, title: str = "") -> str:
-    """Information diagram: three circles, seven region values."""
-    if q.arity != 3:
-        raise ModmiError("the information diagram needs a three-stream report")
-    parts = [
-        '<svg xmlns="http://www.w3.org/2000/svg" width="640" height="470" '
-        'viewBox="0 0 640 470">',
-        '<rect width="640" height="470" fill="white"/>',
-        f'<text x="320" y="34" text-anchor="middle" font-size="18" '
-        f'font-family="sans-serif">{title or "Information diagram"}</text>',
-    ]
-    fills = {"V": "#e41a1c", "S": "#377eb8", "T": "#4daf4a"}
-    for name, (cx, cy) in _CIRCLES.items():
-        parts.append(
-            f'<circle cx="{cx:g}" cy="{cy:g}" r="{_RADIUS:g}" fill="{fills[name]}" '
-            f'fill-opacity="0.18" stroke="{fills[name]}" stroke-width="2"/>'
-        )
-    entropies = {"V": q.h_v, "S": q.h_s, "T": q.h_t}
-    label_xy = {"V": (140.0, 105.0), "S": (500.0, 105.0), "T": (320.0, 462.0)}
-    for name, (x, y) in label_xy.items():
-        parts.append(
-            f'<text x="{x:g}" y="{y:g}" text-anchor="middle" font-size="16" '
-            f'font-family="sans-serif" fill="{fills[name]}">H({name}) = '
-            f"{_fmt(entropies[name])}</text>"
-        )
-    for region, (x, y) in _REGION_XY.items():
-        parts.append(
-            f'<text x="{x:g}" y="{y:g}" text-anchor="middle" font-size="13" '
-            f'font-family="sans-serif">{_fmt(q.regions[region])}</text>'
-        )
-    parts.append(
-        f'<text x="320" y="442" text-anchor="middle" font-size="12" font-family="sans-serif">'
-        f"log base {q.log_base}; center is I(V;T;S)</text>"
-    )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
 
 
 def _emit(text: str, out: str | None) -> None:

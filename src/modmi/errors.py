@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the input rules that raise them."""
+
+import json
+import math
 
 
 class ModmiError(Exception):
@@ -19,3 +22,78 @@ class AlignmentError(ModmiError):
 
 class InfeasibleError(ModmiError):
     """A requested configuration cannot be satisfied (e.g. k > distinct rows)."""
+
+
+def is_numpy(value, *classes: str) -> bool:
+    """Whether ``value`` is a numpy scalar of one of ``classes``, without loading numpy."""
+    return any(t.__module__ == "numpy" and t.__name__ in classes for t in type(value).__mro__)
+
+
+def shown(value) -> str:
+    """``repr(value)`` for an error message; an integer too long for Python to
+    print shows as its sign and bit length."""
+    try:
+        return repr(value)
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        sign = "a negative" if value < 0 else "an"
+        return f"{sign} integer of {value.bit_length()} bits"
+
+
+def check_int(value, what: str, minimum: int | None = None) -> int:
+    """``value`` as a Python int: a Python or numpy integer, never a bool, and
+    at least ``minimum`` when one is given.  Anything else raises DataError."""
+    if not (isinstance(value, int) or is_numpy(value, "integer")) or isinstance(value, bool):
+        raise DataError(f"{what} must be an integer, got {shown(value)}")
+    if minimum is not None and value < minimum:
+        raise DataError(f"{what} must be >= {minimum}, got {shown(int(value))}")
+    return int(value)
+
+
+def check_positive(value, what: str) -> float:
+    """``value`` as a finite float > 0: a Python or numpy real number, never a
+    bool.  Anything else raises DataError."""
+    real = isinstance(value, (int, float)) or is_numpy(value, "integer", "floating")
+    if real and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:  # an integer too large for a float
+            number = math.inf
+        if 0 < number < math.inf:
+            return number
+    raise DataError(f"{what} must be finite and > 0 (a number, not a bool), got {shown(value)}")
+
+
+def check_bool(value, what: str) -> bool:
+    """``value`` as a Python bool: a Python or numpy bool.  Anything else
+    raises DataError."""
+    if isinstance(value, bool) or is_numpy(value, "bool", "bool_"):  # bool_ before numpy 2
+        return bool(value)
+    raise DataError(f"{what} must be a bool, got {shown(value)}")
+
+
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's key/value ``pairs`` as a dict; a repeated key raises FormatError."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise FormatError(f"repeated key {key!r}")
+        obj[key] = value
+    return obj
+
+
+def read_json(raw: str | bytes, where: str):
+    """The JSON document ``raw``; invalid JSON or a repeated key in any object
+    raises FormatError prefixed with ``where``."""
+    try:
+        return json.loads(raw, object_pairs_hook=_unique_keys)
+    except FormatError as exc:
+        raise FormatError(f"{where}: {exc}") from None
+    except (ValueError, RecursionError) as exc:
+        raise FormatError(f"{where}: invalid JSON: {exc}") from None
+
+
+def check_keys(obj: dict, known, where: str) -> None:
+    """Reject a key of JSON object ``obj`` that is not in ``known``."""
+    for key in obj:
+        if key not in known:
+            raise FormatError(f"{where}: unknown key {key!r}")

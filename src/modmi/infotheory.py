@@ -12,34 +12,17 @@ never appear in the sparse counts, which implements the 0*log(0) = 0
 convention.
 """
 
-from __future__ import annotations
-
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import AlignmentError, DataError
-from .ingestion import LabelSequence, shown
-
-LOG_BASES = {"2": math.log(2.0), "e": 1.0, "10": math.log(10.0)}
+from .ingestion import LabelSequence
+from .report import LOG_BASES, InfoQuantities, normalize_base
 
 # Matching plug-in MI and conditional entropy are >= 0 up to rounding; values
 # this far below zero are clamped (the raw value is logged).
 CLAMP_TOL = 1e-12
-
-
-def normalize_base(base) -> str:
-    """Accepts 2 / "2" / "e" / 10 / "10" and returns the canonical token."""
-    try:
-        token = str(base).strip().lower()
-    except ValueError:  # an integer too long to print is no base either
-        token = ""
-    if token in ("2.0", "10.0"):
-        token = token[:-2]
-    if token not in LOG_BASES:
-        raise DataError(f"log base must be one of 2, e, 10, got {shown(base)}")
-    return token
 
 
 def _check_aligned(streams) -> None:
@@ -186,70 +169,6 @@ def trivariate_mmi(v: LabelSequence, t: LabelSequence, s: LabelSequence, base=2)
     return info_diagram(v, t, s, base).i_vts
 
 
-@dataclass(frozen=True)
-class InfoQuantities:
-    """The full quantity table for two or three aligned variables.
-
-    Roles follow the (V, T, S) naming used throughout: T is the discrete
-    reference stream, V and S the (quantized) continuous ones.  For a
-    two-variable analysis only the (T, S) fields are present and the
-    three-way fields are None.
-    """
-
-    log_base: str
-    h_t: float
-    h_s: float
-    i_ts: float
-    h_s_given_t: float
-    h_t_given_s: float
-    h_v: float | None = None
-    i_tv: float | None = None
-    i_vs: float | None = None
-    i_vts: float | None = None
-    h_v_given_t: float | None = None
-    h_t_given_v: float | None = None
-    h_v_given_s: float | None = None
-    h_s_given_v: float | None = None
-    regions: dict[str, float] | None = None
-
-    @property
-    def arity(self) -> int:
-        return 2 if self.h_v is None else 3
-
-    def as_dict(self) -> dict:
-        """Report-schema view laid out by QUANTITY_KEYS and REGIONS, without None fields."""
-        out: dict = {"log_base": self.log_base}
-        for name, (group, key) in QUANTITY_KEYS.items():
-            value = getattr(self, name)
-            if value is not None:
-                (out if group is None else out.setdefault(group, {}))[key] = value
-        if self.regions is not None:
-            out["regions"] = {region: self.regions[region] for region in REGIONS}
-        return out
-
-
-# InfoQuantities field -> (group, key) of its place in a report's "quantities"
-# object; a None group puts the key at the top level.
-QUANTITY_KEYS = {
-    "h_t": ("H", "T"),
-    "h_s": ("H", "S"),
-    "h_v": ("H", "V"),
-    "i_tv": ("I2", "T,V"),
-    "i_ts": ("I2", "T,S"),
-    "i_vs": ("I2", "V,S"),
-    "i_vts": (None, "I3"),
-    "h_s_given_t": ("cond", "S|T"),
-    "h_v_given_t": ("cond", "V|T"),
-    "h_t_given_s": ("cond", "T|S"),
-    "h_t_given_v": ("cond", "T|V"),
-    "h_v_given_s": ("cond", "V|S"),
-    "h_s_given_v": ("cond", "S|V"),
-}
-
-# The seven information-diagram regions, the keys of ``InfoQuantities.regions``.
-REGIONS = ("V|T,S", "T|V,S", "S|V,T", "V;T|S", "T;S|V", "V;S|T", "V;T;S")
-
-
 # Pair of roles XY -> the InfoQuantities fields of I(X;Y), H(Y|X) and H(X|Y).
 # The roles' order is the key order of the joint H(X,Y).
 _PAIRS = {
@@ -259,7 +178,7 @@ _PAIRS = {
 }
 
 
-def _table(by_role: dict[str, LabelSequence], token: str, counts=None) -> InfoQuantities:
+def quantity_table(by_role: dict[str, LabelSequence], token: str, counts=None) -> InfoQuantities:
     """The quantity table, in log base ``token``, of aligned streams keyed by
     role (T and S, and V for three) and, if given, their ``cell_counts`` by role."""
     h = {role: _h_nats([seq.symbols], (counts or {}).get(role)) for role, seq in by_role.items()}
@@ -298,7 +217,7 @@ def _table(by_role: dict[str, LabelSequence], token: str, counts=None) -> InfoQu
 def pair_quantities(t: LabelSequence, s: LabelSequence, base=2) -> InfoQuantities:
     """Entropies, MI and conditionals for a two-variable analysis."""
     _check_aligned([t, s])
-    return _table({"T": t, "S": s}, normalize_base(base))
+    return quantity_table({"T": t, "S": s}, normalize_base(base))
 
 
 def info_diagram(v: LabelSequence, t: LabelSequence, s: LabelSequence, base=2) -> InfoQuantities:
@@ -309,4 +228,4 @@ def info_diagram(v: LabelSequence, t: LabelSequence, s: LabelSequence, base=2) -
     I(V;T;S); the regions touching any one variable sum to its entropy.
     """
     _check_aligned([v, t, s])
-    return _table({"V": v, "T": t, "S": s}, normalize_base(base))
+    return quantity_table({"V": v, "T": t, "S": s}, normalize_base(base))

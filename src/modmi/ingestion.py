@@ -14,9 +14,6 @@ A JSON manifest names the streams of one analysis (paths, kinds, rates,
 optional alphabet/cluster overrides).
 """
 
-from __future__ import annotations
-
-import json
 import math
 import os
 import struct
@@ -26,6 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import AlignmentError, DataError, FormatError
+from .errors import check_int, check_keys, check_positive, read_json, shown
 
 _FMX_MAGIC = b"FMX1"
 _LBL_MAGIC = b"LBL1"
@@ -37,47 +35,6 @@ _NEWLINE, _ZERO = ord("\n"), ord("0")
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
-
-
-def shown(value) -> str:
-    """``repr(value)`` for an error message; an integer too long for Python to
-    print shows as its sign and bit length."""
-    try:
-        return repr(value)
-    except ValueError:  # more digits than sys.get_int_max_str_digits()
-        sign = "a negative" if value < 0 else "an"
-        return f"{sign} integer of {value.bit_length()} bits"
-
-
-def check_int(value, what: str, minimum: int | None = None) -> int:
-    """``value`` as a Python int: a Python or numpy integer, never a bool, and
-    at least ``minimum`` when one is given.  Anything else raises DataError."""
-    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-        raise DataError(f"{what} must be an integer, got {shown(value)}")
-    if minimum is not None and value < minimum:
-        raise DataError(f"{what} must be >= {minimum}, got {shown(int(value))}")
-    return int(value)
-
-
-def check_positive(value, what: str) -> float:
-    """``value`` as a finite float > 0: a Python or numpy real number, never a
-    bool.  Anything else raises DataError."""
-    if isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool):
-        try:
-            number = float(value)
-        except OverflowError:  # an integer too large for a float
-            number = math.inf
-        if 0 < number < math.inf:
-            return number
-    raise DataError(f"{what} must be finite and > 0 (a number, not a bool), got {shown(value)}")
-
-
-def check_bool(value, what: str) -> bool:
-    """``value`` as a Python bool: a Python or numpy bool.  Anything else
-    raises DataError."""
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    raise DataError(f"{what} must be a bool, got {shown(value)}")
 
 
 @dataclass(frozen=True)
@@ -432,34 +389,6 @@ class Manifest:
         if spec.kind == "features":
             return read_feature_matrix(spec.path, spec.sample_rate_hz, spec.name)
         return read_labels(spec.path, spec.sample_rate_hz, spec.alphabet_size, spec.name)
-
-
-def _unique_keys(pairs: list) -> dict:
-    """A JSON object's key/value ``pairs`` as a dict; a repeated key raises FormatError."""
-    obj = {}
-    for key, value in pairs:
-        if key in obj:
-            raise FormatError(f"repeated key {key!r}")
-        obj[key] = value
-    return obj
-
-
-def read_json(raw: str | bytes, where: str):
-    """The JSON document ``raw``; invalid JSON or a repeated key in any object
-    raises FormatError prefixed with ``where``."""
-    try:
-        return json.loads(raw, object_pairs_hook=_unique_keys)
-    except FormatError as exc:
-        raise FormatError(f"{where}: {exc}") from None
-    except (ValueError, RecursionError) as exc:
-        raise FormatError(f"{where}: invalid JSON: {exc}") from None
-
-
-def check_keys(obj: dict, known, where: str) -> None:
-    """Reject a key of JSON object ``obj`` that is not in ``known``."""
-    for key in obj:
-        if key not in known:
-            raise FormatError(f"{where}: unknown key {key!r}")
 
 
 def load_manifest(path) -> Manifest:

@@ -21,9 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from . import _kernels
-from .errors import DataError, InfeasibleError
+from .errors import DataError, InfeasibleError, check_bool, check_int, check_positive, shown
 from .ingestion import FeatureMatrix, LabelSequence, check_size, unpack_header
-from .ingestion import check_bool, check_int, check_positive, shown
 
 _KMC_MAGIC = b"KMC1"
 

@@ -1,0 +1,383 @@
+"""The report's schema, its JSON reader and writer, and its renderers; no numpy."""
+
+import json
+import math
+from dataclasses import asdict, dataclass, fields
+
+from .errors import DataError, FormatError, ModmiError, check_bool, check_int, check_keys
+from .errors import check_positive, is_numpy, read_json, shown
+
+LOG_BASES = {"2": math.log(2.0), "e": 1.0, "10": math.log(10.0)}
+
+
+def normalize_base(base) -> str:
+    """Accepts 2 / "2" / "e" / 10 / "10" and returns the canonical token."""
+    try:
+        token = str(base).strip().lower()
+    except ValueError:  # an integer too long to print is no base either
+        token = ""
+    if token in ("2.0", "10.0"):
+        token = token[:-2]
+    if token not in LOG_BASES:
+        raise DataError(f"log base must be one of 2, e, 10, got {shown(base)}")
+    return token
+
+
+@dataclass(frozen=True)
+class InfoQuantities:
+    """The full quantity table for two or three aligned variables.
+
+    Roles follow the (V, T, S) naming used throughout: T is the discrete
+    reference stream, V and S the (quantized) continuous ones.  For a
+    two-variable analysis only the (T, S) fields are present and the
+    three-way fields are None.
+    """
+
+    log_base: str
+    h_t: float
+    h_s: float
+    i_ts: float
+    h_s_given_t: float
+    h_t_given_s: float
+    h_v: float | None = None
+    i_tv: float | None = None
+    i_vs: float | None = None
+    i_vts: float | None = None
+    h_v_given_t: float | None = None
+    h_t_given_v: float | None = None
+    h_v_given_s: float | None = None
+    h_s_given_v: float | None = None
+    regions: dict[str, float] | None = None
+
+    @property
+    def arity(self) -> int:
+        return 2 if self.h_v is None else 3
+
+    def as_dict(self) -> dict:
+        """Report-schema view laid out by QUANTITY_KEYS and REGIONS, without None fields."""
+        out: dict = {"log_base": self.log_base}
+        for name, (group, key) in QUANTITY_KEYS.items():
+            value = getattr(self, name)
+            if value is not None:
+                (out if group is None else out.setdefault(group, {}))[key] = value
+        if self.regions is not None:
+            out["regions"] = {region: self.regions[region] for region in REGIONS}
+        return out
+
+
+# InfoQuantities field -> (group, key) of its place in a report's "quantities"
+# object; a None group puts the key at the top level.
+QUANTITY_KEYS = {
+    "h_t": ("H", "T"),
+    "h_s": ("H", "S"),
+    "h_v": ("H", "V"),
+    "i_tv": ("I2", "T,V"),
+    "i_ts": ("I2", "T,S"),
+    "i_vs": ("I2", "V,S"),
+    "i_vts": (None, "I3"),
+    "h_s_given_t": ("cond", "S|T"),
+    "h_v_given_t": ("cond", "V|T"),
+    "h_t_given_s": ("cond", "T|S"),
+    "h_t_given_v": ("cond", "T|V"),
+    "h_v_given_s": ("cond", "V|S"),
+    "h_s_given_v": ("cond", "S|V"),
+}
+
+# The seven information-diagram regions, the keys of ``InfoQuantities.regions``.
+REGIONS = ("V|T,S", "T|V,S", "S|V,T", "V;T|S", "T;S|V", "V;S|T", "V;T;S")
+
+RNG_NAME = "pcg64"  # the generator every fit draws from, recorded in reports
+
+
+@dataclass(frozen=True)
+class AnalysisConfig:
+    """Knobs of one analysis run, and the one place their defaults live.
+
+    ``target_rate_hz=None``, the default, means "use the manifest's
+    target_rate_hz".
+    ``clusters`` is the default k for continuous streams; a manifest entry's
+    ``clusters`` field overrides it per stream.
+    Numpy scalars are stored as Python ones, so every config writes a report
+    that ``InfoReport.from_json`` reads.  Integer fields follow ``check_int``
+    (no bools, no floats), ``tol`` and ``target_rate_hz`` follow
+    ``check_positive`` (a number, not a bool, with a finite float > 0) and
+    are stored as the float it returns, and ``normalize`` follows
+    ``check_bool``; each raises DataError.
+    """
+
+    target_rate_hz: float | None = None
+    clusters: int = 2000
+    seed: int = 0
+    tol: float = 1e-4
+    max_iter: int = 300
+    normalize: bool = False
+    log_base: str = "2"
+
+    def __post_init__(self):
+        for f in fields(self):
+            if is_numpy(getattr(self, f.name), "generic"):
+                object.__setattr__(self, f.name, getattr(self, f.name).item())
+        object.__setattr__(self, "log_base", normalize_base(self.log_base))
+        check_int(self.clusters, "clusters", 1)
+        check_int(self.max_iter, "max_iter", 1)
+        # Stream i is fitted with seed + i (i <= 2), which must fit in u64.
+        if not 0 <= check_int(self.seed, "seed") <= 2**64 - 3:
+            raise DataError(f"seed must be in [0, 2**64 - 3], got {shown(self.seed)}")
+        object.__setattr__(self, "tol", check_positive(self.tol, "tol"))
+        if self.target_rate_hz is not None:
+            rate = check_positive(self.target_rate_hz, "target_rate_hz")
+            object.__setattr__(self, "target_rate_hz", rate)
+        check_bool(self.normalize, "normalize")
+
+    def as_dict(self) -> dict:
+        return asdict(self)
+
+
+@dataclass(frozen=True)
+class StreamSummary:
+    """Per-stream provenance recorded in a report."""
+
+    name: str
+    role: str
+    kind: str
+    rows: int
+    dims: int | None = None
+    clusters: int | None = None
+    distinct: int | None = None
+    codebook_sha256: str | None = None
+
+
+# Stream count -> the roles of its streams, in the order of a manifest whose
+# names and kinds do not decide them.  A report has one stream per role.
+ROLES = {2: ("T", "S"), 3: ("V", "T", "S")}
+
+# StreamSummary field -> (key, JSON type) in a report's stream entry.  A field
+# that defaults to None is left out of the entry while it is None.
+_STREAM_KEYS = {
+    "name": ("name", str),
+    "role": ("role", str),
+    "kind": ("kind", str),
+    "rows": ("L", int),
+    "dims": ("d", int),
+    "clusters": ("k", int),
+    "distinct": ("distinct", int),
+    "codebook_sha256": ("codebook_sha256", str),
+}
+
+
+@dataclass(frozen=True)
+class InfoReport:
+    """The quantity table plus everything needed to reproduce it."""
+
+    quantities: InfoQuantities
+    streams: tuple[StreamSummary, ...]
+    config: AnalysisConfig
+
+    def to_json_dict(self) -> dict:
+        streams = []
+        for s in self.streams:
+            entry = {key: getattr(s, name) for name, (key, _) in _STREAM_KEYS.items()}
+            streams.append({key: value for key, value in entry.items() if value is not None})
+        return {
+            "config": self.config.as_dict(),
+            "rng": RNG_NAME,
+            "streams": streams,
+            "quantities": self.quantities.as_dict(),
+        }
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
+
+    @classmethod
+    def from_json(cls, text: str | bytes) -> "InfoReport":
+        """Parse a report written by ``to_json``; malformed input raises FormatError.
+
+        A repeated key anywhere, an unknown key anywhere (in ``quantities``,
+        any key the report's arity does not define), an ``rng`` other than
+        ``RNG_NAME`` and stream roles other than the arity's ``ROLES``, one
+        stream each, are malformed too.
+        """
+        doc = read_json(text, "report")
+        cfg = _field(doc, "config", dict, "report")
+        check_keys(doc, {*(f.name for f in fields(cls)), "rng"}, "report")
+        names = [f.name for f in fields(AnalysisConfig)]
+        check_keys(cfg, names, "report: config")
+        for name in names:
+            if name not in cfg:
+                raise FormatError(f"report: config is missing {name!r}")
+        _field(cfg, "log_base", str, "config")  # normalize_base would also take the number 2
+        try:  # AnalysisConfig checks the type and range of every other value
+            config = AnalysisConfig(**{name: cfg[name] for name in names})
+        except DataError as e:
+            raise FormatError(f"report: config: {e}") from None
+        rng = _field(doc, "rng", str, "report")
+        if rng != RNG_NAME:
+            raise FormatError(f"report: rng must be {RNG_NAME!r}, got {rng!r}")
+        optional = _defaults_to_none(StreamSummary)
+        entries = _field(doc, "streams", list, "report")
+        streams = tuple(
+            StreamSummary(
+                **{
+                    name: _field(e, key, types, "streams[]", optional=name in optional)
+                    for name, (key, types) in _STREAM_KEYS.items()
+                }
+            )
+            for e in entries
+        )
+        for e in entries:
+            check_keys(e, [key for key, _ in _STREAM_KEYS.values()], "report: streams[]")
+        q = _field(doc, "quantities", dict, "report")
+        three = "I3" in q  # the three-way fields are required only then
+        three_way = _defaults_to_none(InfoQuantities)
+        values = {}
+        for name, (group, key) in QUANTITY_KEYS.items():
+            if name in three_way and not three:
+                continue
+            if group is None:
+                values[name] = _quantity(q, key, "quantities")
+            else:
+                obj = _field(q, group, dict, "quantities")
+                values[name] = _quantity(obj, key, f"quantities.{group}")
+        if three:
+            regions = _field(q, "regions", dict, "quantities")
+            values["regions"] = {r: _quantity(regions, r, "quantities.regions") for r in REGIONS}
+        try:
+            log_base = normalize_base(_field(q, "log_base", str, "quantities"))
+        except DataError as e:
+            raise FormatError(f"report: quantities: {e}") from None
+        quantities = InfoQuantities(log_base=log_base, **values)
+        layout = quantities.as_dict()  # every key the report's arity defines
+        check_keys(q, layout, "report: quantities")
+        for key, inner in layout.items():
+            if isinstance(inner, dict):
+                check_keys(q[key], inner, f"report: quantities.{key}")
+        roles = ROLES[quantities.arity]
+        if sorted(s.role for s in streams) != sorted(roles):
+            got = [s.role for s in streams]
+            raise FormatError(f"report: streams need the roles {list(roles)}, one each, got {got}")
+        return cls(quantities=quantities, streams=streams, config=config)
+
+
+def _defaults_to_none(cls) -> frozenset[str]:
+    """Names of the fields of dataclass ``cls`` whose default is None."""
+    return frozenset(f.name for f in fields(cls) if f.default is None)
+
+
+def _field(obj, key: str, types, where: str, optional: bool = False):
+    """``obj[key]`` checked against ``types`` (a bool is not a number)."""
+    if not isinstance(obj, dict):
+        raise FormatError(f"report: {where} must be an object")
+    if key not in obj:
+        if optional:
+            return None
+        raise FormatError(f"report: {where} is missing {key!r}")
+    value = obj[key]
+    if isinstance(value, bool) != (types is bool) or not isinstance(value, types):
+        raise FormatError(f"report: {where}.{key} has the wrong type: {value!r}")
+    return value
+
+
+def _quantity(obj, key: str, where: str):
+    """``obj[key]``, a JSON number that must convert to a finite float."""
+    value = _field(obj, key, (int, float), where)
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an integer too large for a float
+        finite = False
+    if not finite:
+        raise FormatError(f"report: {where}.{key} is not a finite number")
+    return value
+
+
+# Table column -> the InfoQuantities field it prints, in column order.  A
+# two-variable report leaves out the columns whose field is None.
+TABLE_COLUMNS = {
+    "H(T)": "h_t",
+    "H(S)": "h_s",
+    "H(V)": "h_v",
+    "I(T;V)": "i_tv",
+    "I(T;S)": "i_ts",
+    "I(V;S)": "i_vs",
+    "I(V;T;S)": "i_vts",
+}
+
+
+def _fmt(value: float) -> str:
+    text = f"{value:.4f}"
+    return "0.0000" if text == "-0.0000" else text
+
+
+def _columns(q: InfoQuantities) -> dict[str, float]:
+    """The table's columns for ``q``, each with its value."""
+    values = {column: getattr(q, name) for column, name in TABLE_COLUMNS.items()}
+    return {column: value for column, value in values.items() if value is not None}
+
+
+def _row(q: InfoQuantities) -> str:
+    return " ".join(_fmt(v) for v in _columns(q).values())
+
+
+def render_table(report: InfoReport) -> str:
+    return " ".join(_columns(report.quantities)) + "\n" + _row(report.quantities) + "\n"
+
+
+def render_sweep_table(reports: list[InfoReport]) -> str:
+    lines = ["k " + " ".join(_columns(reports[0].quantities))]
+    for report in reports:
+        lines.append(f"{report.config.clusters} {_row(report.quantities)}")
+    return "\n".join(lines) + "\n"
+
+
+# Fixed layout for the three-circle diagram: circle centers and the anchor
+# point of each of the seven region labels.
+_CIRCLES = {"V": (250.0, 215.0), "S": (390.0, 215.0), "T": (320.0, 330.0)}
+_RADIUS = 118.0
+_REGION_XY = {
+    "V|T,S": (205.0, 185.0),
+    "S|V,T": (435.0, 185.0),
+    "T|V,S": (320.0, 390.0),
+    "V;S|T": (320.0, 185.0),
+    "V;T|S": (255.0, 295.0),
+    "T;S|V": (385.0, 295.0),
+    "V;T;S": (320.0, 255.0),
+}
+
+
+def render_diagram_svg(q: InfoQuantities, title: str = "") -> str:
+    """Information diagram: three circles, seven region values."""
+    if q.arity != 3:
+        raise ModmiError("the information diagram needs a three-stream report")
+    title = (title or "Information diagram").replace("&", "&amp;")
+    title = title.replace("<", "&lt;").replace(">", "&gt;")  # XML text needs these escaped
+    parts = [
+        '<svg xmlns="http://www.w3.org/2000/svg" width="640" height="470" '
+        'viewBox="0 0 640 470">',
+        '<rect width="640" height="470" fill="white"/>',
+        f'<text x="320" y="34" text-anchor="middle" font-size="18" '
+        f'font-family="sans-serif">{title}</text>',
+    ]
+    fills = {"V": "#e41a1c", "S": "#377eb8", "T": "#4daf4a"}
+    for name, (cx, cy) in _CIRCLES.items():
+        parts.append(
+            f'<circle cx="{cx:g}" cy="{cy:g}" r="{_RADIUS:g}" fill="{fills[name]}" '
+            f'fill-opacity="0.18" stroke="{fills[name]}" stroke-width="2"/>'
+        )
+    entropies = {"V": q.h_v, "S": q.h_s, "T": q.h_t}
+    label_xy = {"V": (140.0, 105.0), "S": (500.0, 105.0), "T": (320.0, 462.0)}
+    for name, (x, y) in label_xy.items():
+        parts.append(
+            f'<text x="{x:g}" y="{y:g}" text-anchor="middle" font-size="16" '
+            f'font-family="sans-serif" fill="{fills[name]}">H({name}) = '
+            f"{_fmt(entropies[name])}</text>"
+        )
+    for region, (x, y) in _REGION_XY.items():
+        parts.append(
+            f'<text x="{x:g}" y="{y:g}" text-anchor="middle" font-size="13" '
+            f'font-family="sans-serif">{_fmt(q.regions[region])}</text>'
+        )
+    parts.append(
+        f'<text x="320" y="442" text-anchor="middle" font-size="12" font-family="sans-serif">'
+        f"log base {q.log_base}; center is I(V;T;S)</text>"
+    )
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"

@@ -16,9 +16,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DataError
-from .infotheory import CLAMP_TOL, LOG_BASES, InfoQuantities, normalize_base
-from .ingestion import FeatureMatrix, LabelSequence, check_int, check_positive
+from .errors import DataError, check_int, check_positive
+from .infotheory import CLAMP_TOL
+from .ingestion import FeatureMatrix, LabelSequence
+from .report import LOG_BASES, InfoQuantities, normalize_base
 
 DEFAULT_RATE_HZ = 25.0
 

@@ -28,8 +28,9 @@ from modmi.ingestion import (
     write_feature_matrix,
     write_labels,
 )
-from modmi.pipeline import AnalysisConfig, analyze
+from modmi.pipeline import analyze
 from modmi.quantizer import Codebook, assign, fit, load_codebook, save_codebook
+from modmi.report import AnalysisConfig
 from modmi.synthetic import (
     JointPmf,
     exhaustive_stream,

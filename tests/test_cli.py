@@ -1,6 +1,7 @@
 import hashlib
 import json
 import struct
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -16,6 +17,13 @@ def without(text, group, key):
     """A report with ``quantities[group][key]`` deleted."""
     doc = json.loads(text)
     del doc["quantities"][group][key]
+    return json.dumps(doc)
+
+
+def edited(text, change):
+    """A report with ``change`` applied to its parsed JSON."""
+    doc = json.loads(text)
+    change(doc)
     return json.dumps(doc)
 
 
@@ -128,6 +136,15 @@ class TestAnalyze:
         assert svg.startswith("<svg")
         assert svg.count("<circle") == 3
         assert "-1.0000" in svg and "1.0000" in svg
+
+    def test_svg_title_is_escaped(self, xor_dir, tmp_path, capsys):
+        manifest = xor_dir / "a&b<c.json"
+        manifest.write_bytes((xor_dir / "manifest.json").read_bytes())
+        svg_path = tmp_path / "d.svg"
+        code, _, _ = run(capsys, "analyze", str(manifest), "--format", "svg", "--out", str(svg_path))
+        assert code == 0
+        root = ElementTree.fromstring(svg_path.read_text())
+        assert root.find("{http://www.w3.org/2000/svg}text").text == "a&b<c"
 
     def test_report_written_to_file(self, xor_dir, tmp_path, capsys):
         out = tmp_path / "r.json"
@@ -426,13 +443,35 @@ class TestReport:
             ),
             (lambda text: text.replace('"seed": ', '"seed": 1, "seed": '), "repeated key 'seed'"),
             (lambda text: text.replace('"T": ', '"T": 0.5, "T": ', 1), "repeated key 'T'"),
+            (lambda text: text.replace('"T": ', '"X": 0.5, "T": ', 1), "quantities.H: unknown key 'X'"),
+            (lambda text: text.replace('"I3": ', '"extra": 1, "I3": '), "quantities: unknown key 'extra'"),
+            (
+                lambda text: text.replace('"V;T;S": ', '"bogus": 0, "V;T;S": '),
+                "quantities.regions: unknown key 'bogus'",
+            ),
+            (
+                lambda text: edited(text, lambda doc: doc["quantities"].pop("I3")),
+                "quantities: unknown key 'regions'",
+            ),
+            (
+                lambda text: edited(
+                    text, lambda doc: [doc["quantities"].pop(k) for k in ("I3", "regions")]
+                ),
+                "quantities.H: unknown key 'V'",
+            ),
+            (lambda text: text.replace('"role": "V"', '"role": "Q"'), "got ['Q', 'T', 'S']"),
+            (lambda text: text.replace('"role": "V"', '"role": "T"'), "got ['T', 'T', 'S']"),
+            (lambda text: edited(text, lambda doc: doc["streams"].pop()), "got ['V', 'T']"),
+            (lambda text: edited(text, lambda doc: doc["streams"].clear()), "streams need the roles"),
         ],
         ids=[
             "invalid-json", "missing-key", "bool-as-string", "base-as-number", "entropy-as-string",
             "unknown-quantities-base", "not-utf8", "deeply-nested", "missing-region",
             "missing-cond", "huge-int", "nan-quantity", "infinite-region", "foreign-rng", "no-rng",
             "unknown-top-key", "unknown-config-key", "unknown-stream-key", "repeated-config-key",
-            "repeated-quantity-key",
+            "repeated-quantity-key", "unknown-entropy-key", "unknown-quantities-key",
+            "unknown-region", "regions-without-I3", "three-way-field-without-I3", "edited-role",
+            "duplicate-role", "missing-stream", "no-streams",
         ],
     )
     def test_malformed_report_exit_1(self, xor_dir, tmp_path, capsys, mutate, message):

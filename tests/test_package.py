@@ -30,13 +30,15 @@ def test_import_loads_no_numpy_and_keeps_the_environment():
         "before = dict(os.environ)\n"
         "import modmi\n"
         "print('numpy' in sys.modules, dict(os.environ) == before)\n"
+        "import modmi.report\n"
+        "print('numpy' in sys.modules, dict(os.environ) == before)\n"
         "from modmi.pipeline import analyze\n"
         "print('numpy' in sys.modules, dict(os.environ) == before)\n"
     )
-    assert out.split() == ["False", "True", "True", "True"]
+    assert out.split() == ["False", "True", "False", "True", "True", "True"]
 
 
-# Modules that a label-only analysis has no use for.
+# Modules that a label-only analysis or a re-rendered report has no use for.
 _DEFERRED = ("modmi.quantizer", "modmi._kernels", "modmi.synthetic", "hashlib", "logging")
 
 
@@ -52,6 +54,7 @@ def test_each_command_loads_only_the_modules_it_uses(tmp_path):
     (tmp_path / "features.json").write_text(json.dumps({"target_rate_hz": 25, "streams": streams}))
     commands = [
         ["analyze", str(tmp_path / "labels.json"), "--out", str(tmp_path / "labels.report")],
+        ["report", str(tmp_path / "labels.report"), "--out", os.devnull],
         ["analyze", str(tmp_path / "features.json"), "--clusters", "3", "--out", os.devnull],
         ["synth", "xor", "--out-dir", str(tmp_path / "xor")],
     ]
@@ -62,10 +65,10 @@ def test_each_command_loads_only_the_modules_it_uses(tmp_path):
         "    assert main(argv) == 0\n"
         f"    print(json.dumps([m for m in {_DEFERRED!r} if m in sys.modules]))\n"
     )
-    label_only, with_features, synth = [
+    label_only, report, with_features, synth = [
         json.loads(line) for line in out.splitlines() if line.startswith("[")
     ]
-    assert label_only == []
+    assert label_only == report == []
     assert "modmi.quantizer" in with_features and "modmi.synthetic" not in with_features
     assert "modmi.synthetic" in synth
 

@@ -18,8 +18,9 @@ from modmi.ingestion import (
     write_feature_matrix,
     write_labels,
 )
-from modmi.pipeline import AnalysisConfig, InfoReport, analyze, sweep_clusters
+from modmi.pipeline import analyze, sweep_clusters
 from modmi.quantizer import assign, fit
+from modmi.report import AnalysisConfig, InfoReport
 from modmi.synthetic import exhaustive_stream, gen_gaussian_mixture, xor_pmf
 from util import features, repair_every_pass_matrix, seq
 

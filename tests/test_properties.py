@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from modmi.errors import DataError, FormatError, ModmiError
-from modmi.infotheory import REGIONS, InfoQuantities
 from modmi.ingestion import (
     FeatureMatrix,
     LabelSequence,
@@ -24,8 +23,9 @@ from modmi.ingestion import (
     write_feature_matrix,
     write_labels,
 )
-from modmi.pipeline import AnalysisConfig, InfoReport, StreamSummary, analyze
+from modmi.pipeline import analyze
 from modmi.quantizer import Codebook, load_codebook, save_codebook
+from modmi.report import REGIONS, ROLES, AnalysisConfig, InfoQuantities, InfoReport, StreamSummary
 
 SETTINGS = settings(max_examples=100, deadline=None)
 
@@ -162,17 +162,19 @@ def _optional(strategy):
     return st.none() | strategy
 
 
-stream_summaries = st.builds(
-    StreamSummary,
-    name=st.text(),
-    role=st.sampled_from("VTS"),
-    kind=st.sampled_from(["features", "labels"]),
-    rows=st.integers(1, 10**9),
-    dims=_optional(st.integers(1, 4096)),
-    clusters=_optional(st.integers(1, 10**6)),
-    distinct=_optional(st.integers(1, 10**6)),
-    codebook_sha256=_optional(st.text(alphabet="0123456789abcdef", min_size=64, max_size=64)),
-)
+def stream_summaries(role):
+    return st.builds(
+        StreamSummary,
+        name=st.text(),
+        role=st.just(role),
+        kind=st.sampled_from(["features", "labels"]),
+        rows=st.integers(1, 10**9),
+        dims=_optional(st.integers(1, 4096)),
+        clusters=_optional(st.integers(1, 10**6)),
+        distinct=_optional(st.integers(1, 10**6)),
+        codebook_sha256=_optional(st.text(alphabet="0123456789abcdef", min_size=64, max_size=64)),
+    )
+
 
 configs = st.builds(
     AnalysisConfig,
@@ -198,7 +200,7 @@ def reports(draw, arity):
     if arity == 3:
         values["regions"] = {region: draw(finite) for region in REGIONS}
     quantities = InfoQuantities(log_base=draw(st.sampled_from(["2", "e", "10"])), **values)
-    streams = tuple(draw(stream_summaries) for _ in range(arity))
+    streams = tuple(draw(stream_summaries(role)) for role in draw(st.permutations(ROLES[arity])))
     return InfoReport(quantities=quantities, streams=streams, config=draw(configs))
 
 
