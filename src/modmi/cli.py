@@ -35,7 +35,7 @@ from .ingestion import FeatureMatrix, load_manifest, read_feature_matrix
 from .ingestion import write_feature_matrix, write_labels
 from .pipeline import analyze, sweep_clusters
 from .report import LOG_BASES, AnalysisConfig, InfoReport, render_diagram_svg
-from .report import render_sweep_table, render_table
+from .report import check_diagram_arity, render_sweep_table, render_table
 
 # quantizer (with _kernels) and synthetic load only in the commands that use
 # them, so a label-only `modmi analyze` never imports them.
@@ -120,7 +120,10 @@ def cmd_assign(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    report = analyze(load_manifest(args.manifest), AnalysisConfig(**_given_config(args)))
+    manifest = load_manifest(args.manifest)
+    if args.format == "svg":  # before any stream is fitted
+        check_diagram_arity(len(manifest.streams))
+    report = analyze(manifest, AnalysisConfig(**_given_config(args)))
     _render_report(report, args.format, args.out, title=Path(args.manifest).stem)
     return 0
 

@@ -1,5 +1,6 @@
 """Exception types shared across the package, and the input rules that raise them."""
 
+import contextlib
 import json
 import math
 
@@ -22,6 +23,16 @@ class AlignmentError(ModmiError):
 
 class InfeasibleError(ModmiError):
     """A requested configuration cannot be satisfied (e.g. k > distinct rows)."""
+
+
+@contextlib.contextmanager
+def located(where, as_type: type[ModmiError] | None = None):
+    """Re-raise a ModmiError from the block as ``as_type`` (by default its own type),
+    unchained, with ``where: `` before its message; other exceptions pass through."""
+    try:
+        yield
+    except ModmiError as exc:
+        raise (as_type or type(exc))(f"{where}: {exc}") from None
 
 
 def is_numpy(value, *classes: str) -> bool:
@@ -85,9 +96,8 @@ def read_json(raw: str | bytes, where: str):
     """The JSON document ``raw``; invalid JSON or a repeated key in any object
     raises FormatError prefixed with ``where``."""
     try:
-        return json.loads(raw, object_pairs_hook=_unique_keys)
-    except FormatError as exc:
-        raise FormatError(f"{where}: {exc}") from None
+        with located(where):
+            return json.loads(raw, object_pairs_hook=_unique_keys)
     except (ValueError, RecursionError) as exc:
         raise FormatError(f"{where}: invalid JSON: {exc}") from None
 

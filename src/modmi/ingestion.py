@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import AlignmentError, DataError, FormatError
-from .errors import check_int, check_keys, check_positive, read_json, shown
+from .errors import check_int, check_keys, check_positive, located, read_json, shown
 
 _FMX_MAGIC = b"FMX1"
 _LBL_MAGIC = b"LBL1"
@@ -142,10 +142,8 @@ def read_feature_matrix(path, sample_rate_hz: float = 25.0, modality_tag: str = 
     rows, dims = unpack_header(path, raw, _FMX_MAGIC, "<II")
     check_size(path, raw, 12 + rows * dims * 4)
     values = np.frombuffer(raw, dtype="<f4", offset=12).reshape(rows, dims)
-    try:
+    with located(path):
         return FeatureMatrix(values, sample_rate_hz, modality_tag)
-    except DataError as e:
-        raise DataError(f"{path}: {e}") from None
 
 
 def write_labels(s: LabelSequence, path) -> None:
@@ -192,10 +190,8 @@ def read_labels(
                 f"the observed/declared {base_alphabet}"
             )
         base_alphabet = alphabet_size
-    try:
+    with located(path):
         return LabelSequence(symbols, base_alphabet, sample_rate_hz, modality_tag)
-    except DataError as e:
-        raise DataError(f"{path}: {e}") from None
 
 
 def _parse_label_text(raw: bytes, path) -> np.ndarray:
@@ -412,15 +408,11 @@ def load_manifest(path) -> Manifest:
         for key in required:
             if key not in entry:
                 raise FormatError(f"{where}: missing field {key!r}")
-        try:
+        with located(where, FormatError):
             spec = StreamSpec(**entry)
-        except DataError as exc:
-            raise FormatError(f"{where}: {exc}") from None
         spec = replace(spec, path=path.parent / spec.path)
         if not spec.path.is_file():
             raise FormatError(f"{where}: no such file: {spec.path}")
         specs.append(spec)
-    try:
+    with located(path, FormatError):
         return Manifest(doc["target_rate_hz"], tuple(specs))
-    except DataError as exc:
-        raise FormatError(f"{path}: {exc}") from None

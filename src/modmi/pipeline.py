@@ -8,7 +8,7 @@ number can be traced to (manifest, config, seed) and regenerated.
 from dataclasses import replace
 
 from . import infotheory
-from .errors import AlignmentError, DataError, FormatError, ModmiError
+from .errors import AlignmentError, DataError, FormatError, located
 from .ingestion import FeatureMatrix, LabelSequence, Manifest, align, load_manifest, resampled_rows
 from .report import ROLES, AnalysisConfig, InfoReport, StreamSummary
 
@@ -35,10 +35,6 @@ def _assign_roles(specs) -> dict[str, str]:
     return {name: role for name, role in zip(names, order)}
 
 
-def _named(e: ModmiError, name: str) -> ModmiError:
-    return type(e)(f"stream {name!r}: {e}")
-
-
 def _prepare(manifest: Manifest, config: AnalysisConfig):
     """Load all manifest streams and align them to one rate and length.
 
@@ -55,9 +51,8 @@ def _prepare(manifest: Manifest, config: AnalysisConfig):
     loaded = []
     for spec in manifest.streams:
         try:
-            loaded.append(manifest.load_stream(spec))
-        except ModmiError as e:
-            raise _named(e, spec.name) from e
+            with located(f"stream {spec.name!r}"):
+                loaded.append(manifest.load_stream(spec))
         except OSError as e:
             reason = e.strerror or e
             raise FormatError(f"stream {spec.name!r}: cannot read {spec.path}: {reason}") from e
@@ -81,7 +76,7 @@ def _quantize(spec, stream, config: AnalysisConfig, position: int):
     from . import quantizer
 
     k = spec.clusters if spec.clusters is not None else config.clusters
-    try:
+    with located(f"stream {spec.name!r}"):
         cb = quantizer.fit(
             stream,
             k,
@@ -91,8 +86,6 @@ def _quantize(spec, stream, config: AnalysisConfig, position: int):
             normalize=config.normalize,
         )
         labels = LabelSequence(cb.labels, cb.k, stream.sample_rate_hz, stream.modality_tag)
-    except ModmiError as e:
-        raise _named(e, spec.name) from e
     digest = hashlib.sha256(quantizer.codebook_to_bytes(cb)).hexdigest()
     return labels, k, digest
 

@@ -2,10 +2,11 @@
 
 import json
 import math
+import re
 from dataclasses import asdict, dataclass, fields
 
 from .errors import DataError, FormatError, ModmiError, check_bool, check_int, check_keys
-from .errors import check_positive, is_numpy, read_json, shown
+from .errors import check_positive, is_numpy, located, read_json, shown
 
 LOG_BASES = {"2": math.log(2.0), "e": 1.0, "10": math.log(10.0)}
 
@@ -194,8 +195,8 @@ class InfoReport:
 
         A repeated key anywhere, an unknown key anywhere (in ``quantities``,
         any key the report's arity does not define), an ``rng`` other than
-        ``RNG_NAME`` and stream roles other than the arity's ``ROLES``, one
-        stream each, are malformed too.
+        ``RNG_NAME`` and streams that no analysis writes (see ``_check_streams``)
+        are malformed too.
         """
         doc = read_json(text, "report")
         cfg = _field(doc, "config", dict, "report")
@@ -206,10 +207,8 @@ class InfoReport:
             if name not in cfg:
                 raise FormatError(f"report: config is missing {name!r}")
         _field(cfg, "log_base", str, "config")  # normalize_base would also take the number 2
-        try:  # AnalysisConfig checks the type and range of every other value
+        with located("report: config", FormatError):  # AnalysisConfig checks every other value
             config = AnalysisConfig(**{name: cfg[name] for name in names})
-        except DataError as e:
-            raise FormatError(f"report: config: {e}") from None
         rng = _field(doc, "rng", str, "report")
         if rng != RNG_NAME:
             raise FormatError(f"report: rng must be {RNG_NAME!r}, got {rng!r}")
@@ -241,21 +240,48 @@ class InfoReport:
         if three:
             regions = _field(q, "regions", dict, "quantities")
             values["regions"] = {r: _quantity(regions, r, "quantities.regions") for r in REGIONS}
-        try:
-            log_base = normalize_base(_field(q, "log_base", str, "quantities"))
-        except DataError as e:
-            raise FormatError(f"report: quantities: {e}") from None
+        log_base = _field(q, "log_base", str, "quantities")
+        with located("report: quantities", FormatError):
+            log_base = normalize_base(log_base)
         quantities = InfoQuantities(log_base=log_base, **values)
         layout = quantities.as_dict()  # every key the report's arity defines
         check_keys(q, layout, "report: quantities")
         for key, inner in layout.items():
             if isinstance(inner, dict):
                 check_keys(q[key], inner, f"report: quantities.{key}")
-        roles = ROLES[quantities.arity]
-        if sorted(s.role for s in streams) != sorted(roles):
-            got = [s.role for s in streams]
-            raise FormatError(f"report: streams need the roles {list(roles)}, one each, got {got}")
+        _check_streams(streams, ROLES[quantities.arity])
         return cls(quantities=quantities, streams=streams, config=config)
+
+
+def _check_streams(streams: tuple[StreamSummary, ...], roles: tuple[str, ...]) -> None:
+    """Reject streams that no analysis writes: roles other than ``roles``, one
+    stream each; a kind other than features or labels; an empty or repeated name;
+    an ``L`` below 1 or unlike the first stream's; a ``distinct`` outside 1..L; a
+    features entry without ``d`` >= 1, ``k`` >= 1 (and >= ``distinct``) and a sha256
+    hex digest; or a labels entry with any of ``d``, ``k`` and ``codebook_sha256``."""
+    if sorted(s.role for s in streams) != sorted(roles):
+        got = [s.role for s in streams]
+        raise FormatError(f"report: streams need the roles {list(roles)}, one each, got {got}")
+    for i, s in enumerate(streams):
+        e = {key: getattr(s, name) for name, (key, _) in _STREAM_KEYS.items()}
+        rules = {
+            "kind": (s.kind in ("features", "labels"), "'features' or 'labels'"),
+            "name": (s.name not in ["", *(t.name for t in streams[:i])], "non-empty and unique"),
+            "L": (1 <= s.rows == streams[0].rows, ">= 1 and the same in every stream"),
+            "d": ((s.dims or 0) >= 1, ">= 1"),
+            "k": ((s.clusters or 0) >= max(1, s.distinct or 0), ">= 1 and >= distinct"),
+            "codebook_sha256": (
+                re.fullmatch("[0-9a-f]{64}", s.codebook_sha256 or "") is not None,
+                "64 lowercase hex digits",
+            ),
+            "distinct": (1 <= (s.distinct or 0) <= s.rows, "in 1..L"),
+        }
+        if s.kind != "features":  # d, k and codebook_sha256 describe a fit
+            for key in ("d", "k", "codebook_sha256"):
+                rules[key] = (e[key] is None, "absent from a labels entry")
+        for key, (ok, rule) in rules.items():
+            if not ok:
+                raise FormatError(f"report: streams[{i}].{key} must be {rule}, got {shown(e[key])}")
 
 
 def _defaults_to_none(cls) -> frozenset[str]:
@@ -343,10 +369,15 @@ _REGION_XY = {
 }
 
 
+def check_diagram_arity(arity: int) -> None:
+    """Raise unless a report of ``arity`` streams has an information diagram."""
+    if arity != max(ROLES):  # one circle per role of the largest report
+        raise ModmiError("the information diagram needs a three-stream report")
+
+
 def render_diagram_svg(q: InfoQuantities, title: str = "") -> str:
     """Information diagram: three circles, seven region values."""
-    if q.arity != 3:
-        raise ModmiError("the information diagram needs a three-stream report")
+    check_diagram_arity(q.arity)
     title = (title or "Information diagram").replace("&", "&amp;")
     title = title.replace("<", "&lt;").replace(">", "&gt;")  # XML text needs these escaped
     parts = [

@@ -9,6 +9,7 @@ import pytest
 import modmi
 from modmi.cli import main
 from modmi.ingestion import read_labels, write_feature_matrix, write_labels
+from modmi.report import InfoReport, render_diagram_svg, render_table
 from modmi.synthetic import gen_gaussian_mixture
 from util import features, run_cli_process, seq
 
@@ -25,6 +26,20 @@ def edited(text, change):
     doc = json.loads(text)
     change(doc)
     return json.dumps(doc)
+
+
+def stream_edited(text, index, **fields):
+    """A report whose stream ``index`` gets ``fields``; a None value deletes its key."""
+    doc = json.loads(text)
+    entry = doc["streams"][index]
+    entry.update(fields)
+    for key in [key for key, value in fields.items() if value is None]:
+        del entry[key]
+    return json.dumps(doc)
+
+
+# A labels stream entry of a saved xor report made into a valid features entry.
+FITTED = {"kind": "features", "d": 1, "k": 2, "codebook_sha256": "0123456789abcdef" * 4}
 
 
 def run(capsys, *argv):
@@ -145,6 +160,16 @@ class TestAnalyze:
         assert code == 0
         root = ElementTree.fromstring(svg_path.read_text())
         assert root.find("{http://www.w3.org/2000/svg}text").text == "a&b<c"
+
+    def test_svg_of_two_streams_fails_before_any_fit(self, blobs_dir, capsys):
+        """A two-stream manifest has no diagram; its infeasible k is never reached."""
+        manifest = blobs_dir / "manifest.json"
+        doc = json.loads(manifest.read_text())
+        next(e for e in doc["streams"] if e["kind"] == "features")["clusters"] = 500
+        manifest.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "analyze", str(manifest), "--format", "svg")
+        assert (code, out) == (1, "")
+        assert err == "error: the information diagram needs a three-stream report\n"
 
     def test_report_written_to_file(self, xor_dir, tmp_path, capsys):
         out = tmp_path / "r.json"
@@ -414,6 +439,50 @@ class TestReport:
             assert run(capsys, "report", str(saved), "--format", "json", "--out", str(again))[0] == 0
             assert again.read_bytes() == saved.read_bytes()
 
+    def test_every_report_written_reads_back(self, xor_dir, tmp_path, capsys):
+        """The reader accepts every kind of report analyze and sweep write, and
+        re-renders each byte for byte as JSON, as a table and, for three
+        streams, as SVG."""
+        blobs = tmp_path / "blobs"
+        assert run(capsys, "synth", "blobs", "--out-dir", str(blobs), "--centers", "3",
+                   "--dims", "4", "--n-per-center", "40", "--seed", "3")[0] == 0
+        # Two streams of each kind under names that are no roles, and three
+        # streams of which two are fitted.
+        s = {"path": "s.fmx", "kind": "features", "sample_rate_hz": 25.0, "clusters": 5}
+        t = {"path": "t.lbl", "kind": "labels", "sample_rate_hz": 25.0}
+        for name, streams in (
+            ("pair", [{**s, "name": "audio"}, {**t, "name": "words"}]),
+            ("mixed", [{**s, "name": "video"}, {**t, "name": "words"}, {**s, "name": "audio"}]),
+        ):
+            (blobs / f"{name}.json").write_text(
+                json.dumps({"target_rate_hz": 25.0, "streams": streams})
+            )
+        runs = [
+            (xor_dir / "manifest.json", []),
+            (blobs / "manifest.json", []),
+            (blobs / "manifest.json", ["--normalize"]),
+            (blobs / "pair.json", []),
+            (blobs / "mixed.json", []),
+        ]
+        reports = []
+        for manifest, flags in runs:
+            code, out, _ = run(capsys, "analyze", str(manifest), *flags)
+            assert code == 0
+            reports.append((InfoReport.from_json(out), out))
+        code, out, _ = run(capsys, "sweep", str(blobs / "mixed.json"), "--ks", "2,3,4",
+                           "--format", "json")
+        assert code == 0
+        for entry in json.loads(out):
+            text = json.dumps(entry, indent=2, sort_keys=True) + "\n"
+            reports.append((InfoReport.from_json(text), text))
+        assert len(reports) == 8
+        for report, text in reports:
+            again = InfoReport.from_json(report.to_json())
+            assert again.to_json() == report.to_json() == text
+            assert render_table(again) == render_table(report)
+            if len(report.streams) == 3:
+                assert render_diagram_svg(again.quantities) == render_diagram_svg(report.quantities)
+
     @pytest.mark.parametrize(
         "mutate, message",
         [
@@ -463,6 +532,28 @@ class TestReport:
             (lambda text: text.replace('"role": "V"', '"role": "T"'), "got ['T', 'T', 'S']"),
             (lambda text: edited(text, lambda doc: doc["streams"].pop()), "got ['V', 'T']"),
             (lambda text: edited(text, lambda doc: doc["streams"].clear()), "streams need the roles"),
+            (lambda text: stream_edited(text, 0, kind="video"), "streams[0].kind must be"),
+            (lambda text: stream_edited(text, 1, name="v"), "streams[1].name must be"),
+            (lambda text: stream_edited(text, 1, name=""), "streams[1].name must be"),
+            (lambda text: stream_edited(text, 0, L=-5), "streams[0].L must be >= 1"),
+            (lambda text: stream_edited(text, 1, L=8), "streams[1].L must be >= 1 and the same"),
+            (lambda text: stream_edited(text, 0, distinct=0), "streams[0].distinct must be in 1..L"),
+            (lambda text: stream_edited(text, 0, distinct=5), "streams[0].distinct must be in 1..L"),
+            (lambda text: stream_edited(text, 0, codebook_sha256="zz"), "streams[0].codebook_sha256"),
+            (lambda text: stream_edited(text, 0, d=1), "streams[0].d must be absent"),
+            (lambda text: stream_edited(text, 0, k=2), "streams[0].k must be absent"),
+            (lambda text: stream_edited(text, 0, **{**FITTED, "d": None}), "streams[0].d must be"),
+            (lambda text: stream_edited(text, 0, **{**FITTED, "d": 0}), "streams[0].d must be"),
+            (lambda text: stream_edited(text, 0, **{**FITTED, "k": None}), "streams[0].k must be"),
+            (lambda text: stream_edited(text, 0, **{**FITTED, "k": 1}), "streams[0].k must be"),
+            (
+                lambda text: stream_edited(text, 0, **{**FITTED, "codebook_sha256": None}),
+                "streams[0].codebook_sha256 must be 64 lowercase hex digits",
+            ),
+            (
+                lambda text: stream_edited(text, 0, **{**FITTED, "codebook_sha256": "A" * 64}),
+                "streams[0].codebook_sha256 must be 64 lowercase hex digits",
+            ),
         ],
         ids=[
             "invalid-json", "missing-key", "bool-as-string", "base-as-number", "entropy-as-string",
@@ -471,7 +562,11 @@ class TestReport:
             "unknown-top-key", "unknown-config-key", "unknown-stream-key", "repeated-config-key",
             "repeated-quantity-key", "unknown-entropy-key", "unknown-quantities-key",
             "unknown-region", "regions-without-I3", "three-way-field-without-I3", "edited-role",
-            "duplicate-role", "missing-stream", "no-streams",
+            "duplicate-role", "missing-stream", "no-streams", "unknown-kind", "repeated-name",
+            "empty-name", "negative-L", "unequal-L", "no-distinct-cells", "more-cells-than-frames",
+            "labels-with-codebook", "labels-with-d", "labels-with-k", "features-without-d",
+            "features-with-d-0", "features-without-k", "features-k-below-distinct",
+            "features-without-codebook", "features-uppercase-codebook",
         ],
     )
     def test_malformed_report_exit_1(self, xor_dir, tmp_path, capsys, mutate, message):

@@ -162,18 +162,25 @@ def _optional(strategy):
     return st.none() | strategy
 
 
-def stream_summaries(role):
-    return st.builds(
-        StreamSummary,
-        name=st.text(),
-        role=st.just(role),
-        kind=st.sampled_from(["features", "labels"]),
-        rows=st.integers(1, 10**9),
-        dims=_optional(st.integers(1, 4096)),
-        clusters=_optional(st.integers(1, 10**6)),
-        distinct=_optional(st.integers(1, 10**6)),
-        codebook_sha256=_optional(st.text(alphabet="0123456789abcdef", min_size=64, max_size=64)),
-    )
+@st.composite
+def stream_summaries(draw, roles):
+    """Stream entries as an analysis writes them, one per role: unique names,
+    one length, at most that many distinct cells (and at most k), and d, k
+    and a codebook digest on features streams only."""
+    rows = draw(st.integers(1, 10**9))
+    names = draw(st.lists(st.text(min_size=1), min_size=len(roles), max_size=len(roles), unique=True))
+    streams = []
+    for name, role in zip(names, roles):
+        distinct = draw(st.integers(1, min(rows, 10**6)))
+        kind, fit = draw(st.sampled_from(["features", "labels"])), {}
+        if kind == "features":
+            fit = dict(
+                dims=draw(st.integers(1, 4096)),
+                clusters=draw(st.integers(distinct, 10**6)),
+                codebook_sha256=draw(st.text(alphabet="0123456789abcdef", min_size=64, max_size=64)),
+            )
+        streams.append(StreamSummary(name, role, kind, rows, distinct=distinct, **fit))
+    return tuple(streams)
 
 
 configs = st.builds(
@@ -200,7 +207,7 @@ def reports(draw, arity):
     if arity == 3:
         values["regions"] = {region: draw(finite) for region in REGIONS}
     quantities = InfoQuantities(log_base=draw(st.sampled_from(["2", "e", "10"])), **values)
-    streams = tuple(draw(stream_summaries(role)) for role in draw(st.permutations(ROLES[arity])))
+    streams = draw(stream_summaries(draw(st.permutations(ROLES[arity]))))
     return InfoReport(quantities=quantities, streams=streams, config=draw(configs))
 
 
