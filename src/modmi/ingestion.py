@@ -401,7 +401,8 @@ def load_manifest(path) -> Manifest:
     specs = []
     for i, entry in enumerate(entries):
         name = entry.get("name") if isinstance(entry, dict) else None
-        where = f"{path}: stream {name if isinstance(name, str) and name else f'#{i}'}"
+        label = name if isinstance(name, str) and name.isprintable() and name else f"#{i}"
+        where = f"{path}: stream {label}"  # a line break in a name would split the error line
         if not isinstance(entry, dict):
             raise FormatError(f"{where}: entry must be an object")
         check_keys(entry, {f.name for f in fields(StreamSpec)}, where)

@@ -31,7 +31,10 @@ class InfoQuantities:
     Roles follow the (V, T, S) naming used throughout: T is the discrete
     reference stream, V and S the (quantized) continuous ones.  For a
     two-variable analysis only the (T, S) fields are present and the
-    three-way fields are None.
+    three-way fields are None.  They and ``regions``, keyed by REGIONS, are
+    all present or all absent; every present value is a finite real number,
+    not a bool; ``log_base`` follows ``normalize_base``.  A breach raises
+    DataError naming its place in a report (``quantities.H.T is not ...``).
     """
 
     log_base: str
@@ -50,6 +53,29 @@ class InfoQuantities:
     h_s_given_v: float | None = None
     regions: dict[str, float] | None = None
 
+    def __post_init__(self):
+        three_way = _defaults_to_none(InfoQuantities)
+        present = tuple(name for name in three_way if getattr(self, name) is not None)
+        if present not in ((), three_way):
+            raise DataError(f"quantities need all of {list(three_way)} or none, got {list(present)}")
+        if present and (not isinstance(self.regions, dict) or self.regions.keys() != set(REGIONS)):
+            raise DataError(f"quantities.regions must be a dict keyed by {list(REGIONS)}")
+        values = {  # the place of each value in a report -> the value
+            ".".join(filter(None, ("quantities", group, key))): getattr(self, name)
+            for name, (group, key, _) in QUANTITY_KEYS.items()
+        }
+        values.update({f"quantities.regions.{r}": self.regions[r] for r in REGIONS if present})
+        for place, value in values.items():
+            real = isinstance(value, (int, float)) and not isinstance(value, bool)
+            try:
+                finite = value is None or real and math.isfinite(value)
+            except OverflowError:  # an integer too large for a float
+                finite = False
+            if not finite:
+                raise DataError(f"{place} is not a finite number")
+        with located("quantities"):
+            object.__setattr__(self, "log_base", normalize_base(self.log_base))
+
     @property
     def arity(self) -> int:
         return 2 if self.h_v is None else 3
@@ -57,7 +83,7 @@ class InfoQuantities:
     def as_dict(self) -> dict:
         """Report-schema view laid out by QUANTITY_KEYS and REGIONS, without None fields."""
         out: dict = {"log_base": self.log_base}
-        for name, (group, key) in QUANTITY_KEYS.items():
+        for name, (group, key, _) in QUANTITY_KEYS.items():
             value = getattr(self, name)
             if value is not None:
                 (out if group is None else out.setdefault(group, {}))[key] = value
@@ -67,21 +93,22 @@ class InfoQuantities:
 
 
 # InfoQuantities field -> (group, key) of its place in a report's "quantities"
-# object; a None group puts the key at the top level.
+# object, and its table column, in column order.  A None group puts the key at
+# the top level; a None column, or a None field, leaves it out of the table.
 QUANTITY_KEYS = {
-    "h_t": ("H", "T"),
-    "h_s": ("H", "S"),
-    "h_v": ("H", "V"),
-    "i_tv": ("I2", "T,V"),
-    "i_ts": ("I2", "T,S"),
-    "i_vs": ("I2", "V,S"),
-    "i_vts": (None, "I3"),
-    "h_s_given_t": ("cond", "S|T"),
-    "h_v_given_t": ("cond", "V|T"),
-    "h_t_given_s": ("cond", "T|S"),
-    "h_t_given_v": ("cond", "T|V"),
-    "h_v_given_s": ("cond", "V|S"),
-    "h_s_given_v": ("cond", "S|V"),
+    "h_t": ("H", "T", "H(T)"),
+    "h_s": ("H", "S", "H(S)"),
+    "h_v": ("H", "V", "H(V)"),
+    "i_tv": ("I2", "T,V", "I(T;V)"),
+    "i_ts": ("I2", "T,S", "I(T;S)"),
+    "i_vs": ("I2", "V,S", "I(V;S)"),
+    "i_vts": (None, "I3", "I(V;T;S)"),
+    "h_s_given_t": ("cond", "S|T", None),
+    "h_v_given_t": ("cond", "V|T", None),
+    "h_t_given_s": ("cond", "T|S", None),
+    "h_t_given_v": ("cond", "T|V", None),
+    "h_v_given_s": ("cond", "V|S", None),
+    "h_s_given_v": ("cond", "S|V", None),
 }
 
 # The seven information-diagram regions, the keys of ``InfoQuantities.regions``.
@@ -168,11 +195,45 @@ _STREAM_KEYS = {
 
 @dataclass(frozen=True)
 class InfoReport:
-    """The quantity table plus everything needed to reproduce it."""
+    """The quantity table plus everything needed to reproduce it.
+
+    Streams that no analysis writes raise DataError: roles other than those
+    of ``ROLES[quantities.arity]``, one stream each; a kind other than
+    features or labels; an empty or repeated name; an ``L`` below 1 or unlike
+    the first stream's; a ``distinct`` outside 1..L; a features entry without
+    ``d`` >= 1, ``k`` >= 1 (and >= ``distinct``) and a sha256 hex digest; or a
+    labels entry with any of ``d``, ``k`` and ``codebook_sha256``.
+    """
 
     quantities: InfoQuantities
     streams: tuple[StreamSummary, ...]
     config: AnalysisConfig
+
+    def __post_init__(self):
+        roles, streams = ROLES[self.quantities.arity], self.streams
+        if sorted(s.role for s in streams) != sorted(roles):
+            got = [s.role for s in streams]
+            raise DataError(f"streams need the roles {list(roles)}, one each, got {got}")
+        for i, s in enumerate(streams):
+            e = {key: getattr(s, name) for name, (key, _) in _STREAM_KEYS.items()}
+            rules = {
+                "kind": (s.kind in ("features", "labels"), "'features' or 'labels'"),
+                "name": (s.name not in ["", *(t.name for t in streams[:i])], "non-empty and unique"),
+                "L": (1 <= s.rows == streams[0].rows, ">= 1 and the same in every stream"),
+                "d": ((s.dims or 0) >= 1, ">= 1"),
+                "k": ((s.clusters or 0) >= max(1, s.distinct or 0), ">= 1 and >= distinct"),
+                "codebook_sha256": (
+                    re.fullmatch("[0-9a-f]{64}", s.codebook_sha256 or "") is not None,
+                    "64 lowercase hex digits",
+                ),
+                "distinct": (1 <= (s.distinct or 0) <= s.rows, "in 1..L"),
+            }
+            if s.kind != "features":  # d, k and codebook_sha256 describe a fit
+                for key in ("d", "k", "codebook_sha256"):
+                    rules[key] = (e[key] is None, "absent from a labels entry")
+            for key, (ok, rule) in rules.items():
+                if not ok:
+                    raise DataError(f"streams[{i}].{key} must be {rule}, got {shown(e[key])}")
 
     def to_json_dict(self) -> dict:
         streams = []
@@ -195,8 +256,8 @@ class InfoReport:
 
         A repeated key anywhere, an unknown key anywhere (in ``quantities``,
         any key the report's arity does not define), an ``rng`` other than
-        ``RNG_NAME`` and streams that no analysis writes (see ``_check_streams``)
-        are malformed too.
+        ``RNG_NAME`` and a value that ``InfoQuantities`` or ``InfoReport``
+        rejects are malformed too.
         """
         doc = read_json(text, "report")
         cfg = _field(doc, "config", dict, "report")
@@ -213,80 +274,45 @@ class InfoReport:
         if rng != RNG_NAME:
             raise FormatError(f"report: rng must be {RNG_NAME!r}, got {rng!r}")
         optional = _defaults_to_none(StreamSummary)
-        entries = _field(doc, "streams", list, "report")
-        streams = tuple(
-            StreamSummary(
-                **{
-                    name: _field(e, key, types, "streams[]", optional=name in optional)
-                    for name, (key, types) in _STREAM_KEYS.items()
-                }
-            )
-            for e in entries
-        )
-        for e in entries:
-            check_keys(e, [key for key, _ in _STREAM_KEYS.values()], "report: streams[]")
+        streams = []
+        for i, e in enumerate(_field(doc, "streams", list, "report")):
+            where = f"streams[{i}]"
+            values = {
+                name: _field(e, key, types, where, optional=name in optional)
+                for name, (key, types) in _STREAM_KEYS.items()
+            }
+            check_keys(e, [key for key, _ in _STREAM_KEYS.values()], f"report: {where}")
+            streams.append(StreamSummary(**values))
         q = _field(doc, "quantities", dict, "report")
         three = "I3" in q  # the three-way fields are required only then
         three_way = _defaults_to_none(InfoQuantities)
         values = {}
-        for name, (group, key) in QUANTITY_KEYS.items():
+        for name, (group, key, _) in QUANTITY_KEYS.items():
             if name in three_way and not three:
                 continue
             if group is None:
-                values[name] = _quantity(q, key, "quantities")
+                values[name] = _field(q, key, (int, float), "quantities")
             else:
                 obj = _field(q, group, dict, "quantities")
-                values[name] = _quantity(obj, key, f"quantities.{group}")
+                values[name] = _field(obj, key, (int, float), f"quantities.{group}")
         if three:
-            regions = _field(q, "regions", dict, "quantities")
-            values["regions"] = {r: _quantity(regions, r, "quantities.regions") for r in REGIONS}
-        log_base = _field(q, "log_base", str, "quantities")
-        with located("report: quantities", FormatError):
-            log_base = normalize_base(log_base)
-        quantities = InfoQuantities(log_base=log_base, **values)
+            regions, where = _field(q, "regions", dict, "quantities"), "quantities.regions"
+            values["regions"] = {r: _field(regions, r, (int, float), where) for r in REGIONS}
+        log_base = _field(q, "log_base", str, "quantities")  # as config's
+        with located("report", FormatError):  # InfoQuantities checks every value
+            quantities = InfoQuantities(log_base=log_base, **values)
         layout = quantities.as_dict()  # every key the report's arity defines
         check_keys(q, layout, "report: quantities")
         for key, inner in layout.items():
             if isinstance(inner, dict):
                 check_keys(q[key], inner, f"report: quantities.{key}")
-        _check_streams(streams, ROLES[quantities.arity])
-        return cls(quantities=quantities, streams=streams, config=config)
+        with located("report", FormatError):  # InfoReport checks the streams
+            return cls(quantities=quantities, streams=tuple(streams), config=config)
 
 
-def _check_streams(streams: tuple[StreamSummary, ...], roles: tuple[str, ...]) -> None:
-    """Reject streams that no analysis writes: roles other than ``roles``, one
-    stream each; a kind other than features or labels; an empty or repeated name;
-    an ``L`` below 1 or unlike the first stream's; a ``distinct`` outside 1..L; a
-    features entry without ``d`` >= 1, ``k`` >= 1 (and >= ``distinct``) and a sha256
-    hex digest; or a labels entry with any of ``d``, ``k`` and ``codebook_sha256``."""
-    if sorted(s.role for s in streams) != sorted(roles):
-        got = [s.role for s in streams]
-        raise FormatError(f"report: streams need the roles {list(roles)}, one each, got {got}")
-    for i, s in enumerate(streams):
-        e = {key: getattr(s, name) for name, (key, _) in _STREAM_KEYS.items()}
-        rules = {
-            "kind": (s.kind in ("features", "labels"), "'features' or 'labels'"),
-            "name": (s.name not in ["", *(t.name for t in streams[:i])], "non-empty and unique"),
-            "L": (1 <= s.rows == streams[0].rows, ">= 1 and the same in every stream"),
-            "d": ((s.dims or 0) >= 1, ">= 1"),
-            "k": ((s.clusters or 0) >= max(1, s.distinct or 0), ">= 1 and >= distinct"),
-            "codebook_sha256": (
-                re.fullmatch("[0-9a-f]{64}", s.codebook_sha256 or "") is not None,
-                "64 lowercase hex digits",
-            ),
-            "distinct": (1 <= (s.distinct or 0) <= s.rows, "in 1..L"),
-        }
-        if s.kind != "features":  # d, k and codebook_sha256 describe a fit
-            for key in ("d", "k", "codebook_sha256"):
-                rules[key] = (e[key] is None, "absent from a labels entry")
-        for key, (ok, rule) in rules.items():
-            if not ok:
-                raise FormatError(f"report: streams[{i}].{key} must be {rule}, got {shown(e[key])}")
-
-
-def _defaults_to_none(cls) -> frozenset[str]:
-    """Names of the fields of dataclass ``cls`` whose default is None."""
-    return frozenset(f.name for f in fields(cls) if f.default is None)
+def _defaults_to_none(cls) -> tuple[str, ...]:
+    """Names of the fields of dataclass ``cls`` whose default is None, in order."""
+    return tuple(f.name for f in fields(cls) if f.default is None)
 
 
 def _field(obj, key: str, types, where: str, optional: bool = False):
@@ -303,31 +329,6 @@ def _field(obj, key: str, types, where: str, optional: bool = False):
     return value
 
 
-def _quantity(obj, key: str, where: str):
-    """``obj[key]``, a JSON number that must convert to a finite float."""
-    value = _field(obj, key, (int, float), where)
-    try:
-        finite = math.isfinite(value)
-    except OverflowError:  # an integer too large for a float
-        finite = False
-    if not finite:
-        raise FormatError(f"report: {where}.{key} is not a finite number")
-    return value
-
-
-# Table column -> the InfoQuantities field it prints, in column order.  A
-# two-variable report leaves out the columns whose field is None.
-TABLE_COLUMNS = {
-    "H(T)": "h_t",
-    "H(S)": "h_s",
-    "H(V)": "h_v",
-    "I(T;V)": "i_tv",
-    "I(T;S)": "i_ts",
-    "I(V;S)": "i_vs",
-    "I(V;T;S)": "i_vts",
-}
-
-
 def _fmt(value: float) -> str:
     text = f"{value:.4f}"
     return "0.0000" if text == "-0.0000" else text
@@ -335,7 +336,7 @@ def _fmt(value: float) -> str:
 
 def _columns(q: InfoQuantities) -> dict[str, float]:
     """The table's columns for ``q``, each with its value."""
-    values = {column: getattr(q, name) for column, name in TABLE_COLUMNS.items()}
+    values = {column: getattr(q, name) for name, (_, _, column) in QUANTITY_KEYS.items() if column}
     return {column: value for column, value in values.items() if value is not None}
 
 
@@ -354,9 +355,13 @@ def render_sweep_table(reports: list[InfoReport]) -> str:
     return "\n".join(lines) + "\n"
 
 
-# Fixed layout for the three-circle diagram: circle centers and the anchor
-# point of each of the seven region labels.
-_CIRCLES = {"V": (250.0, 215.0), "S": (390.0, 215.0), "T": (320.0, 330.0)}
+# Fixed layout for the three-circle diagram: each role's circle center, colour
+# and H(role) label anchor point, and the anchor point of each region label.
+_CIRCLES = {
+    "V": ((250.0, 215.0), "#e41a1c", (140.0, 105.0)),
+    "S": ((390.0, 215.0), "#377eb8", (500.0, 105.0)),
+    "T": ((320.0, 330.0), "#4daf4a", (320.0, 462.0)),
+}
 _RADIUS = 118.0
 _REGION_XY = {
     "V|T,S": (205.0, 185.0),
@@ -387,19 +392,16 @@ def render_diagram_svg(q: InfoQuantities, title: str = "") -> str:
         f'<text x="320" y="34" text-anchor="middle" font-size="18" '
         f'font-family="sans-serif">{title}</text>',
     ]
-    fills = {"V": "#e41a1c", "S": "#377eb8", "T": "#4daf4a"}
-    for name, (cx, cy) in _CIRCLES.items():
+    for (cx, cy), fill, _ in _CIRCLES.values():
         parts.append(
-            f'<circle cx="{cx:g}" cy="{cy:g}" r="{_RADIUS:g}" fill="{fills[name]}" '
-            f'fill-opacity="0.18" stroke="{fills[name]}" stroke-width="2"/>'
+            f'<circle cx="{cx:g}" cy="{cy:g}" r="{_RADIUS:g}" fill="{fill}" '
+            f'fill-opacity="0.18" stroke="{fill}" stroke-width="2"/>'
         )
-    entropies = {"V": q.h_v, "S": q.h_s, "T": q.h_t}
-    label_xy = {"V": (140.0, 105.0), "S": (500.0, 105.0), "T": (320.0, 462.0)}
-    for name, (x, y) in label_xy.items():
+    for role, (_, fill, (x, y)) in _CIRCLES.items():
         parts.append(
             f'<text x="{x:g}" y="{y:g}" text-anchor="middle" font-size="16" '
-            f'font-family="sans-serif" fill="{fills[name]}">H({name}) = '
-            f"{_fmt(entropies[name])}</text>"
+            f'font-family="sans-serif" fill="{fill}">H({role}) = '
+            f"{_fmt(getattr(q, f'h_{role.lower()}'))}</text>"
         )
     for region, (x, y) in _REGION_XY.items():
         parts.append(

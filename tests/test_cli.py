@@ -508,8 +508,10 @@ class TestReport:
             (lambda text: text.replace('"seed": ', '"sed": 0, "seed": '), "config: unknown key 'sed'"),
             (
                 lambda text: text.replace('"kind": ', '"kinds": 1, "kind": ', 1),
-                "streams[]: unknown key 'kinds'",
+                "streams[0]: unknown key 'kinds'",
             ),
+            (lambda text: stream_edited(text, 1, L="x"), "streams[1].L has the wrong type: 'x'"),
+            (lambda text: stream_edited(text, 2, L=None), "streams[2] is missing 'L'"),
             (lambda text: text.replace('"seed": ', '"seed": 1, "seed": '), "repeated key 'seed'"),
             (lambda text: text.replace('"T": ', '"T": 0.5, "T": ', 1), "repeated key 'T'"),
             (lambda text: text.replace('"T": ', '"X": 0.5, "T": ', 1), "quantities.H: unknown key 'X'"),
@@ -559,7 +561,8 @@ class TestReport:
             "invalid-json", "missing-key", "bool-as-string", "base-as-number", "entropy-as-string",
             "unknown-quantities-base", "not-utf8", "deeply-nested", "missing-region",
             "missing-cond", "huge-int", "nan-quantity", "infinite-region", "foreign-rng", "no-rng",
-            "unknown-top-key", "unknown-config-key", "unknown-stream-key", "repeated-config-key",
+            "unknown-top-key", "unknown-config-key", "unknown-stream-key", "stream-L-as-string",
+            "stream-without-L", "repeated-config-key",
             "repeated-quantity-key", "unknown-entropy-key", "unknown-quantities-key",
             "unknown-region", "regions-without-I3", "three-way-field-without-I3", "edited-role",
             "duplicate-role", "missing-stream", "no-streams", "unknown-kind", "repeated-name",

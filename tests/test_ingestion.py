@@ -552,6 +552,14 @@ class TestManifest:
         with pytest.raises(FormatError, match=f"stream {label}: '{key}' must be a non-empty string"):
             load_manifest(path)
 
+    @pytest.mark.parametrize("name", ["a\nb", "\r", "\x00", "\u2028"])
+    def test_unprintable_name_is_shown_by_index(self, tmp_path, name):
+        """An error about an entry stays on one line whatever its name holds."""
+        entry = {"name": name, "path": "no.fmx", "kind": "features", "sample_rate_hz": 25}
+        path = self._write(tmp_path, {"target_rate_hz": 25, "streams": [entry]})
+        with pytest.raises(FormatError, match=r"stream #0: no such file: \S*no\.fmx$"):
+            load_manifest(path)
+
 
 # A features and a labels spec; the checks never touch the files.
 CAM = StreamSpec("cam", "a.fmx", "features", 25.0)

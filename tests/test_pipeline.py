@@ -1,5 +1,7 @@
 import inspect
 import json
+import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -20,7 +22,7 @@ from modmi.ingestion import (
 )
 from modmi.pipeline import analyze, sweep_clusters
 from modmi.quantizer import assign, fit
-from modmi.report import AnalysisConfig, InfoReport
+from modmi.report import AnalysisConfig, InfoQuantities, InfoReport
 from modmi.synthetic import exhaustive_stream, gen_gaussian_mixture, xor_pmf
 from util import features, repair_every_pass_matrix, seq
 
@@ -511,6 +513,73 @@ class TestReportSerialization:
         report = analyze(manifest)
         assert report.config.target_rate_hz == 10.0
         assert all(s.rows == 4 for s in report.streams)  # 20 frames at 50 Hz -> 10 Hz
+
+
+def _pair_with_h_v(report):
+    q = report.quantities
+    pair = {name: getattr(q, name) for name in ("h_t", "h_s", "i_ts", "h_s_given_t", "h_t_given_s")}
+    return InfoQuantities(log_base="2", h_v=1.0, **pair)
+
+
+# A change to the xor report -> the DataError message it raises.  Each breaks a
+# rule from_json enforces, so a report built in code cannot be one that
+# from_json refuses or that a renderer mis-draws.
+REPORT_BREACHES = {
+    "no-streams": (
+        lambda r: replace(r, streams=()),
+        "streams need the roles ['V', 'T', 'S'], one each, got []",
+    ),
+    "nan-quantity": (
+        lambda r: replace(r.quantities, h_t=float("nan")),
+        "quantities.H.T is not a finite number",
+    ),
+    "three-way-field-without-h_v": (
+        lambda r: replace(r.quantities, h_v=None),
+        "quantities need all of ['h_v', 'i_tv', 'i_vs', 'i_vts', 'h_v_given_t', 'h_t_given_v', "
+        "'h_v_given_s', 'h_s_given_v', 'regions'] or none, got ['i_tv', 'i_vs', 'i_vts', "
+        "'h_v_given_t', 'h_t_given_v', 'h_v_given_s', 'h_s_given_v', 'regions']",
+    ),
+    "pair-with-h_v": (_pair_with_h_v, "quantities need all of ['h_v', "),
+    "unknown-region": (
+        lambda r: replace(r.quantities, regions={**r.quantities.regions, "V;T": 0.0}),
+        "quantities.regions must be a dict keyed by ['V|T,S', ",
+    ),
+    "infinite-region": (
+        lambda r: replace(r.quantities, regions={**r.quantities.regions, "T;S|V": -math.inf}),
+        "quantities.regions.T;S|V is not a finite number",
+    ),
+    "bool-quantity": (lambda r: replace(r.quantities, i_vts=True), "quantities.I3 is not a finite"),
+    "huge-int-quantity": (
+        lambda r: replace(r.quantities, h_s_given_v=10**400),
+        "quantities.cond.S|V is not a finite number",
+    ),
+    "string-quantity": (lambda r: replace(r.quantities, i_tv="0"), "quantities.I2.T,V is not a"),
+    "unknown-log-base": (
+        lambda r: replace(r.quantities, log_base="3"),
+        "quantities: log base must be one of 2, e, 10, got '3'",
+    ),
+    "repeated-name": (
+        lambda r: replace(r, streams=(*r.streams[:2], replace(r.streams[2], name="v"))),
+        "streams[2].name must be non-empty and unique, got 'v'",
+    ),
+    "labels-with-k": (
+        lambda r: replace(r, streams=(replace(r.streams[0], clusters=2), *r.streams[1:])),
+        "streams[0].k must be absent from a labels entry, got 2",
+    ),
+}
+
+
+@pytest.mark.parametrize("breach", REPORT_BREACHES)
+def test_report_types_refuse_what_from_json_refuses(xor_manifest, breach):
+    change, message = REPORT_BREACHES[breach]
+    with pytest.raises(DataError, match=f"^{re.escape(message)}"):
+        change(analyze(xor_manifest))
+
+
+def test_quantities_store_the_canonical_log_base(xor_manifest):
+    quantities = analyze(xor_manifest).quantities
+    assert replace(quantities, log_base=10).log_base == "10"
+    assert replace(quantities, log_base=" E ").log_base == "e"
 
 
 @pytest.mark.parametrize(

@@ -1,14 +1,21 @@
 """Property tests: malformed bytes end in ModmiError, and the binary formats
 and report JSON round-trip exactly."""
 
+import contextlib
+import io
 import json
+import math
+import tempfile
+from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from modmi.cli import main
 from modmi.errors import DataError, FormatError, ModmiError
 from modmi.ingestion import (
     FeatureMatrix,
@@ -26,6 +33,7 @@ from modmi.ingestion import (
 from modmi.pipeline import analyze
 from modmi.quantizer import Codebook, load_codebook, save_codebook
 from modmi.report import REGIONS, ROLES, AnalysisConfig, InfoQuantities, InfoReport, StreamSummary
+from modmi.report import render_table
 
 SETTINGS = settings(max_examples=100, deadline=None)
 
@@ -105,10 +113,12 @@ odd_lines = st.sampled_from(
 
 
 @st.composite
-def label_texts(draw):
-    """Digit lines ending in \\n, with up to two other lines (odd ones, or
-    ending in \\r\\n) spliced in, and maybe no final line break."""
-    lines = [line + "\n" for line in draw(st.lists(digit_lines, max_size=40))]
+def label_texts(draw, min_lines=0, max_lines=40):
+    """``min_lines`` to ``max_lines`` digit lines ending in \\n, with up to two
+    other lines (odd ones, or ending in \\r\\n) spliced in, and maybe no final
+    line break."""
+    digits = st.lists(digit_lines, min_size=min_lines, max_size=max_lines)
+    lines = [line + "\n" for line in draw(digits)]
     for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
         line = draw(digit_lines | odd_lines) + draw(st.sampled_from(["\n", "\r\n"]))
         lines.insert(draw(st.integers(0, len(lines))), line)
@@ -222,6 +232,76 @@ def test_report_json_round_trip(arity, data):
     assert again == report
 
 
+@st.composite
+def report_edits(draw):
+    """The fields of a valid report after up to three right-typed edits, each of
+    which may break a rule: an empty or repeated name, an unequal L, a
+    distinct outside 1..L, fit fields on a labels entry, a missing, repeated or
+    unknown role, a NaN or infinite quantity, or a partial set of three-way
+    fields."""
+    report = draw(reports(draw(st.sampled_from([2, 3]))))
+    q = {f: getattr(report.quantities, f) for f in ("log_base", *PAIR_FIELDS, *THREE_WAY_FIELDS)}
+    q["regions"] = report.quantities.regions
+    streams = [asdict(s) for s in report.streams]
+    for _ in range(draw(st.integers(0, 3))):
+        edit = draw(st.sampled_from(["stream", "drop", "repeat", "non-finite", "three-way"]))
+        i = draw(st.integers(0, len(streams) - 1)) if streams else None
+        if edit == "stream" and streams:
+            key = draw(st.sampled_from(["name", "role", "kind", "rows", "distinct", "fit"]))
+            if key == "fit":  # d, k and a digest, taken from or put on a labels entry
+                fit = draw(st.sampled_from([(None, None, None), (1, 5, "0" * 64)]))
+                streams[i].update(zip(("dims", "clusters", "codebook_sha256"), fit))
+            else:
+                rows = streams[i]["rows"]
+                streams[i][key] = draw(
+                    {
+                        "name": st.sampled_from(["", *(s["name"] for s in streams)]),
+                        "role": st.sampled_from(["V", "T", "S", "Q"]),
+                        "kind": st.sampled_from(["features", "labels", "video"]),
+                        "rows": st.sampled_from([-1, 0, rows - 1, rows + 1]),
+                        "distinct": st.sampled_from([None, -1, 0, 1, rows, rows + 1]),
+                    }[key]
+                )
+        elif edit == "drop" and streams:
+            del streams[i]
+        elif edit == "repeat" and streams:
+            streams.append(dict(streams[i]))
+        elif edit == "non-finite":
+            value = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+            key = draw(st.sampled_from([*PAIR_FIELDS, *THREE_WAY_FIELDS, *REGIONS]))
+            if key in REGIONS and q["regions"] is not None:
+                q["regions"] = {**q["regions"], key: value}
+            elif key not in REGIONS:
+                q[key] = value
+        elif edit == "three-way":
+            key = draw(st.sampled_from([*THREE_WAY_FIELDS, "regions"]))
+            if q[key] is not None:
+                q[key] = None
+            elif key == "regions":
+                q[key] = {r: 0.5 for r in draw(st.lists(st.sampled_from(REGIONS), unique=True))}
+            else:
+                q[key] = draw(finite)
+    return q, streams, report.config
+
+
+@SETTINGS
+@given(report_edits())
+def test_a_report_the_types_accept_is_one_from_json_reads(fields):
+    """Building a report raises DataError, or its JSON reads back and
+    re-renders byte for byte."""
+    q, streams, config = fields
+    try:
+        report = InfoReport(
+            InfoQuantities(**q), tuple(StreamSummary(**s) for s in streams), config
+        )
+    except DataError:
+        return
+    text = report.to_json()
+    again = InfoReport.from_json(text)
+    assert again.to_json() == text
+    assert render_table(again) == render_table(report)
+
+
 # JSON values no manifest field accepts, or only some do.
 junk = st.one_of(
     st.none(),
@@ -283,3 +363,147 @@ def test_stream_specs_and_manifests_share_one_rule_set(
             analyze(Manifest(25, (spec, labels)), AnalysisConfig(clusters=2))
         except ModmiError:
             pass
+
+
+# Whole-CLI property test.  Stream files hold at most 8 rows and stream rates
+# stay in 1e-3..1e3 Hz against a 25 Hz target, so an aligned stream has at
+# most 200,000 frames and an example needs a few MiB.
+
+# JSON values that no manifest field takes: no positive number, because a
+# stream rate below 1e-3 Hz can align a few rows to billions of frames.
+bad_values = st.sampled_from(
+    [None, True, "25", "", 0, -1, -0.5, math.nan, math.inf, 10**400, [], {"a": 1}]
+)
+
+
+def _usually(draw, usual, other):
+    """``usual`` 15 times in 16, else a value drawn from ``other``."""
+    return draw(other) if draw(st.integers(0, 15)) == 15 else usual
+
+
+@st.composite
+def stream_files(draw, rows):
+    """(suffix, source, flaw) of a stream file of about ``rows`` rows: FMX1
+    features or LBL1 labels (a stream to write) or text labels (bytes),
+    written as they are, truncated to ``flaw`` bytes, or with ``flaw`` as
+    their first four bytes."""
+    suffix = draw(st.sampled_from(["fmx", "lbl", "txt"]))
+    rows = _usually(draw, rows, st.integers(1, 8))
+    if suffix == "fmx":
+        values = hnp.arrays(np.float32, (rows, draw(st.integers(1, 3))), elements=finite32)
+        source = FeatureMatrix(draw(values), 25.0)
+    elif suffix == "lbl":
+        alphabet = draw(st.sampled_from([1, 2, 3, U32_MAX]))
+        symbols = st.lists(st.integers(0, min(alphabet - 1, 4)), min_size=rows, max_size=rows)
+        source = LabelSequence(np.array(draw(symbols)), alphabet, 25.0)
+    else:
+        source = draw(label_texts(min_lines=rows, max_lines=rows))
+    magics = st.sampled_from([b"FMX1", b"LBL1", b"KMC1", b"x1\n\n"])
+    return suffix, source, _usually(draw, None, st.integers(0, 60) | magics)
+
+
+def _write_stream_file(path, source, flaw):
+    if isinstance(source, bytes):
+        path.write_bytes(source)
+    else:
+        (write_feature_matrix if isinstance(source, FeatureMatrix) else write_labels)(source, path)
+    raw = path.read_bytes()
+    if isinstance(flaw, int):
+        path.write_bytes(raw[: min(flaw, len(raw) - 1)])
+    elif flaw is not None:
+        path.write_bytes(flaw + raw[4:])
+
+
+@st.composite
+def edited_pairs(draw, pairs):
+    """A JSON object's (key, JSON text) ``pairs`` after up to two edits: a
+    typo'd, repeated or dropped key, or a value that no field takes."""
+    pairs = list(pairs)
+    for _ in range(_usually(draw, 0, st.integers(1, 2))):
+        i = draw(st.integers(0, len(pairs) - 1))
+        key, value = pairs[i]
+        edit = draw(st.sampled_from(["typo", "repeat", "drop", "value"]))
+        if edit == "typo":
+            pairs[i] = (draw(st.sampled_from([key + "s", key[:-1], key.upper()])), value)
+        elif edit == "repeat":
+            pairs.insert(draw(st.integers(0, len(pairs))), (key, draw(st.sampled_from([value, "1"]))))
+        elif edit == "drop" and len(pairs) > 1:
+            del pairs[i]
+        else:
+            pairs[i] = (key, json.dumps(draw(bad_values)))
+    return "{" + ", ".join(f"{json.dumps(key)}: {value}" for key, value in pairs) + "}"
+
+
+@st.composite
+def manifests(draw, suffixes):
+    """A manifest over the files ``0.<suffix>``, ``1.<suffix>``, ...: one
+    entry per file with names that may repeat, rates in 1e-3..1e3 Hz and
+    per-stream counts, and keys and values edited by ``edited_pairs``."""
+    entries = []
+    for i, suffix in enumerate(suffixes):
+        kind = "features" if suffix == "fmx" else "labels"
+        pairs = [
+            ("name", _usually(draw, f"s{i}", st.just("s0") | st.text(max_size=2))),
+            ("path", _usually(draw, f"{i}.{suffix}", st.sampled_from(["0.fmx", "missing.lbl"]))),
+            ("kind", _usually(draw, kind, st.sampled_from(["features", "labels"]))),
+            ("sample_rate_hz", _usually(draw, 25.0, st.just(50) | st.floats(1e-3, 1e3))),
+        ]
+        count = _usually(draw, None, st.sampled_from([1, 2, 3, 50]))
+        if count is not None:
+            pairs.append(("clusters" if kind == "features" else "alphabet_size", count))
+        entries.append(draw(edited_pairs([(key, json.dumps(value)) for key, value in pairs])))
+    top = [("target_rate_hz", "25"), ("streams", "[" + ", ".join(entries) + "]")]
+    return draw(edited_pairs(top))
+
+
+def _cli(*argv):
+    """Exit code and stdout of ``modmi argv`` run in-process, after
+    checking that no exception escapes and that an error is one line."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:  # argparse's usage error
+            code = exc.code
+            assert code == 2 and err.getvalue().startswith("usage: modmi")
+            assert f"modmi {argv[0]}: error: " in err.getvalue().splitlines()[-1]
+            return code, out.getvalue()
+    assert code in (0, 1, 2)
+    if code:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+    return code, out.getvalue()
+
+
+def _reads_back(text):
+    assert InfoReport.from_json(text).to_json() == text
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    files=st.tuples(st.sampled_from([1, 2, 2, 3, 3, 4]), st.integers(1, 8)).flatmap(
+        lambda n_rows: st.lists(stream_files(n_rows[1]), min_size=n_rows[0], max_size=n_rows[0])
+    ),
+    data=st.data(),
+    clusters=st.sampled_from(["1", "2", "3"] * 3 + ["0", "x"]),
+    ks=st.sampled_from(["1,2", "2,3"] * 3 + ["0,2", "x"]),
+)
+def test_any_small_input_ends_in_a_report_or_one_error_line(workdir, files, data, clusters, ks):
+    """analyze, sweep and report on a generated directory exit 0, 1 or 2;
+    a failure writes one error line (or argparse's usage error) and a report
+    written reads back and re-renders byte for byte."""
+    with tempfile.TemporaryDirectory(dir=workdir) as tmp:
+        tmp = Path(tmp)
+        for i, (suffix, source, flaw) in enumerate(files):
+            _write_stream_file(tmp / f"{i}.{suffix}", source, flaw)
+        manifest = tmp / "manifest.json"
+        manifest.write_text(data.draw(manifests([suffix for suffix, _, _ in files])))
+        code, out = _cli("analyze", str(manifest), "--clusters", clusters)
+        if code == 0:
+            _reads_back(out)
+        saved = tmp / "report.json"
+        saved.write_text(out if code == 0 else manifest.read_text())
+        assert _cli("report", str(saved), "--format", "json") == ((0, out) if code == 0 else (1, ""))
+        code, out = _cli("sweep", str(manifest), "--ks", ks, "--format", "json")
+        for entry in json.loads(out) if code == 0 else []:
+            _reads_back(json.dumps(entry, indent=2, sort_keys=True) + "\n")
