@@ -50,6 +50,13 @@ def shown(value) -> str:
         return f"{sign} integer of {value.bit_length()} bits"
 
 
+def printable(value) -> str:
+    """``str(value)`` for a message, or that string's ``repr`` if a character of
+    it does not print: a path or name with a line break keeps the error on one line."""
+    text = str(value)
+    return text if text.isprintable() else repr(text)
+
+
 def check_int(value, what: str, minimum: int | None = None) -> int:
     """``value`` as a Python int: a Python or numpy integer, never a bool, and
     at least ``minimum`` when one is given.  Anything else raises DataError."""

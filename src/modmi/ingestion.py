@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import AlignmentError, DataError, FormatError
-from .errors import check_int, check_keys, check_positive, located, read_json, shown
+from .errors import check_int, check_keys, check_positive, located, printable, read_json, shown
 
 _FMX_MAGIC = b"FMX1"
 _LBL_MAGIC = b"LBL1"
@@ -121,10 +121,10 @@ def write_feature_matrix(m: FeatureMatrix, path) -> None:
 def unpack_header(path, raw: bytes, magic: bytes, layout: str) -> tuple:
     """The ``layout`` (struct format) fields after ``magic`` in file ``path``'s bytes ``raw``."""
     if raw[:4] != magic:
-        raise FormatError(f"{path}: bad magic {raw[:4]!r}, expected {magic!r}")
+        raise FormatError(f"{printable(path)}: bad magic {raw[:4]!r}, expected {magic!r}")
     end = len(magic) + struct.calcsize(layout)
     if len(raw) < end:
-        raise FormatError(f"{path}: truncated header")
+        raise FormatError(f"{printable(path)}: truncated header")
     return struct.unpack(layout, raw[len(magic) : end])
 
 
@@ -132,7 +132,8 @@ def check_size(path, raw: bytes, expected: int) -> None:
     """Reject a file whose size differs from the ``expected`` its header implies."""
     if len(raw) != expected:
         raise FormatError(
-            f"{path}: size mismatch, header implies {expected} bytes, file has {len(raw)}"
+            f"{printable(path)}: size mismatch, header implies {expected} bytes, "
+            f"file has {len(raw)}"
         )
 
 
@@ -142,7 +143,7 @@ def read_feature_matrix(path, sample_rate_hz: float = 25.0, modality_tag: str = 
     rows, dims = unpack_header(path, raw, _FMX_MAGIC, "<II")
     check_size(path, raw, 12 + rows * dims * 4)
     values = np.frombuffer(raw, dtype="<f4", offset=12).reshape(rows, dims)
-    with located(path):
+    with located(printable(path)):
         return FeatureMatrix(values, sample_rate_hz, modality_tag)
 
 
@@ -181,16 +182,16 @@ def read_labels(
         symbols = _parse_label_text(raw, path)
         base_alphabet = int(symbols.max()) + 1 if symbols.size else 0
     if symbols.size == 0:
-        raise FormatError(f"{path}: empty label file (rows >= 1 required)")
+        raise FormatError(f"{printable(path)}: empty label file (rows >= 1 required)")
     if alphabet_size is not None:
         alphabet_size = check_int(alphabet_size, "alphabet_size", 1)
         if alphabet_size < base_alphabet:
             raise DataError(
-                f"{path}: alphabet_size override {alphabet_size} is below "
+                f"{printable(path)}: alphabet_size override {alphabet_size} is below "
                 f"the observed/declared {base_alphabet}"
             )
         base_alphabet = alphabet_size
-    with located(path):
+    with located(printable(path)):
         return LabelSequence(symbols, base_alphabet, sample_rate_hz, modality_tag)
 
 
@@ -233,10 +234,11 @@ def _parse_label_text(raw: bytes, path) -> np.ndarray:
 
 def _parse_label_lines(raw: bytes, path) -> np.ndarray:
     """:func:`_parse_label_text` line by line, for any text ``int`` accepts."""
+    where = printable(path)
     try:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise FormatError(f"{path}: neither LBL1 binary nor UTF-8 text ({exc})") from None
+        raise FormatError(f"{where}: neither LBL1 binary nor UTF-8 text ({exc})") from None
     symbols = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         token = line.strip()
@@ -245,12 +247,12 @@ def _parse_label_lines(raw: bytes, path) -> np.ndarray:
         try:
             value = int(token)
         except ValueError:
-            raise FormatError(f"{path}:{lineno}: not an integer: {token!r}") from None
+            raise FormatError(f"{where}:{lineno}: not an integer: {token!r}") from None
         if value < 0:
-            raise FormatError(f"{path}:{lineno}: negative symbol {value}")
+            raise FormatError(f"{where}:{lineno}: negative symbol {value}")
         if value > _MAX_SYMBOL:
             raise FormatError(
-                f"{path}:{lineno}: symbol {value} exceeds the u32 limit {_MAX_SYMBOL} "
+                f"{where}:{lineno}: symbol {value} exceeds the u32 limit {_MAX_SYMBOL} "
                 f"(an alphabet holds at most {_U32_MAX} symbols)"
             )
         symbols.append(value)
@@ -390,19 +392,20 @@ class Manifest:
 def load_manifest(path) -> Manifest:
     """Parse a JSON manifest checked by StreamSpec and Manifest; paths resolve against it."""
     path = Path(path)
-    doc = read_json(path.read_bytes(), str(path))
+    doc = read_json(path.read_bytes(), printable(path))
     if not isinstance(doc, dict) or "target_rate_hz" not in doc:
-        raise FormatError(f"{path}: manifest must be an object with 'target_rate_hz'")
-    check_keys(doc, {f.name for f in fields(Manifest)}, str(path))
+        raise FormatError(f"{printable(path)}: manifest must be an object with 'target_rate_hz'")
+    check_keys(doc, {f.name for f in fields(Manifest)}, printable(path))
     entries = doc.get("streams")
     if not isinstance(entries, list) or not entries:
-        raise FormatError(f"{path}: manifest needs a non-empty 'streams' list")
+        raise FormatError(f"{printable(path)}: manifest needs a non-empty 'streams' list")
     required = [f.name for f in fields(StreamSpec) if f.default is MISSING]
     specs = []
     for i, entry in enumerate(entries):
         name = entry.get("name") if isinstance(entry, dict) else None
+        # a line break in a name would split the error line
         label = name if isinstance(name, str) and name.isprintable() and name else f"#{i}"
-        where = f"{path}: stream {label}"  # a line break in a name would split the error line
+        where = f"{printable(path)}: stream {label}"
         if not isinstance(entry, dict):
             raise FormatError(f"{where}: entry must be an object")
         check_keys(entry, {f.name for f in fields(StreamSpec)}, where)
@@ -413,7 +416,7 @@ def load_manifest(path) -> Manifest:
             spec = StreamSpec(**entry)
         spec = replace(spec, path=path.parent / spec.path)
         if not spec.path.is_file():
-            raise FormatError(f"{where}: no such file: {spec.path}")
+            raise FormatError(f"{where}: no such file: {printable(spec.path)}")
         specs.append(spec)
-    with located(path, FormatError):
+    with located(printable(path), FormatError):
         return Manifest(doc["target_rate_hz"], tuple(specs))

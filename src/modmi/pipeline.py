@@ -8,7 +8,7 @@ number can be traced to (manifest, config, seed) and regenerated.
 from dataclasses import replace
 
 from . import infotheory
-from .errors import AlignmentError, DataError, FormatError, located
+from .errors import AlignmentError, DataError, FormatError, located, printable
 from .ingestion import FeatureMatrix, LabelSequence, Manifest, align, load_manifest, resampled_rows
 from .report import ROLES, AnalysisConfig, InfoReport, StreamSummary
 
@@ -54,8 +54,8 @@ def _prepare(manifest: Manifest, config: AnalysisConfig):
             with located(f"stream {spec.name!r}"):
                 loaded.append(manifest.load_stream(spec))
         except OSError as e:
-            reason = e.strerror or e
-            raise FormatError(f"stream {spec.name!r}: cannot read {spec.path}: {reason}") from e
+            reason = f"cannot read {printable(spec.path)}: {e.strerror or e}"
+            raise FormatError(f"stream {spec.name!r}: {reason}") from e
     totals = [resampled_rows(stream, rate) for stream in loaded]
     for spec, total in zip(manifest.streams, totals):
         if 2 * min(totals) < total:

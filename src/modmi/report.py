@@ -3,7 +3,7 @@
 import json
 import math
 import re
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
 
 from .errors import DataError, FormatError, ModmiError, check_bool, check_int, check_keys
 from .errors import check_positive, is_numpy, located, read_json, shown
@@ -163,41 +163,39 @@ class AnalysisConfig:
 
 @dataclass(frozen=True)
 class StreamSummary:
-    """Per-stream provenance recorded in a report."""
+    """Per-stream provenance recorded in a report, with numpy scalars stored as
+    Python ones.  A field's annotation is its JSON type; metadata renames its key."""
 
     name: str
     role: str
     kind: str
-    rows: int
-    dims: int | None = None
-    clusters: int | None = None
+    rows: int = field(metadata={"key": "L"})
+    dims: int | None = field(default=None, metadata={"key": "d"})
+    clusters: int | None = field(default=None, metadata={"key": "k"})
     distinct: int | None = None
     codebook_sha256: str | None = None
+
+    def __post_init__(self):
+        for f in fields(self):
+            if is_numpy(getattr(self, f.name), "generic"):
+                object.__setattr__(self, f.name, getattr(self, f.name).item())
 
 
 # Stream count -> the roles of its streams, in the order of a manifest whose
 # names and kinds do not decide them.  A report has one stream per role.
 ROLES = {2: ("T", "S"), 3: ("V", "T", "S")}
 
-# StreamSummary field -> (key, JSON type) in a report's stream entry.  A field
-# that defaults to None is left out of the entry while it is None.
-_STREAM_KEYS = {
-    "name": ("name", str),
-    "role": ("role", str),
-    "kind": ("kind", str),
-    "rows": ("L", int),
-    "dims": ("d", int),
-    "clusters": ("k", int),
-    "distinct": ("distinct", int),
-    "codebook_sha256": ("codebook_sha256", str),
-}
+# StreamSummary field -> (key, JSON type) in a report's stream entry, read off
+# the field's metadata and annotation.  A None value leaves its key out.
+_STREAM_KEYS = {f.name: (f.metadata.get("key", f.name), f.type) for f in fields(StreamSummary)}
 
 
 @dataclass(frozen=True)
 class InfoReport:
     """The quantity table plus everything needed to reproduce it.
 
-    Streams that no analysis writes raise DataError: roles other than those
+    Streams that no analysis writes raise DataError: a field not of its
+    ``StreamSummary`` type (a bool is no int); roles other than those
     of ``ROLES[quantities.arity]``, one stream each; a kind other than
     features or labels; an empty or repeated name; an ``L`` below 1 or unlike
     the first stream's; a ``distinct`` outside 1..L; a features entry without
@@ -211,6 +209,11 @@ class InfoReport:
 
     def __post_init__(self):
         roles, streams = ROLES[self.quantities.arity], self.streams
+        for i, s in enumerate(streams):  # before the roles rule, which sorts the roles
+            for name, (key, types) in _STREAM_KEYS.items():
+                value = getattr(s, name)
+                if isinstance(value, bool) or not isinstance(value, types):
+                    raise DataError(f"streams[{i}].{key} has the wrong type: {shown(value)}")
         if sorted(s.role for s in streams) != sorted(roles):
             got = [s.role for s in streams]
             raise DataError(f"streams need the roles {list(roles)}, one each, got {got}")
@@ -276,12 +279,16 @@ class InfoReport:
         optional = _defaults_to_none(StreamSummary)
         streams = []
         for i, e in enumerate(_field(doc, "streams", list, "report")):
-            where = f"streams[{i}]"
-            values = {
-                name: _field(e, key, types, where, optional=name in optional)
-                for name, (key, types) in _STREAM_KEYS.items()
-            }
-            check_keys(e, [key for key, _ in _STREAM_KEYS.values()], f"report: {where}")
+            where = f"report: streams[{i}]"
+            if not isinstance(e, dict):
+                raise FormatError(f"{where} must be an object")
+            values = {name: e.get(key) for name, (key, _) in _STREAM_KEYS.items()}
+            for name, (key, _) in _STREAM_KEYS.items():
+                if key not in e and name not in optional:
+                    raise FormatError(f"{where} is missing {key!r}")
+                if key in e and e[key] is None:  # None stands for an absent key
+                    raise FormatError(f"{where}.{key} has the wrong type: None")
+            check_keys(e, [key for key, _ in _STREAM_KEYS.values()], where)
             streams.append(StreamSummary(**values))
         q = _field(doc, "quantities", dict, "report")
         three = "I3" in q  # the three-way fields are required only then
@@ -315,13 +322,11 @@ def _defaults_to_none(cls) -> tuple[str, ...]:
     return tuple(f.name for f in fields(cls) if f.default is None)
 
 
-def _field(obj, key: str, types, where: str, optional: bool = False):
+def _field(obj, key: str, types, where: str):
     """``obj[key]`` checked against ``types`` (a bool is not a number)."""
     if not isinstance(obj, dict):
         raise FormatError(f"report: {where} must be an object")
     if key not in obj:
-        if optional:
-            return None
         raise FormatError(f"report: {where} is missing {key!r}")
     value = obj[key]
     if isinstance(value, bool) != (types is bool) or not isinstance(value, types):

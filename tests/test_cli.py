@@ -271,6 +271,34 @@ class TestAnalyze:
             assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1, done.stderr
             assert "Traceback" not in done.stderr
 
+    @pytest.mark.parametrize("case", ["stream-file", "manifest", "fmx1-magic"])
+    def test_a_line_break_in_a_path_keeps_one_error_line(self, tmp_path, capsys, case):
+        """A path that holds a line break is printed as its repr: a text label
+        file that does not parse, a manifest that is not JSON and an FMX1 file
+        with bad magic each exit 1 with one error line."""
+        names = ("bad\nz.txt", "m\n.json", "f\n.fmx")
+        labels, manifest, features = (tmp_path / name for name in names)
+        labels.write_text("zz\n")
+        (tmp_path / "t.txt").write_text("0\n1\n")
+        streams = [
+            {"name": name, "path": path, "kind": "labels", "sample_rate_hz": 25}
+            for name, path in (("a", labels.name), ("t", "t.txt"))
+        ]
+        (tmp_path / "m.json").write_text(json.dumps({"target_rate_hz": 25, "streams": streams}))
+        manifest.write_text("{")
+        features.write_bytes(b"XXXX" + bytes(8))
+        path, argv = {
+            "stream-file": (labels, ["analyze", str(tmp_path / "m.json")]),
+            "manifest": (manifest, ["analyze", str(manifest)]),
+            "fmx1-magic": (features, ["fit", str(features), "--out", str(tmp_path / "o.kmc")]),
+        }[case]
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert repr(str(path)) in err
+        if case == "stream-file":
+            assert err == f"error: stream 'a': {str(path)!r}:1: not an integer: 'zz'\n"
+
     def test_alignment_dropping_most_of_a_stream_exit_1(self, tmp_path, capsys):
         # The label stream declared at 2.5 Hz resamples to 30,000 frames at
         # 25 Hz; truncating it to the features' 3,000 used to print H(T) 0.

@@ -5,7 +5,7 @@ import pytest
 
 import modmi
 from modmi import errors
-from modmi.errors import DataError, FormatError, InfeasibleError, ModmiError, located
+from modmi.errors import DataError, FormatError, InfeasibleError, ModmiError, located, printable
 
 
 class TestLocated:
@@ -77,4 +77,52 @@ def test_only_located_rewrites_a_caught_modmi_error():
     modules = sorted(p for p in package.glob("*.py") if p.name != "errors.py")
     assert len(modules) >= 9
     offenders = {p.name: lines for p in modules if (lines := _modmi_re_raises(p))}
+    assert offenders == {}
+
+
+@pytest.mark.parametrize(
+    "value, text",
+    [
+        ("a b/it's \"q\"/é日.txt", "a b/it's \"q\"/é日.txt"),
+        (Path("x/y.fmx"), "x/y.fmx"),
+        ("bad\nz.txt", "'bad\\nz.txt'"),
+        (Path("x\r\n/\u2028\x00"), "'x\\r\\n/\\u2028\\x00'"),
+    ],
+)
+def test_printable_shows_a_string_that_does_not_print_as_its_repr(value, text):
+    assert printable(value) == text
+
+
+def _is_path(node) -> bool:
+    """Whether ``node`` is ``path``, ``<expr>.path`` or ``str()`` of one of them."""
+    if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "str" and node.args:
+        node = node.args[0]
+    return getattr(node, "id", None) == "path" or getattr(node, "attr", None) == "path"
+
+
+def _raw_paths(path: Path) -> list[int]:
+    """Lines in ``path`` that put a path into a message without ``printable``:
+    as a field of an f-string, or as an argument of located, read_json or
+    check_keys, which start a message with it."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.JoinedStr):
+            exprs = [value.value for value in node.values if isinstance(value, ast.FormattedValue)]
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) in (
+            "located", "read_json", "check_keys"
+        ):
+            exprs = node.args
+        else:
+            continue
+        found += [node.lineno for expr in exprs if _is_path(expr)]
+    return sorted(found)
+
+
+def test_every_path_in_a_message_goes_through_printable():
+    """A path can hold a line break, which would split an ``error:`` line, so
+    every message shows a path by ``errors.printable``."""
+    package = Path(modmi.__file__).parent
+    modules = sorted(package.glob("*.py"))
+    assert len(modules) >= 10
+    offenders = {p.name: lines for p in modules if (lines := _raw_paths(p))}
     assert offenders == {}

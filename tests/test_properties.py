@@ -234,17 +234,19 @@ def test_report_json_round_trip(arity, data):
 
 @st.composite
 def report_edits(draw):
-    """The fields of a valid report after up to three right-typed edits, each of
-    which may break a rule: an empty or repeated name, an unequal L, a
-    distinct outside 1..L, fit fields on a labels entry, a missing, repeated or
-    unknown role, a NaN or infinite quantity, or a partial set of three-way
-    fields."""
+    """The fields of a valid report after up to three edits, each of which may
+    break a rule: an empty or repeated name, an unequal L, a distinct outside
+    1..L, fit fields on a labels entry, a missing, repeated or unknown role, a
+    NaN or infinite quantity, a partial set of three-way fields, or a stream
+    field of another type (an int name, role or kind, or a float or bool
+    count), while a count may also become the numpy integer of its value."""
     report = draw(reports(draw(st.sampled_from([2, 3]))))
     q = {f: getattr(report.quantities, f) for f in ("log_base", *PAIR_FIELDS, *THREE_WAY_FIELDS)}
     q["regions"] = report.quantities.regions
     streams = [asdict(s) for s in report.streams]
     for _ in range(draw(st.integers(0, 3))):
-        edit = draw(st.sampled_from(["stream", "drop", "repeat", "non-finite", "three-way"]))
+        edits = ["stream", "type", "drop", "repeat", "non-finite", "three-way"]
+        edit = draw(st.sampled_from(edits))
         i = draw(st.integers(0, len(streams) - 1)) if streams else None
         if edit == "stream" and streams:
             key = draw(st.sampled_from(["name", "role", "kind", "rows", "distinct", "fit"]))
@@ -262,6 +264,14 @@ def report_edits(draw):
                         "distinct": st.sampled_from([None, -1, 0, 1, rows, rows + 1]),
                     }[key]
                 )
+        elif edit == "type" and streams:
+            keys = ["name", "role", "kind", "rows", "dims", "clusters", "distinct"]
+            key = draw(st.sampled_from(keys))
+            if key in ("name", "role", "kind"):
+                streams[i][key] = draw(st.integers(-1, 3))
+            else:
+                count = streams[i][key]
+                streams[i][key] = draw(st.sampled_from([2.0, True, np.int64(count or 1)]))
         elif edit == "drop" and streams:
             del streams[i]
         elif edit == "repeat" and streams:
@@ -434,17 +444,24 @@ def edited_pairs(draw, pairs):
     return "{" + ", ".join(f"{json.dumps(key)}: {value}" for key, value in pairs) + "}"
 
 
+# Prefixes of file names: spaces, quotes, non-ASCII characters and line
+# breaks, which an error about the file must still print on one line.
+name_prefixes = st.sampled_from(["", "a b ", "it's \"q\" ", "é日", "a\nb", "\r\n", "\u2028"])
+
+
 @st.composite
-def manifests(draw, suffixes):
-    """A manifest over the files ``0.<suffix>``, ``1.<suffix>``, ...: one
-    entry per file with names that may repeat, rates in 1e-3..1e3 Hz and
-    per-stream counts, and keys and values edited by ``edited_pairs``."""
+def manifests(draw, files):
+    """A manifest over the stream file names ``files`` (``.fmx`` ones hold
+    features): one entry per file with names that may repeat, rates in
+    1e-3..1e3 Hz and per-stream counts, and keys and values edited by
+    ``edited_pairs``."""
     entries = []
-    for i, suffix in enumerate(suffixes):
-        kind = "features" if suffix == "fmx" else "labels"
+    missing = name_prefixes.map(lambda prefix: prefix + "missing.lbl")
+    for i, file in enumerate(files):
+        kind = "features" if file.endswith(".fmx") else "labels"
         pairs = [
             ("name", _usually(draw, f"s{i}", st.just("s0") | st.text(max_size=2))),
-            ("path", _usually(draw, f"{i}.{suffix}", st.sampled_from(["0.fmx", "missing.lbl"]))),
+            ("path", _usually(draw, file, st.just(files[0]) | missing)),
             ("kind", _usually(draw, kind, st.sampled_from(["features", "labels"]))),
             ("sample_rate_hz", _usually(draw, 25.0, st.just(50) | st.floats(1e-3, 1e3))),
         ]
@@ -489,15 +506,17 @@ def _reads_back(text):
     ks=st.sampled_from(["1,2", "2,3"] * 3 + ["0,2", "x"]),
 )
 def test_any_small_input_ends_in_a_report_or_one_error_line(workdir, files, data, clusters, ks):
-    """analyze, sweep and report on a generated directory exit 0, 1 or 2;
-    a failure writes one error line (or argparse's usage error) and a report
-    written reads back and re-renders byte for byte."""
+    """analyze, sweep and report on a generated directory, whose file names
+    may hold spaces, quotes, non-ASCII characters and line breaks, exit 0, 1
+    or 2; a failure writes one error line (or argparse's usage error) and a
+    report written reads back and re-renders byte for byte."""
     with tempfile.TemporaryDirectory(dir=workdir) as tmp:
         tmp = Path(tmp)
-        for i, (suffix, source, flaw) in enumerate(files):
-            _write_stream_file(tmp / f"{i}.{suffix}", source, flaw)
-        manifest = tmp / "manifest.json"
-        manifest.write_text(data.draw(manifests([suffix for suffix, _, _ in files])))
+        names = [data.draw(name_prefixes) + f"{i}.{file[0]}" for i, file in enumerate(files)]
+        for name, (_, source, flaw) in zip(names, files):
+            _write_stream_file(tmp / name, source, flaw)
+        manifest = tmp / (data.draw(name_prefixes) + "manifest.json")
+        manifest.write_text(data.draw(manifests(names)))
         code, out = _cli("analyze", str(manifest), "--clusters", clusters)
         if code == 0:
             _reads_back(out)
