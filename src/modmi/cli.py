@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import DataError, InfeasibleError, ModmiError
+from .errors import DataError, InfeasibleError, ModmiError, printable
 from .ingestion import FeatureMatrix, load_manifest, read_feature_matrix
 from .ingestion import write_feature_matrix, write_labels
 from .pipeline import analyze, sweep_clusters
@@ -199,7 +199,7 @@ def cmd_synth(args) -> int:
         entries.append(entry)
     manifest = {"target_rate_hz": 25.0, "streams": entries}
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {out_dir / 'manifest.json'}")
+    print(f"wrote {printable(out_dir / 'manifest.json')}")
     return 0
 
 

@@ -1,6 +1,7 @@
 """Exception types shared across the package, and the input rules that raise them."""
 
 import contextlib
+import dataclasses
 import json
 import math
 
@@ -57,10 +58,41 @@ def printable(value) -> str:
     return text if text.isprintable() else repr(text)
 
 
+def is_json_type(value, types) -> bool:
+    """``isinstance(value, types)``, but a bool counts only where ``types`` is bool."""
+    return isinstance(value, types) and (types is bool or not isinstance(value, bool))
+
+
+def is_finite_real(value) -> bool:
+    """Whether ``value`` is a Python or numpy integer or float, not a bool,
+    whose float is finite."""
+    real = is_json_type(value, (int, float)) or is_numpy(value, "integer", "floating")
+    with contextlib.suppress(OverflowError):  # an integer too large for a float
+        return real and math.isfinite(value)
+    return False
+
+
+def store_python_scalars(obj) -> None:
+    """Store each numpy scalar in a field of frozen dataclass ``obj``, or among
+    a dict field's values, as a Python value."""
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if isinstance(value, dict):
+            value = {key: _python_scalar(item) for key, item in value.items()}
+        object.__setattr__(obj, f.name, _python_scalar(value))
+
+
+def _python_scalar(value):
+    """``value``, or a numpy scalar's Python value: ``.item()`` keeps a longdouble."""
+    if not is_numpy(value, "generic"):
+        return value
+    return float(value) if is_numpy(value, "floating") else value.item()
+
+
 def check_int(value, what: str, minimum: int | None = None) -> int:
     """``value`` as a Python int: a Python or numpy integer, never a bool, and
     at least ``minimum`` when one is given.  Anything else raises DataError."""
-    if not (isinstance(value, int) or is_numpy(value, "integer")) or isinstance(value, bool):
+    if not (is_json_type(value, int) or is_numpy(value, "integer")):
         raise DataError(f"{what} must be an integer, got {shown(value)}")
     if minimum is not None and value < minimum:
         raise DataError(f"{what} must be >= {minimum}, got {shown(int(value))}")
@@ -68,23 +100,17 @@ def check_int(value, what: str, minimum: int | None = None) -> int:
 
 
 def check_positive(value, what: str) -> float:
-    """``value`` as a finite float > 0: a Python or numpy real number, never a
-    bool.  Anything else raises DataError."""
-    real = isinstance(value, (int, float)) or is_numpy(value, "integer", "floating")
-    if real and not isinstance(value, bool):
-        try:
-            number = float(value)
-        except OverflowError:  # an integer too large for a float
-            number = math.inf
-        if 0 < number < math.inf:
-            return number
+    """``value`` as a finite float > 0: a value ``is_finite_real`` takes whose
+    float is > 0.  Anything else raises DataError."""
+    if is_finite_real(value) and float(value) > 0:
+        return float(value)
     raise DataError(f"{what} must be finite and > 0 (a number, not a bool), got {shown(value)}")
 
 
 def check_bool(value, what: str) -> bool:
     """``value`` as a Python bool: a Python or numpy bool.  Anything else
     raises DataError."""
-    if isinstance(value, bool) or is_numpy(value, "bool", "bool_"):  # bool_ before numpy 2
+    if is_json_type(value, bool) or is_numpy(value, "bool", "bool_"):  # bool_ before numpy 2
         return bool(value)
     raise DataError(f"{what} must be a bool, got {shown(value)}")
 

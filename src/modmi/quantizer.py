@@ -21,7 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from . import _kernels
-from .errors import DataError, InfeasibleError, check_bool, check_int, check_positive, shown
+from .errors import DataError, FormatError, InfeasibleError, check_bool, check_int, check_positive
+from .errors import located, printable, shown
 from .ingestion import FeatureMatrix, LabelSequence, check_size, unpack_header
 
 _KMC_MAGIC = b"KMC1"
@@ -242,10 +243,13 @@ def save_codebook(cb: Codebook, path) -> None:
 def load_codebook(path) -> Codebook:
     raw = Path(path).read_bytes()
     k, dims, seed, norm_flag = unpack_header(path, raw, _KMC_MAGIC, "<IIQB")
+    if norm_flag not in (0, 1):
+        raise FormatError(f"{printable(path)}: normalization flag must be 0 or 1, got {norm_flag}")
     offset = 21 + (dims * 2 * 4 if norm_flag else 0)
     check_size(path, raw, offset + k * dims * 4)
     normalization = None
     if norm_flag:
         normalization = np.frombuffer(raw, dtype="<f4", count=dims * 2, offset=21).reshape(dims, 2)
     centroids = np.frombuffer(raw, dtype="<f4", offset=offset).reshape(k, dims)
-    return Codebook(centroids=centroids, seed=seed, normalization=normalization)
+    with located(printable(path)):
+        return Codebook(centroids=centroids, seed=seed, normalization=normalization)

@@ -6,7 +6,8 @@ import re
 from dataclasses import asdict, dataclass, field, fields
 
 from .errors import DataError, FormatError, ModmiError, check_bool, check_int, check_keys
-from .errors import check_positive, is_numpy, located, read_json, shown
+from .errors import check_positive, is_finite_real, is_json_type, located, read_json, shown
+from .errors import store_python_scalars
 
 LOG_BASES = {"2": math.log(2.0), "e": 1.0, "10": math.log(10.0)}
 
@@ -33,8 +34,9 @@ class InfoQuantities:
     two-variable analysis only the (T, S) fields are present and the
     three-way fields are None.  They and ``regions``, keyed by REGIONS, are
     all present or all absent; every present value is a finite real number,
-    not a bool; ``log_base`` follows ``normalize_base``.  A breach raises
-    DataError naming its place in a report (``quantities.H.T is not ...``).
+    not a bool, and a numpy one is stored as a Python one; ``log_base``
+    follows ``normalize_base``.  A breach raises DataError naming its place
+    in a report (``quantities.H.T is not ...``).
     """
 
     log_base: str
@@ -54,6 +56,7 @@ class InfoQuantities:
     regions: dict[str, float] | None = None
 
     def __post_init__(self):
+        store_python_scalars(self)
         three_way = _defaults_to_none(InfoQuantities)
         present = tuple(name for name in three_way if getattr(self, name) is not None)
         if present not in ((), three_way):
@@ -66,12 +69,7 @@ class InfoQuantities:
         }
         values.update({f"quantities.regions.{r}": self.regions[r] for r in REGIONS if present})
         for place, value in values.items():
-            real = isinstance(value, (int, float)) and not isinstance(value, bool)
-            try:
-                finite = value is None or real and math.isfinite(value)
-            except OverflowError:  # an integer too large for a float
-                finite = False
-            if not finite:
+            if value is not None and not is_finite_real(value):
                 raise DataError(f"{place} is not a finite number")
         with located("quantities"):
             object.__setattr__(self, "log_base", normalize_base(self.log_base))
@@ -142,9 +140,7 @@ class AnalysisConfig:
     log_base: str = "2"
 
     def __post_init__(self):
-        for f in fields(self):
-            if is_numpy(getattr(self, f.name), "generic"):
-                object.__setattr__(self, f.name, getattr(self, f.name).item())
+        store_python_scalars(self)
         object.__setattr__(self, "log_base", normalize_base(self.log_base))
         check_int(self.clusters, "clusters", 1)
         check_int(self.max_iter, "max_iter", 1)
@@ -176,9 +172,7 @@ class StreamSummary:
     codebook_sha256: str | None = None
 
     def __post_init__(self):
-        for f in fields(self):
-            if is_numpy(getattr(self, f.name), "generic"):
-                object.__setattr__(self, f.name, getattr(self, f.name).item())
+        store_python_scalars(self)
 
 
 # Stream count -> the roles of its streams, in the order of a manifest whose
@@ -194,13 +188,14 @@ _STREAM_KEYS = {f.name: (f.metadata.get("key", f.name), f.type) for f in fields(
 class InfoReport:
     """The quantity table plus everything needed to reproduce it.
 
-    Streams that no analysis writes raise DataError: a field not of its
-    ``StreamSummary`` type (a bool is no int); roles other than those
-    of ``ROLES[quantities.arity]``, one stream each; a kind other than
-    features or labels; an empty or repeated name; an ``L`` below 1 or unlike
-    the first stream's; a ``distinct`` outside 1..L; a features entry without
-    ``d`` >= 1, ``k`` >= 1 (and >= ``distinct``) and a sha256 hex digest; or a
-    labels entry with any of ``d``, ``k`` and ``codebook_sha256``.
+    A part not of its annotated type raises DataError, and so do streams that
+    no analysis writes: a field not of its ``StreamSummary`` type (a bool is
+    no int); roles other than those of ``ROLES[quantities.arity]``, one
+    stream each; a kind other than features or labels; an empty or repeated
+    name; an ``L`` below 1 or unlike the first stream's; a ``distinct``
+    outside 1..L; a features entry without ``d`` >= 1, ``k`` >= 1 (and >=
+    ``distinct``) and a sha256 hex digest; or a labels entry with any of
+    ``d``, ``k`` and ``codebook_sha256``.
     """
 
     quantities: InfoQuantities
@@ -208,11 +203,17 @@ class InfoReport:
     config: AnalysisConfig
 
     def __post_init__(self):
+        for place, cls in (("quantities", InfoQuantities), ("config", AnalysisConfig)):
+            if not isinstance(getattr(self, place), cls):  # before any rule reads its attributes
+                got = type(getattr(self, place)).__name__
+                raise DataError(f"{place} must be an {cls.__name__}, got {got}")
         roles, streams = ROLES[self.quantities.arity], self.streams
         for i, s in enumerate(streams):  # before the roles rule, which sorts the roles
+            if not isinstance(s, StreamSummary):
+                raise DataError(f"streams[{i}] must be a StreamSummary, got {type(s).__name__}")
             for name, (key, types) in _STREAM_KEYS.items():
                 value = getattr(s, name)
-                if isinstance(value, bool) or not isinstance(value, types):
+                if not is_json_type(value, types):
                     raise DataError(f"streams[{i}].{key} has the wrong type: {shown(value)}")
         if sorted(s.role for s in streams) != sorted(roles):
             got = [s.role for s in streams]
@@ -329,7 +330,7 @@ def _field(obj, key: str, types, where: str):
     if key not in obj:
         raise FormatError(f"report: {where} is missing {key!r}")
     value = obj[key]
-    if isinstance(value, bool) != (types is bool) or not isinstance(value, types):
+    if not is_json_type(value, types):
         raise FormatError(f"report: {where}.{key} has the wrong type: {value!r}")
     return value
 

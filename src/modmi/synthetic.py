@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DataError, check_int, check_positive
+from .errors import DataError, check_int, check_positive, is_finite_real
 from .infotheory import CLAMP_TOL
 from .ingestion import FeatureMatrix, LabelSequence
 from .report import LOG_BASES, InfoQuantities, normalize_base
@@ -181,7 +181,7 @@ def gen_gaussian_mixture(
     centers = _float_array(centers, "centers")
     if centers.ndim != 2 or centers.shape[0] < 1 or centers.shape[1] < 1:
         raise DataError(f"centers must be (m >= 1, d >= 1), got {centers.shape}")
-    if isinstance(stddev, (bool, np.bool_)) or stddev != 0:  # 0 puts every row on its center
+    if not (is_finite_real(stddev) and stddev == 0):  # 0 puts every row on its center
         stddev = check_positive(stddev, "a non-zero stddev")
     n_per_center = check_int(n_per_center, "n_per_center", 1)
     m, d = centers.shape

@@ -670,6 +670,13 @@ class TestSynth:
         labels = read_labels(xor_dir / "v.lbl")
         assert labels.rows == 4
 
+    def test_a_line_break_in_the_out_dir_keeps_one_stdout_line(self, tmp_path, capsys):
+        out = tmp_path / "o\nd"
+        code, stdout, err = run(capsys, "synth", "xor", "--out-dir", str(out))
+        assert code == 0 and err == ""
+        assert stdout.count("\n") == 1
+        assert stdout == f"wrote {str(out / 'manifest.json')!r}\n"
+
     def test_blobs_dataset_analyzable(self, blobs_dir, capsys):
         code, out, _ = run(
             capsys, "analyze", str(blobs_dir / "manifest.json"), "--format", "table"

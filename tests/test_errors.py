@@ -1,11 +1,14 @@
 import ast
+import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import modmi
 from modmi import errors
-from modmi.errors import DataError, FormatError, InfeasibleError, ModmiError, located, printable
+from modmi.errors import DataError, FormatError, InfeasibleError, ModmiError, check_bool, check_int
+from modmi.errors import check_positive, located, printable
 
 
 class TestLocated:
@@ -94,9 +97,12 @@ def test_printable_shows_a_string_that_does_not_print_as_its_repr(value, text):
 
 
 def _is_path(node) -> bool:
-    """Whether ``node`` is ``path``, ``<expr>.path`` or ``str()`` of one of them."""
+    """Whether ``node`` is ``path``, ``<expr>.path``, a join ``<expr> / <expr>``
+    or ``str()`` of one of them."""
     if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "str" and node.args:
         node = node.args[0]
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div):
+        return True
     return getattr(node, "id", None) == "path" or getattr(node, "attr", None) == "path"
 
 
@@ -126,3 +132,80 @@ def test_every_path_in_a_message_goes_through_printable():
     assert len(modules) >= 10
     offenders = {p.name: lines for p in modules if (lines := _raw_paths(p))}
     assert offenders == {}
+
+
+def _number_rule_spellings(path: Path) -> list[int]:
+    """Lines in ``path`` that spell the rule for what counts as a number: a
+    call of ``is_numpy``, an ``isinstance`` test against ``bool`` (alone or in
+    a tuple) or an ``except OverflowError:`` clause."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ExceptHandler):
+            if getattr(node.type, "id", None) == "OverflowError":
+                found.append(node.lineno)
+        elif isinstance(node, ast.Call):
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            if name == "is_numpy":
+                found.append(node.lineno)
+            elif name == "isinstance" and len(node.args) == 2:
+                types = node.args[1]
+                names = [getattr(t, "id", None) for t in getattr(types, "elts", [types])]
+                if "bool" in names:
+                    found.append(node.lineno)
+    return sorted(found)
+
+
+def test_only_errors_spells_the_number_rule():
+    """``errors`` is the one place that says what counts as a number: no other
+    module tests for numpy scalars, tells a bool from an int or catches the
+    overflow of an integer too large for a float."""
+    package = Path(modmi.__file__).parent
+    modules = sorted(p for p in package.glob("*.py") if p.name != "errors.py")
+    assert len(modules) >= 9
+    offenders = {p.name: lines for p in modules if (lines := _number_rule_spellings(p))}
+    assert offenders == {}
+
+
+def _numpy_types(codes: str) -> list[type]:
+    return sorted({np.dtype(code).type for code in codes}, key=lambda t: t.__name__)
+
+
+# A value -> what check_int, check_positive and check_bool return for it, in
+# that order; None where the check raises DataError.
+NUMBER_RULE_CASES = [
+    *[(t(3), (3, 3.0, None)) for t in _numpy_types(np.typecodes["AllInteger"])],
+    *[(t(1.5), (None, 1.5, None)) for t in _numpy_types(np.typecodes["Float"])],
+    *[(t(1.5), (None, None, None)) for t in _numpy_types(np.typecodes["Complex"])],
+    (np.bool_(True), (None, None, True)),
+    (np.str_("1"), (None, None, None)),
+    (True, (None, None, True)),
+    (0, (0, None, None)),
+    (1.5, (None, 1.5, None)),
+    (10**400, (10**400, None, None)),
+    (math.nan, (None, None, None)),
+    (math.inf, (None, None, None)),
+    (-math.inf, (None, None, None)),
+    ("1", (None, None, None)),
+    (None, (None, None, None)),
+]
+
+
+@pytest.mark.parametrize(
+    "value, expected",
+    NUMBER_RULE_CASES,
+    ids=[f"{type(value).__name__}-{str(value)[:8]}" for value, _ in NUMBER_RULE_CASES],
+)
+def test_the_checks_take_numbers_by_one_rule(value, expected):
+    """Every numpy integer, floating, complex and bool scalar type and the
+    Python edge cases: a bool is never a number, a float must be finite, an
+    integer too large for a float is no real, and what passes is returned as
+    a Python value."""
+    rules = ("must be an integer", "must be finite and > 0 (a number, not a bool)", "must be a bool")
+    for check, want, rule in zip((check_int, check_positive, check_bool), expected, rules):
+        if want is None:
+            with pytest.raises(DataError) as info:
+                check(value, "x")
+            assert str(info.value) == f"x {rule}, got {value!r}"
+        else:
+            got = check(value, "x")
+            assert got == want and type(got) is type(want)

@@ -217,6 +217,8 @@ DAMAGED_FILES = [
     ("KMC1", lambda raw: raw[:-1], "size mismatch"),
     ("KMC1", lambda raw: raw[:25], "size mismatch"),  # inside the normalization block
     ("FMX1", lambda raw: raw + b"\x00", "size mismatch"),
+    ("KMC1", lambda raw: raw[:20] + b"\x02" + raw[21:], "flag must be 0 or 1, got 2"),
+    ("KMC1", lambda raw: raw[:20] + b"\xff" + raw[21:], "flag must be 0 or 1, got 255"),
 ]
 
 
@@ -226,6 +228,7 @@ DAMAGED_FILES = [
     ids=[
         "fmx-magic", "kmc-magic", "fmx-header", "lbl-header", "kmc-header",
         "fmx-short", "lbl-short", "kmc-short", "kmc-normalization", "fmx-long",
+        "kmc-flag-2", "kmc-flag-255",
     ],
 )
 def test_damaged_binary_file_names_path(tmp_path, fmt, damage, word):
@@ -235,6 +238,24 @@ def test_damaged_binary_file_names_path(tmp_path, fmt, damage, word):
     path.write_bytes(damage(path.read_bytes()))
     with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: .*{word}"):
         read(path)
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        (struct.pack("<IIQB", 1, 2, 0, 0) + np.array([np.nan, 0], "<f4").tobytes(),
+         "non-finite centroid"),
+        (struct.pack("<IIQB", 0, 2, 0, 0), "centroids must be (k >= 1, d >= 1), got (0, 2)"),
+    ],
+    ids=["nan-centroid", "k-0"],
+)
+def test_codebook_value_error_names_path(tmp_path, body, message):
+    """A KMC1 file whose header and size agree but whose values no Codebook
+    takes names the file, as the FMX1 and LBL1 readers do."""
+    path = tmp_path / "bad.kmc"
+    path.write_bytes(b"KMC1" + body)
+    with pytest.raises(DataError, match=f"^{re.escape(str(path))}: {re.escape(message)}$"):
+        load_codebook(path)
 
 
 class TestResample:

@@ -576,6 +576,51 @@ def test_report_types_refuse_what_from_json_refuses(xor_manifest, breach):
         change(analyze(xor_manifest))
 
 
+# A part of the xor report replaced by a value of another type -> the
+# DataError message, in Manifest's words, raised before any attribute is read.
+PART_BREACHES = {
+    "dict-stream": (
+        lambda r: replace(r, streams=(r.streams[0], {}, r.streams[2])),
+        "streams[1] must be a StreamSummary, got dict",
+    ),
+    "str-quantities": (
+        lambda r: replace(r, quantities="x"),
+        "quantities must be an InfoQuantities, got str",
+    ),
+    "dict-config": (
+        lambda r: replace(r, config={}),
+        "config must be an AnalysisConfig, got dict",
+    ),
+}
+
+
+@pytest.mark.parametrize("breach", PART_BREACHES)
+def test_report_refuses_a_part_not_of_its_type(xor_manifest, breach):
+    change, message = PART_BREACHES[breach]
+    with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+        change(analyze(xor_manifest))
+
+
+@pytest.mark.parametrize(
+    "place", ["h_t", "i_vts", "regions"], ids=["field", "three-way-field", "region"]
+)
+@pytest.mark.parametrize(
+    "value", [np.float32(0.5), np.int64(1), np.float64(0.5)], ids=["float32", "int64", "float64"]
+)
+def test_numpy_scalar_quantities_are_stored_as_python_numbers(xor_manifest, place, value):
+    report = analyze(xor_manifest)
+    q = report.quantities
+    if place == "regions":
+        q = replace(q, regions={**q.regions, "V;T;S": value})
+        stored = q.regions["V;T;S"]
+    else:
+        q = replace(q, **{place: value})
+        stored = getattr(q, place)
+    assert type(stored) is type(value.item()) and stored == value
+    text = replace(report, quantities=q).to_json()
+    assert InfoReport.from_json(text).to_json() == text
+
+
 def test_quantities_store_the_canonical_log_base(xor_manifest):
     quantities = analyze(xor_manifest).quantities
     assert replace(quantities, log_base=10).log_base == "10"

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import tempfile
+from collections import Counter
 from dataclasses import asdict
 from pathlib import Path
 
@@ -143,8 +144,8 @@ def test_text_label_parse_equals_the_line_loop(raw):
 
 
 @st.composite
-def codebooks(draw):
-    k, d = draw(st.integers(1, 8)), draw(st.integers(1, 6))
+def codebooks(draw, dims=None):
+    k, d = draw(st.integers(1, 8)), dims or draw(st.integers(1, 6))
     centroids = draw(hnp.arrays(np.float32, (k, d), elements=finite32))
     normalization = None
     if draw(st.booleans()):
@@ -391,12 +392,14 @@ def _usually(draw, usual, other):
     return draw(other) if draw(st.integers(0, 15)) == 15 else usual
 
 
+magics = st.sampled_from([b"FMX1", b"LBL1", b"KMC1", b"x1\n\n"]).map(lambda magic: (0, magic))
+
+
 @st.composite
 def stream_files(draw, rows):
     """(suffix, source, flaw) of a stream file of about ``rows`` rows: FMX1
     features or LBL1 labels (a stream to write) or text labels (bytes),
-    written as they are, truncated to ``flaw`` bytes, or with ``flaw`` as
-    their first four bytes."""
+    written by ``_write_file``."""
     suffix = draw(st.sampled_from(["fmx", "lbl", "txt"]))
     rows = _usually(draw, rows, st.integers(1, 8))
     if suffix == "fmx":
@@ -408,20 +411,36 @@ def stream_files(draw, rows):
         source = LabelSequence(np.array(draw(symbols)), alphabet, 25.0)
     else:
         source = draw(label_texts(min_lines=rows, max_lines=rows))
-    magics = st.sampled_from([b"FMX1", b"LBL1", b"KMC1", b"x1\n\n"])
     return suffix, source, _usually(draw, None, st.integers(0, 60) | magics)
 
 
-def _write_stream_file(path, source, flaw):
+_WRITERS = {FeatureMatrix: write_feature_matrix, LabelSequence: write_labels, Codebook: save_codebook}
+
+
+def _write_file(path, source, flaw):
+    """Write ``source`` (bytes, a stream or a codebook) to ``path`` as it is
+    (``flaw`` None), truncated to ``flaw`` bytes (an int, always dropping at
+    least one), or with its bytes from ``flaw[0]`` on overwritten by ``flaw[1]``."""
     if isinstance(source, bytes):
         path.write_bytes(source)
     else:
-        (write_feature_matrix if isinstance(source, FeatureMatrix) else write_labels)(source, path)
+        _WRITERS[type(source)](source, path)
     raw = path.read_bytes()
     if isinstance(flaw, int):
         path.write_bytes(raw[: min(flaw, len(raw) - 1)])
     elif flaw is not None:
-        path.write_bytes(flaw + raw[4:])
+        at, new = flaw
+        path.write_bytes(raw[:at] + new + raw[at + len(new) :])
+
+
+@st.composite
+def kmc1_files(draw, dims):
+    """(codebook, flaw) of a KMC1 file for ``_write_file``: a codebook of
+    ``dims`` dimensions (any when None), valid, truncated, of another magic
+    or with a normalization flag byte of 2."""
+    other_magics = magics.filter(lambda flaw: flaw[1] != b"KMC1")
+    flaw = st.integers(0, 60) | other_magics | st.just((20, b"\x02"))
+    return draw(codebooks(dims)), draw(st.none() | flaw)
 
 
 @st.composite
@@ -496,6 +515,45 @@ def _reads_back(text):
     assert InfoReport.from_json(text).to_json() == text
 
 
+def _check_label_values(manifest, report):
+    """Recompute a label-only ``report`` of ``manifest`` from its stream files
+    and compare its roles, length and every H, I2 and cond value: frames are
+    resampled as ``resample_nearest``'s docstring states and truncated to the
+    shortest stream, roles follow the names v/t/s or else manifest order, and
+    entropies are plug-in sums over counted tuples."""
+    doc = json.loads(manifest.read_text())
+    target, frames = doc["target_rate_hz"], []
+    for entry in doc["streams"]:
+        symbols = read_labels(manifest.parent / entry["path"]).symbols.tolist()
+        source, n = entry["sample_rate_hz"], len(symbols)
+        rows = max(1, round(n * target / source))
+        frames.append([symbols[min(n - 1, math.floor((i + 0.5) * source / target))]
+                       for i in range(rows)])
+    length = min(map(len, frames))
+    names = [entry["name"] for entry in doc["streams"]]
+    order = "VTS" if len(names) == 3 else "TS"
+    by_name = sorted(name.lower() for name in names) == sorted(order.lower())
+    roles = [name.lower().upper() for name in names] if by_name else list(order)
+    assert [s["role"] for s in report["streams"]] == roles
+    assert {s["L"] for s in report["streams"]} == {length}
+    by_role = {role: f[:length] for role, f in zip(roles, frames)}
+    scale = {"2": math.log(2), "e": 1.0, "10": math.log(10)}[report["config"]["log_base"]]
+
+    def h(joint):
+        counts = Counter(zip(*(by_role[role] for role in joint))).values()
+        return -sum(c / length * math.log(c / length) for c in counts) / scale
+
+    expected = {"H": {role: h(role) for role in by_role}, "I2": {}, "cond": {}}
+    for x, y in [pair for pair in ("TV", "TS", "VS") if set(pair) <= set(by_role)]:
+        expected["I2"][f"{x},{y}"] = h(x) + h(y) - h(x + y)
+        expected["cond"][f"{y}|{x}"] = h(x + y) - h(x)
+        expected["cond"][f"{x}|{y}"] = h(x + y) - h(y)
+    for group, values in expected.items():
+        got = report["quantities"][group]
+        assert got.keys() == values.keys()
+        assert all(abs(got[key] - value) <= 1e-12 for key, value in values.items()), group
+
+
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(
     files=st.tuples(st.sampled_from([1, 2, 2, 3, 3, 4]), st.integers(1, 8)).flatmap(
@@ -506,23 +564,41 @@ def _reads_back(text):
     ks=st.sampled_from(["1,2", "2,3"] * 3 + ["0,2", "x"]),
 )
 def test_any_small_input_ends_in_a_report_or_one_error_line(workdir, files, data, clusters, ks):
-    """analyze, sweep and report on a generated directory, whose file names
-    may hold spaces, quotes, non-ASCII characters and line breaks, exit 0, 1
-    or 2; a failure writes one error line (or argparse's usage error) and a
-    report written reads back and re-renders byte for byte."""
+    """analyze, sweep, report, fit and assign on a generated directory, whose
+    file names may hold spaces, quotes, non-ASCII characters and line breaks,
+    exit 0, 1 or 2; a failure writes one error line (or argparse's usage
+    error), a report written reads back and re-renders byte for byte, a
+    label-only report holds the values its files give, and a damaged
+    codebook is refused."""
     with tempfile.TemporaryDirectory(dir=workdir) as tmp:
         tmp = Path(tmp)
         names = [data.draw(name_prefixes) + f"{i}.{file[0]}" for i, file in enumerate(files)]
         for name, (_, source, flaw) in zip(names, files):
-            _write_stream_file(tmp / name, source, flaw)
+            _write_file(tmp / name, source, flaw)
         manifest = tmp / (data.draw(name_prefixes) + "manifest.json")
         manifest.write_text(data.draw(manifests(names)))
         code, out = _cli("analyze", str(manifest), "--clusters", clusters)
         if code == 0:
             _reads_back(out)
+            report = json.loads(out)
+            if all(s["kind"] == "labels" for s in report["streams"]):
+                _check_label_values(manifest, report)
         saved = tmp / "report.json"
         saved.write_text(out if code == 0 else manifest.read_text())
         assert _cli("report", str(saved), "--format", "json") == ((0, out) if code == 0 else (1, ""))
         code, out = _cli("sweep", str(manifest), "--ks", ks, "--format", "json")
         for entry in json.loads(out) if code == 0 else []:
             _reads_back(json.dumps(entry, indent=2, sort_keys=True) + "\n")
+        # fit and assign take the first features file, if any, and a KMC1 file.
+        i = next((i for i, file in enumerate(files) if file[0] == "fmx"), 0)
+        features, codebook, labels = tmp / names[i], tmp / "c.kmc", tmp / "a.lbl"
+        code, _ = _cli("fit", str(features), "--clusters", clusters, "--out", str(codebook))
+        if code == 0:
+            assert load_codebook(codebook).k == int(clusters)
+        dims = files[i][1].dims if files[i][0] == "fmx" else None
+        cb, flaw = data.draw(kmc1_files(dims))
+        _write_file(codebook, cb, flaw)
+        code, _ = _cli("assign", str(codebook), str(features), "--out", str(labels))
+        assert code in ((0, 1) if flaw is None else (1,))
+        if code == 0:
+            assert read_labels(labels).rows == read_feature_matrix(features).rows

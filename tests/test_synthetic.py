@@ -144,10 +144,11 @@ class TestGaussianMixture:
             (np.zeros((3, 2)), True, r"stddev must be finite and > 0 \(a number, not a bool\), got True"),
             (np.zeros((3, 2)), -1.0, "stddev must be finite and > 0"),
             ([["a"]], 1.0, "centers must be an array of numbers: could not convert string"),
+            (np.zeros((3, 2)), 0j, r"stddev must be finite and > 0 \(a number, not a bool\), got 0j"),
         ],
         ids=[
             "no-dims", "stddev-inf", "stddev-nan", "stddev-str", "stddev-bool", "stddev-negative",
-            "centers-str",
+            "centers-str", "stddev-complex-zero",
         ],
     )
     def test_bad_shape_or_scale_rejected(self, centers, stddev, match):
