@@ -115,6 +115,13 @@ def check_bool(value, what: str) -> bool:
     raise DataError(f"{what} must be a bool, got {shown(value)}")
 
 
+def check_tuple(value, what: str) -> tuple:
+    """``value`` as a tuple: a tuple or a list.  Anything else raises DataError."""
+    if not isinstance(value, (tuple, list)):
+        raise DataError(f"{what} must be a tuple or list, got {type(value).__name__}")
+    return tuple(value)
+
+
 def _unique_keys(pairs: list) -> dict:
     """A JSON object's key/value ``pairs`` as a dict; a repeated key raises FormatError."""
     obj = {}

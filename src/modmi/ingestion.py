@@ -22,8 +22,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import AlignmentError, DataError, FormatError
-from .errors import check_int, check_keys, check_positive, located, printable, read_json, shown
+from .errors import AlignmentError, DataError, FormatError, check_int, check_keys, check_positive
+from .errors import check_tuple, located, printable, read_json, shown
 
 _FMX_MAGIC = b"FMX1"
 _LBL_MAGIC = b"LBL1"
@@ -32,9 +32,35 @@ _MAX_SYMBOL = _U32_MAX - 1  # a symbol is below its alphabet, which is at most _
 _NEWLINE, _ZERO = ord("\n"), ord("0")
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    arr.setflags(write=False)
-    return arr
+def frozen_array(value, dtype, what: str) -> np.ndarray:
+    """``value`` converted once to a read-only, C-contiguous ``dtype`` array,
+    copied unless no write can reach it through its bases.  DataError refuses
+    a dtype but bool, integer, float and object (strings, complex, dates), what
+    numpy cannot convert and what a cast to an integer (symbol) dtype changes:
+    not a whole number in [0, _MAX_SYMBOL].  A float overflow gives inf."""
+    try:
+        given = np.asarray(value)
+        if given.dtype.kind in "SU" and given.size:  # "1.5" too, in numpy's words for "a"
+            to = "float" if np.dtype(dtype).kind == "f" else "int"
+            raise ValueError(f"could not convert string to {to}: {shown(given.flat[0].item())}")
+        if given.dtype.kind not in "biufO":
+            raise TypeError(f"got {given.dtype} values")
+        owner = given  # no write reaches past a read-only array to its base
+        while isinstance(owner, np.ndarray) and not owner.flags.writeable:
+            owner = owner.base
+        convert = np.asarray if owner is None or isinstance(owner, bytes) else np.array
+        with np.errstate(over="ignore", invalid="ignore"):  # to inf, or refused below
+            array = convert(given, dtype=dtype, order="C")
+        if array.dtype.kind == "i" and not np.can_cast(given.dtype, dtype):
+            kept = (array == given) & (array >= 0) & (array <= _MAX_SYMBOL)
+            if not kept.all():
+                i = int(np.argmin(kept))
+                raise DataError(f"{what} must be integers in [0, {_MAX_SYMBOL}], got "
+                                f"{shown(given.flat[i : i + 1].tolist()[0])} at index {i}")
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DataError(f"{what} must be an array of numbers: {exc}") from None
+    array.setflags(write=False)
+    return array
 
 
 @dataclass(frozen=True)
@@ -46,7 +72,7 @@ class FeatureMatrix:
     modality_tag: str = ""
 
     def __post_init__(self):
-        values = np.ascontiguousarray(self.values, dtype=np.float32)
+        values = frozen_array(self.values, np.float32, "feature values")
         if values.ndim != 2:
             raise DataError(f"feature values must be 2-D, got shape {values.shape}")
         if values.shape[0] < 1 or values.shape[1] < 1:
@@ -56,7 +82,7 @@ class FeatureMatrix:
             r, c = divmod(idx, values.shape[1])
             raise DataError(f"non-finite feature value at row {r}, col {c}")
         rate = check_positive(self.sample_rate_hz, "sample_rate_hz")
-        object.__setattr__(self, "values", _freeze(values))
+        object.__setattr__(self, "values", values)
         object.__setattr__(self, "sample_rate_hz", rate)
 
     @property
@@ -78,14 +104,7 @@ class LabelSequence:
     modality_tag: str = ""
 
     def __post_init__(self):
-        given = np.asarray(self.symbols)
-        if given.dtype.kind == "f":  # checked before the cast, which would truncate
-            whole = (given >= 0) & (given <= np.float64(_MAX_SYMBOL)) & (np.trunc(given) == given)
-            if not whole.all():
-                i = int(np.argmin(whole))
-                raise DataError(f"symbols must be integers in [0, {_MAX_SYMBOL}], got "
-                                f"{given.flat[i].item()!r} at index {i}")
-        symbols = np.ascontiguousarray(given, dtype=np.int64)
+        symbols = frozen_array(self.symbols, np.int64, "symbols")
         if symbols.ndim != 1:
             raise DataError(f"symbols must be 1-D, got shape {symbols.shape}")
         if symbols.shape[0] < 1:
@@ -98,7 +117,7 @@ class LabelSequence:
         if symbols.max() >= alphabet_size:
             raise DataError(f"symbol {int(symbols.max())} exceeds alphabet_size {alphabet_size}")
         rate = check_positive(self.sample_rate_hz, "sample_rate_hz")
-        object.__setattr__(self, "symbols", _freeze(symbols))
+        object.__setattr__(self, "symbols", symbols)
         object.__setattr__(self, "alphabet_size", alphabet_size)
         object.__setattr__(self, "sample_rate_hz", rate)
 
@@ -109,13 +128,12 @@ class LabelSequence:
 
 def write_feature_matrix(m: FeatureMatrix, path) -> None:
     """Write an FMX1 file; reading it back is bit-exact."""
-    values = np.asarray(m.values, dtype=np.float32)
-    if not np.all(np.isfinite(values)):
+    if not np.all(np.isfinite(m.values)):
         raise DataError("refusing to write non-finite feature values")
     with open(path, "wb") as fh:
         fh.write(_FMX_MAGIC)
         fh.write(struct.pack("<II", m.rows, m.dims))
-        fh.write(values.astype("<f4", copy=False).tobytes(order="C"))
+        fh.write(m.values.astype("<f4", copy=False).tobytes(order="C"))
 
 
 def unpack_header(path, raw: bytes, magic: bytes, layout: str) -> tuple:
@@ -176,7 +194,7 @@ def read_labels(
     if raw[:4] == _LBL_MAGIC:
         rows, stored_alphabet = unpack_header(path, raw, _LBL_MAGIC, "<II")
         check_size(path, raw, 12 + rows * 4)
-        symbols = np.frombuffer(raw, dtype="<u4", offset=12).astype(np.int64)
+        symbols = np.frombuffer(raw, dtype="<u4", offset=12)
         base_alphabet = stored_alphabet
     else:
         symbols = _parse_label_text(raw, path)
@@ -294,8 +312,9 @@ def _frames(stream, rate: float, rows: int):
     """The first ``rows`` frames of ``stream`` resampled to ``rate`` Hz, same kind."""
     if rate == stream.sample_rate_hz:
         idx = slice(rows)
-    else:  # clipped before the cast: at a tiny rate the float index overflows int64
-        source = np.floor((np.arange(rows) + 0.5) * stream.sample_rate_hz / rate)
+    else:  # clipped before the cast: at a tiny rate the float index overflows int64, or to inf
+        with np.errstate(over="ignore"):
+            source = np.floor((np.arange(rows) + 0.5) * stream.sample_rate_hz / rate)
         idx = np.minimum(stream.rows - 1, source).astype(np.int64)
     if isinstance(stream, FeatureMatrix):
         return FeatureMatrix(stream.values[idx], rate, stream.modality_tag)
@@ -377,6 +396,7 @@ class Manifest:
 
     def __post_init__(self):
         object.__setattr__(self, "target_rate_hz", _rate(self.target_rate_hz, "target_rate_hz"))
+        object.__setattr__(self, "streams", check_tuple(self.streams, "streams"))
         for i, spec in enumerate(self.streams):
             if not isinstance(spec, StreamSpec):
                 raise DataError(f"streams[{i}] must be a StreamSpec, got {type(spec).__name__}")

@@ -23,7 +23,7 @@ import numpy as np
 from . import _kernels
 from .errors import DataError, FormatError, InfeasibleError, check_bool, check_int, check_positive
 from .errors import located, printable, shown
-from .ingestion import FeatureMatrix, LabelSequence, check_size, unpack_header
+from .ingestion import FeatureMatrix, LabelSequence, check_size, frozen_array, unpack_header
 
 _KMC_MAGIC = b"KMC1"
 
@@ -46,24 +46,23 @@ class Codebook:
     labels: np.ndarray | None = field(default=None, repr=False)  # (L,) int64
 
     def __post_init__(self):
-        centroids = np.ascontiguousarray(self.centroids, dtype=np.float32)
+        centroids = frozen_array(self.centroids, np.float32, "centroids")
         if centroids.ndim != 2 or centroids.shape[0] < 1 or centroids.shape[1] < 1:
             raise DataError(f"centroids must be (k >= 1, d >= 1), got {centroids.shape}")
         if not np.all(np.isfinite(centroids)):
             raise DataError("non-finite centroid")
-        centroids.setflags(write=False)
         object.__setattr__(self, "centroids", centroids)
+        object.__setattr__(self, "seed", _kmc1_seed(self.seed))
         if self.normalization is not None:
-            norm = np.ascontiguousarray(self.normalization, dtype=np.float32)
+            norm = frozen_array(self.normalization, np.float32, "normalization")
             if norm.shape != (centroids.shape[1], 2):
                 raise DataError(f"normalization must be (d, 2), got {norm.shape}")
             if not (np.all(np.isfinite(norm)) and np.all(norm[:, 1] > 0)):
                 raise DataError("normalization must be finite with every stddev > 0")
-            norm.setflags(write=False)
             object.__setattr__(self, "normalization", norm)
-        if self.labels is not None:
-            labels = np.ascontiguousarray(self.labels, dtype=np.int64)
-            labels.setflags(write=False)
+        if self.labels is not None:  # the symbols of a label sequence over the k centroids
+            with located("labels"):
+                labels = LabelSequence(self.labels, self.k, 1.0).symbols
             object.__setattr__(self, "labels", labels)
 
     @property
@@ -81,6 +80,15 @@ class Codebook:
     @property
     def dims(self) -> int:
         return self.centroids.shape[1]
+
+
+def _kmc1_seed(value) -> int:
+    """``value`` as a seed a KMC1 file can hold: an integer, by ``check_int``,
+    that fits an unsigned 64-bit integer.  Anything else raises DataError."""
+    seed = check_int(value, "seed")
+    if not 0 <= seed < 2**64:
+        raise DataError(f"seed must fit an unsigned 64-bit integer, got {shown(seed)}")
+    return seed
 
 
 def _normalize(data: np.ndarray, normalization: np.ndarray | None) -> np.ndarray:
@@ -169,9 +177,7 @@ def fit(
     """
     k, max_iter = check_int(k, "k", 1), check_int(max_iter, "max_iter", 1)
     tol, normalize = check_positive(tol, "tol"), check_bool(normalize, "normalize")
-    seed = check_int(seed, "seed")
-    if not 0 <= seed < 2**64:
-        raise DataError(f"seed must fit an unsigned 64-bit integer, got {shown(seed)}")
+    seed = _kmc1_seed(seed)
 
     n = x.rows
     if k > n:  # before seeding allocates k centres

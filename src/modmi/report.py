@@ -7,7 +7,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 from .errors import DataError, FormatError, ModmiError, check_bool, check_int, check_keys
 from .errors import check_positive, is_finite_real, is_json_type, located, read_json, shown
-from .errors import store_python_scalars
+from .errors import check_tuple, store_python_scalars
 
 LOG_BASES = {"2": math.log(2.0), "e": 1.0, "10": math.log(10.0)}
 
@@ -207,7 +207,9 @@ class InfoReport:
             if not isinstance(getattr(self, place), cls):  # before any rule reads its attributes
                 got = type(getattr(self, place)).__name__
                 raise DataError(f"{place} must be an {cls.__name__}, got {got}")
-        roles, streams = ROLES[self.quantities.arity], self.streams
+        streams = check_tuple(self.streams, "streams")
+        object.__setattr__(self, "streams", streams)
+        roles = ROLES[self.quantities.arity]
         for i, s in enumerate(streams):  # before the roles rule, which sorts the roles
             if not isinstance(s, StreamSummary):
                 raise DataError(f"streams[{i}] must be a StreamSummary, got {type(s).__name__}")

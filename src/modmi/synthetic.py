@@ -18,18 +18,10 @@ import numpy as np
 
 from .errors import DataError, check_int, check_positive, is_finite_real
 from .infotheory import CLAMP_TOL
-from .ingestion import FeatureMatrix, LabelSequence
+from .ingestion import FeatureMatrix, LabelSequence, frozen_array
 from .report import LOG_BASES, InfoQuantities, normalize_base
 
 DEFAULT_RATE_HZ = 25.0
-
-
-def _float_array(value, what: str) -> np.ndarray:
-    """``value`` as a float64 array; a value numpy cannot convert raises DataError."""
-    try:
-        return np.asarray(value, dtype=np.float64)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise DataError(f"{what} must be an array of numbers: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -39,14 +31,13 @@ class JointPmf:
     table: np.ndarray
 
     def __post_init__(self):
-        table = np.ascontiguousarray(_float_array(self.table, "pmf table"))
+        table = frozen_array(self.table, np.float64, "pmf table")
         if table.ndim < 1:
             raise DataError("pmf table must have at least one axis")
         if not np.all(np.isfinite(table)) or (table < 0).any():
             raise DataError("pmf entries must be finite and >= 0")
         if abs(float(table.sum()) - 1.0) > 1e-12:
             raise DataError(f"pmf sums to {float(table.sum())}, not 1 within 1e-12")
-        table.setflags(write=False)
         object.__setattr__(self, "table", table)
 
     @property
@@ -130,12 +121,7 @@ def _streams_from_flat(flat_idx: np.ndarray, shape: tuple[int, ...], tags=None) 
         raise DataError(f"tags must hold one tag per variable ({len(shape)}), got {len(tags)}")
     coords = np.unravel_index(flat_idx, shape)
     return [
-        LabelSequence(
-            np.asarray(coords[i], dtype=np.int64),
-            shape[i],
-            DEFAULT_RATE_HZ,
-            (tags[i] if tags else f"x{i}"),
-        )
+        LabelSequence(coords[i], shape[i], DEFAULT_RATE_HZ, tags[i] if tags else f"x{i}")
         for i in range(len(shape))
     ]
 
@@ -178,7 +164,7 @@ def gen_gaussian_mixture(
     centers, stddev: float, n_per_center: int, seed: int
 ) -> tuple[FeatureMatrix, LabelSequence]:
     """Isotropic Gaussian blobs plus the ground-truth component labels."""
-    centers = _float_array(centers, "centers")
+    centers = frozen_array(centers, np.float64, "centers")
     if centers.ndim != 2 or centers.shape[0] < 1 or centers.shape[1] < 1:
         raise DataError(f"centers must be (m >= 1, d >= 1), got {centers.shape}")
     if not (is_finite_real(stddev) and stddev == 0):  # 0 puts every row on its center
@@ -187,10 +173,8 @@ def gen_gaussian_mixture(
     m, d = centers.shape
     rng = np.random.Generator(np.random.PCG64(check_int(seed, "seed", 0)))
     rows = [centers[i] + stddev * rng.standard_normal((n_per_center, d)) for i in range(m)]
-    features = FeatureMatrix(np.concatenate(rows).astype(np.float32), DEFAULT_RATE_HZ, "features")
-    labels = LabelSequence(
-        np.repeat(np.arange(m, dtype=np.int64), n_per_center), m, DEFAULT_RATE_HZ, "components"
-    )
+    features = FeatureMatrix(np.concatenate(rows), DEFAULT_RATE_HZ, "features")
+    labels = LabelSequence(np.repeat(np.arange(m), n_per_center), m, DEFAULT_RATE_HZ, "components")
     return features, labels
 
 

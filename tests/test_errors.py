@@ -166,6 +166,39 @@ def test_only_errors_spells_the_number_rule():
     assert offenders == {}
 
 
+def _array_freezes(path: Path) -> list[int]:
+    """Lines in ``path``, outside ``ingestion.frozen_array``, that lay out or
+    freeze an array: a call of ``setflags`` or ``ascontiguousarray``, or an
+    assignment to ``flags.writeable``."""
+    tree = ast.parse(path.read_text())
+    helper = set()
+    for node in tree.body:
+        if path.name == "ingestion.py" and getattr(node, "name", None) == "frozen_array":
+            helper = {id(inner) for inner in ast.walk(node)}
+    found = []
+    for node in ast.walk(tree):
+        if id(node) in helper:
+            continue
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "attr", None) or getattr(node.func, "id", None)
+            if name in ("setflags", "ascontiguousarray"):
+                found.append(node.lineno)
+        elif isinstance(node, ast.Attribute) and node.attr == "writeable":
+            if isinstance(node.ctx, ast.Store):
+                found.append(node.lineno)
+    return sorted(found)
+
+
+def test_only_frozen_array_freezes_an_array():
+    """``ingestion.frozen_array`` is the one way an array enters a frozen
+    type: no other function makes an array contiguous or read-only."""
+    package = Path(modmi.__file__).parent
+    modules = sorted(package.glob("*.py"))
+    assert len(modules) >= 10
+    offenders = {p.name: lines for p in modules if (lines := _array_freezes(p))}
+    assert offenders == {}
+
+
 def _numpy_types(codes: str) -> list[type]:
     return sorted({np.dtype(code).type for code in codes}, key=lambda t: t.__name__)
 

@@ -21,7 +21,7 @@ from modmi.ingestion import (
     write_labels,
 )
 from modmi.quantizer import Codebook, load_codebook, save_codebook
-from util import features, seq
+from util import ARRAY_FIELDS, features, seq
 
 
 class TestFeatureMatrix:
@@ -316,6 +316,10 @@ class TestResample:
         # The float source index, about 1.25e301, is clipped before the int64 cast.
         assert resample_nearest(seq([0, 1, 2]), 1e-300).symbols.tolist() == [2]
 
+    def test_subnormal_target_rate_copies_the_last_frame_without_a_warning(self):
+        # (i + 0.5) * 25 / 5e-324 overflows to inf before the clip to the last row
+        assert resample_nearest(seq([0, 1, 2]), 5e-324).symbols.tolist() == [2]
+
     def test_non_stream_rejected(self):
         with pytest.raises(DataError, match="^cannot resample object of type str$"):
             resample_nearest("x", 25.0)
@@ -592,6 +596,8 @@ TXT = StreamSpec("txt", "t.lbl", "labels", 25.0)
     [
         (lambda: Manifest(25.0, (CAM, replace(TXT, name="cam"))), "duplicate stream name 'cam'"),
         (lambda: Manifest(25.0, (CAM, {"name": "t"})), "streams[1] must be a StreamSpec, got dict"),
+        (lambda: Manifest(25.0, None), "streams must be a tuple or list, got NoneType"),
+        (lambda: Manifest(25.0, 5), "streams must be a tuple or list, got int"),
         (lambda: replace(CAM, kind="feature"), "unknown kind 'feature'"),
         (lambda: replace(TXT, clusters=5), "'clusters' applies to features streams only"),
         (lambda: replace(CAM, alphabet_size=7), "'alphabet_size' applies to labels streams only"),
@@ -607,7 +613,8 @@ TXT = StreamSpec("txt", "t.lbl", "labels", 25.0)
         ),
     ],
     ids=[
-        "duplicate-name", "not-a-spec", "unknown-kind", "clusters-on-labels", "alphabet-on-features",
+        "duplicate-name", "not-a-spec", "none-streams", "int-streams", "unknown-kind",
+        "clusters-on-labels", "alphabet-on-features",
         "zero-clusters", "float-alphabet", "bool-rate", "nan-target-rate", "empty-name",
         "no-path", "unprintable-clusters",
     ],
@@ -623,6 +630,10 @@ def test_spec_values_are_stored_as_python_types():
     assert type(spec.sample_rate_hz) is float and type(spec.clusters) is int
     manifest = Manifest(np.float32(10), [spec])
     assert type(manifest.target_rate_hz) is float and manifest.target_rate_hz == 10.0
+
+
+def test_manifest_stores_a_list_of_streams_as_a_tuple():
+    assert Manifest(25.0, [CAM, TXT]).streams == (CAM, TXT)
 
 
 @pytest.mark.parametrize(
@@ -671,3 +682,93 @@ def test_lbl1_symbol_above_stored_alphabet_names_the_file(tmp_path):
     with pytest.raises(DataError) as exc:
         read_labels(path)
     assert str(exc.value) == f"{path}: symbol 5 exceeds alphabet_size 2"
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: FeatureMatrix("abc", 25.0),
+         "feature values must be an array of numbers: could not convert string to float: 'abc'"),
+        (lambda: LabelSequence(None, 3, 25.0),
+         "symbols must be an array of numbers: int() argument must be a string, a bytes-like "
+         "object or a real number, not 'NoneType'"),
+        (lambda: LabelSequence([2**70], 3, 25.0),
+         "symbols must be an array of numbers: Python int too large to convert to C long"),
+        (lambda: LabelSequence(np.array([1j]), 3, 25.0),
+         "symbols must be an array of numbers: got complex128 values"),
+        (lambda: FeatureMatrix([["1.5"]], 25.0),
+         "feature values must be an array of numbers: could not convert string to float: '1.5'"),
+        (lambda: LabelSequence(["1"], 3, 25.0),
+         "symbols must be an array of numbers: could not convert string to int: '1'"),
+        (lambda: FeatureMatrix(np.array([["2020-01-01"]], "M8[D]"), 25.0),
+         "feature values must be an array of numbers: got datetime64[D] values"),
+        (lambda: LabelSequence(np.array([2**64 - 1], np.uint64), 3, 25.0),
+         "symbols must be integers in [0, 4294967294], got 18446744073709551615 at index 0"),
+        (lambda: LabelSequence(np.array([0.5], dtype=object), 3, 25.0),
+         "symbols must be integers in [0, 4294967294], got 0.5 at index 0"),
+        (lambda: Codebook([[1.0]], 0, labels=[0.5]),
+         "labels: symbols must be integers in [0, 4294967294], got 0.5 at index 0"),
+        (lambda: Codebook([[1.0]], 0, labels=[1]), "labels: symbol 1 exceeds alphabet_size 1"),
+        (lambda: Codebook([[1.0], [1.0, 2.0]], 0),
+         "centroids must be an array of numbers: setting an array element with a sequence"),
+        (lambda: FeatureMatrix([[1e300]], 25.0), "non-finite feature value at row 0, col 0"),
+    ],
+    ids=[
+        "values-str", "symbols-none", "symbols-huge-int", "symbols-complex", "values-numeric-str",
+        "symbols-numeric-str", "values-dates", "symbols-uint64",
+        "symbols-object-fraction", "labels-fraction", "labels-above-k", "centroids-ragged",
+        "values-beyond-float32",
+    ],
+)
+def test_an_array_numpy_cannot_convert_raises_data_error(build, message):
+    """No value a frozen type refuses leaks a numpy exception or warning, or
+    is truncated or wrapped into a value it takes."""
+    with pytest.raises(DataError, match=f"^{re.escape(message)}"):
+        build()
+
+
+# Array field -> a caller's writable array, whose first two rows are given
+# to the type.
+WRITABLE_BASES = {
+    "values": np.zeros((4, 2), np.float32),
+    "symbols": np.zeros(4, np.int64),
+    "centroids": np.zeros((4, 2), np.float32),
+    "normalization": np.ones((4, 2), np.float32),
+    "labels": np.zeros(4, np.int64),
+    "table": np.full((4, 2), 0.25),
+}
+
+
+@pytest.mark.parametrize("writable", [True, False], ids=["view", "read-only-view"])
+@pytest.mark.parametrize("field", ARRAY_FIELDS)
+def test_a_frozen_type_keeps_no_alias_of_a_writable_array(field, writable):
+    """A type copies a view of a writable array, read-only or not, so a later
+    write to its base does not reach the validated field, and the caller's
+    view stays as writable as it was."""
+    base = WRITABLE_BASES[field].copy()
+    view = base[:2]
+    view.setflags(write=writable)
+    stored = ARRAY_FIELDS[field][1](view)
+    before = stored.copy()
+    base.flat[0] = 7 if base.dtype.kind == "i" else np.nan
+    assert np.array_equal(stored, before)
+    assert view.flags.writeable == writable and not stored.flags.writeable
+
+
+def test_a_read_only_array_no_write_can_reach_is_kept():
+    values = np.frombuffer(np.zeros(4, np.float32).tobytes(), np.float32).reshape(2, 2)
+    assert FeatureMatrix(values, 25.0).values is values
+    frozen = FeatureMatrix(np.zeros((2, 2)), 25.0).values
+    assert FeatureMatrix(frozen[:1], 25.0).values.base is frozen
+
+
+def test_write_labels_refuses_a_symbol_written_through_a_read_only_owner(tmp_path):
+    """A read-only array that owns its memory is kept without a copy; if its
+    owner turns writes back on and writes it, LBL1 still refuses to truncate."""
+    symbols = np.arange(3)
+    symbols.setflags(write=False)
+    labels = LabelSequence(symbols, 3, 25.0)
+    symbols.setflags(write=True)
+    symbols[0] = 2**40
+    with pytest.raises(DataError, match="^symbols do not fit the u32 on-disk format$"):
+        write_labels(labels, tmp_path / "t.lbl")

@@ -591,6 +591,10 @@ PART_BREACHES = {
         lambda r: replace(r, config={}),
         "config must be an AnalysisConfig, got dict",
     ),
+    "none-streams": (
+        lambda r: replace(r, streams=None),
+        "streams must be a tuple or list, got NoneType",
+    ),
 }
 
 
@@ -599,6 +603,12 @@ def test_report_refuses_a_part_not_of_its_type(xor_manifest, breach):
     change, message = PART_BREACHES[breach]
     with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
         change(analyze(xor_manifest))
+
+
+def test_report_stores_a_list_of_streams_as_a_tuple(xor_manifest):
+    report = analyze(xor_manifest)
+    again = replace(report, streams=list(report.streams))
+    assert type(again.streams) is tuple and again == report
 
 
 @pytest.mark.parametrize(

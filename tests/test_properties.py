@@ -35,6 +35,7 @@ from modmi.pipeline import analyze
 from modmi.quantizer import Codebook, load_codebook, save_codebook
 from modmi.report import REGIONS, ROLES, AnalysisConfig, InfoQuantities, InfoReport, StreamSummary
 from modmi.report import render_table
+from util import ARRAY_FIELDS
 
 SETTINGS = settings(max_examples=100, deadline=None)
 
@@ -376,9 +377,11 @@ def test_stream_specs_and_manifests_share_one_rule_set(
             pass
 
 
-# Whole-CLI property test.  Stream files hold at most 8 rows and stream rates
-# stay in 1e-3..1e3 Hz against a 25 Hz target, so an aligned stream has at
-# most 200,000 frames and an example needs a few MiB.
+# Whole-CLI property test.  Stream files hold at most 10 rows, stream rates
+# stay in 1e-3..1e3 Hz and each manifest's target rate is drawn below a cap
+# set by its stream rates and its files' rows, so no stream resamples to
+# more than FRAME_CAP frames and an example needs well under a MiB.
+FRAME_CAP = 4096
 
 # JSON values that no manifest field takes: no positive number, because a
 # stream rate below 1e-3 Hz can align a few rows to billions of frames.
@@ -469,26 +472,31 @@ name_prefixes = st.sampled_from(["", "a b ", "it's \"q\" ", "é日", "a\nb", "\r
 
 
 @st.composite
-def manifests(draw, files):
+def manifests(draw, files, rows):
     """A manifest over the stream file names ``files`` (``.fmx`` ones hold
-    features): one entry per file with names that may repeat, rates in
-    1e-3..1e3 Hz and per-stream counts, and keys and values edited by
-    ``edited_pairs``."""
-    entries = []
+    features, none more than ``rows`` rows): one entry per file with names
+    that may repeat, rates in 1e-3..1e3 Hz and per-stream counts, a target
+    rate that resamples no stream to more than FRAME_CAP frames, and keys and
+    values edited by ``edited_pairs``."""
+    entries, rates = [], []
     missing = name_prefixes.map(lambda prefix: prefix + "missing.lbl")
     for i, file in enumerate(files):
         kind = "features" if file.endswith(".fmx") else "labels"
+        rates.append(_usually(draw, 25.0, st.just(50) | st.floats(1e-3, 1e3)))
         pairs = [
             ("name", _usually(draw, f"s{i}", st.just("s0") | st.text(max_size=2))),
             ("path", _usually(draw, file, st.just(files[0]) | missing)),
             ("kind", _usually(draw, kind, st.sampled_from(["features", "labels"]))),
-            ("sample_rate_hz", _usually(draw, 25.0, st.just(50) | st.floats(1e-3, 1e3))),
+            ("sample_rate_hz", rates[-1]),
         ]
         count = _usually(draw, None, st.sampled_from([1, 2, 3, 50]))
         if count is not None:
             pairs.append(("clusters" if kind == "features" else "alphabet_size", count))
         entries.append(draw(edited_pairs([(key, json.dumps(value)) for key, value in pairs])))
-    top = [("target_rate_hz", "25"), ("streams", "[" + ", ".join(entries) + "]")]
+    cap = FRAME_CAP * min(rates) / rows
+    usual = [rate for rate in (25, 12.5, 1) if rate <= cap] or [cap]
+    target = draw(st.sampled_from(usual) | st.floats(0, cap, exclude_min=True))
+    top = [("target_rate_hz", json.dumps(target)), ("streams", "[" + ", ".join(entries) + "]")]
     return draw(edited_pairs(top))
 
 
@@ -527,7 +535,8 @@ def _check_label_values(manifest, report):
         symbols = read_labels(manifest.parent / entry["path"]).symbols.tolist()
         source, n = entry["sample_rate_hz"], len(symbols)
         rows = max(1, round(n * target / source))
-        frames.append([symbols[min(n - 1, math.floor((i + 0.5) * source / target))]
+        # clipped before the floor, which refuses the inf a tiny target gives
+        frames.append([symbols[math.floor(min(n - 1, (i + 0.5) * source / target))]
                        for i in range(rows)])
     length = min(map(len, frames))
     names = [entry["name"] for entry in doc["streams"]]
@@ -565,8 +574,9 @@ def _check_label_values(manifest, report):
 )
 def test_any_small_input_ends_in_a_report_or_one_error_line(workdir, files, data, clusters, ks):
     """analyze, sweep, report, fit and assign on a generated directory, whose
-    file names may hold spaces, quotes, non-ASCII characters and line breaks,
-    exit 0, 1 or 2; a failure writes one error line (or argparse's usage
+    file names may hold spaces, quotes, non-ASCII characters and line breaks
+    and whose manifest may align at any rate under the frame cap, exit 0, 1
+    or 2; a failure writes one error line (or argparse's usage
     error), a report written reads back and re-renders byte for byte, a
     label-only report holds the values its files give, and a damaged
     codebook is refused."""
@@ -576,7 +586,9 @@ def test_any_small_input_ends_in_a_report_or_one_error_line(workdir, files, data
         for name, (_, source, flaw) in zip(names, files):
             _write_file(tmp / name, source, flaw)
         manifest = tmp / (data.draw(name_prefixes) + "manifest.json")
-        manifest.write_text(data.draw(manifests(names)))
+        rows = max(len(source.splitlines()) if isinstance(source, bytes) else source.rows
+                   for _, source, _ in files)
+        manifest.write_text(data.draw(manifests(names, rows)))
         code, out = _cli("analyze", str(manifest), "--clusters", clusters)
         if code == 0:
             _reads_back(out)
@@ -602,3 +614,97 @@ def test_any_small_input_ends_in_a_report_or_one_error_line(workdir, files, data
         assert code in ((0, 1) if flaw is None else (1,))
         if code == 0:
             assert read_labels(labels).rows == read_feature_matrix(features).rows
+
+
+# Array-field property test.  A value for an array field is a nested (maybe
+# ragged) list of mixed scalars, or a numpy array of any dtype, which may be
+# a view of a writable base array.
+
+list_scalars = st.one_of(
+    st.booleans(),
+    st.integers(-(2**70), 2**70),
+    st.sampled_from([2**64 - 1, 10**400]),
+    st.floats(),
+    st.complex_numbers(max_magnitude=4),
+    st.sampled_from(["1", "a", ""]),
+    st.none(),
+)
+nested_lists = st.recursive(list_scalars, lambda inner: st.lists(inner, max_size=4), max_leaves=12)
+any_dtype = st.one_of(
+    st.sampled_from([np.float32, np.int64, np.float64]).map(np.dtype),  # kept, not cast
+    hnp.scalar_dtypes(),
+    hnp.unicode_string_dtypes(max_len=3),
+    hnp.byte_string_dtypes(max_len=3),
+    st.sampled_from([np.dtype(object), np.dtype(np.longdouble)]),
+)
+
+
+@st.composite
+def any_arrays(draw):
+    """(array, its writable base): small whole numbers, a uniform pmf or any
+    values of any dtype (an object array holds ``list_scalars``), given as
+    the base, a strided, shifted, transposed or read-only view of it."""
+    dtype = draw(any_dtype)
+    shape = draw(hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4))
+    fill = draw(st.sampled_from(["whole", "pmf", "any"]))
+    if fill == "whole":
+        base = draw(hnp.arrays(np.int64, shape, elements=st.integers(0, 4))).astype(dtype)
+    elif fill == "pmf":
+        base = np.full(shape, 1.0 / max(1, math.prod(shape))).astype(dtype)
+    else:
+        elements = list_scalars if dtype == object else None
+        base = draw(hnp.arrays(dtype, shape, elements=elements))
+    views = {"base": lambda a: a, "read-only": _read_only_view}
+    if base.ndim:
+        views.update(strided=lambda a: a[::2], shifted=lambda a: a[1:])
+    if base.ndim > 1:
+        views.update(transposed=lambda a: a.T)
+    return views[draw(st.sampled_from(sorted(views)))](base), base
+
+
+def _read_only_view(array):
+    view = array[...]
+    view.setflags(write=False)
+    return view
+
+
+# (value, its writable base or None): lists, arrays, and values beyond
+# float64 and int64.
+array_values = st.one_of(
+    nested_lists.map(lambda value: (value, None)),
+    any_arrays(),
+    st.sampled_from([np.array([np.longdouble(10) ** 4000]), np.array([2**64 - 1], np.uint64)]).map(
+        lambda value: (value, None)
+    ),
+)
+
+
+@SETTINGS
+@given(given_value=array_values)
+@pytest.mark.parametrize("field", ARRAY_FIELDS)
+def test_an_array_field_is_frozen_unaliased_or_refused(field, given_value):
+    """Building a type from any value raises DataError (no other exception
+    and no warning), or stores, from bool, integer, float or object values, a
+    read-only, C-contiguous array of the field's dtype that a later write to
+    the caller's array does not change; the caller's array stays as writable
+    as it was."""
+    value, base = given_value
+    dtype, build = ARRAY_FIELDS[field]
+    writable = value.flags.writeable if isinstance(value, np.ndarray) else None
+    try:
+        stored = build(value)
+    except DataError:
+        return
+    if stored is None:  # normalization and labels are optional
+        assert value is None and field in ("normalization", "labels")
+        return
+    assert stored.dtype == dtype and stored.flags.c_contiguous and not stored.flags.writeable
+    assert np.asarray(value).dtype.kind in "biufO"  # no string, complex or date is a number
+    assert (value.flags.writeable if isinstance(value, np.ndarray) else None) == writable
+    before = stored.tobytes()
+    if base is not None and base.dtype == object:
+        base[...] = None
+    elif base is not None:
+        raw = base.reshape(-1).view(np.uint8)
+        raw ^= 0xFF
+    assert stored.tobytes() == before

@@ -275,6 +275,23 @@ class TestRepair:
             assert (counts > 0).all()
 
 
+@pytest.mark.parametrize(
+    "seed", [-1, 2**64, "x", 1.0], ids=["negative", "beyond-u64", "str", "float"]
+)
+def test_codebook_takes_only_a_seed_kmc1_holds(seed):
+    """A Codebook refuses a seed the KMC1 header cannot hold, with fit's DataError."""
+    with pytest.raises(DataError) as refused:
+        fit(features([[0.0], [1.0]]), 1, seed=seed)
+    with pytest.raises(DataError) as built:
+        Codebook([[1.0]], seed)
+    assert str(built.value) == str(refused.value)
+
+
+def test_codebook_stores_a_numpy_seed_as_int():
+    cb = Codebook([[1.0]], np.uint64(2**64 - 1))
+    assert type(cb.seed) is int and codebook_to_bytes(cb)[12:20] == b"\xff" * 8
+
+
 class TestCodebookFile:
     def test_round_trip_bit_exact(self, tmp_path):
         rng = np.random.Generator(np.random.PCG64(9))

@@ -10,6 +10,8 @@ import numpy as np
 
 import modmi
 from modmi.ingestion import FeatureMatrix, LabelSequence
+from modmi.quantizer import Codebook
+from modmi.synthetic import JointPmf
 
 
 def seq(symbols, alphabet_size=None, rate=25.0, tag="") -> LabelSequence:
@@ -26,6 +28,26 @@ def tuple_counts(streams) -> Counter:
 
 def features(values, rate=25.0, tag="") -> FeatureMatrix:
     return FeatureMatrix(np.asarray(values, dtype=np.float32), rate, tag)
+
+
+def _leading(value) -> int:
+    """The first axis length of an array ``value`` (1 for anything else)."""
+    return value.shape[0] if isinstance(value, np.ndarray) and value.ndim else 1
+
+
+# Array field of a frozen type -> (its dtype, a build of the type from a
+# value that returns the field).
+ARRAY_FIELDS = {
+    "values": (np.float32, lambda v: FeatureMatrix(v, 25.0).values),
+    "symbols": (np.int64, lambda v: LabelSequence(v, 8, 25.0).symbols),
+    "centroids": (np.float32, lambda v: Codebook(v, 0).centroids),
+    "normalization": (
+        np.float32,
+        lambda v: Codebook(np.zeros((1, _leading(v))), 0, normalization=v).normalization,
+    ),
+    "labels": (np.int64, lambda v: Codebook(np.zeros((8, 1)), 0, labels=v).labels),
+    "table": (np.float64, lambda v: JointPmf(v).table),
+}
 
 
 def repair_every_pass_matrix() -> FeatureMatrix:
