@@ -31,7 +31,7 @@ import numpy as np
 
 from . import __version__
 from .errors import DataError, InfeasibleError, ModmiError, printable
-from .ingestion import FeatureMatrix, load_manifest, read_feature_matrix
+from .ingestion import _U32_MAX, FeatureMatrix, load_manifest, read_feature_matrix
 from .ingestion import write_feature_matrix, write_labels
 from .pipeline import analyze, sweep_clusters
 from .report import LOG_BASES, AnalysisConfig, InfoReport, render_diagram_svg
@@ -156,27 +156,40 @@ def cmd_report(args) -> int:
     return 0
 
 
-def _check_blobs_flags(args) -> None:
-    """Reject a blobs shape, scale or seed before any centre is built;
-    ``gen_gaussian_mixture`` checks ``--n-per-center`` itself."""
-    for flag, value, ok, rule in (
-        ("--centers", args.centers, args.centers >= 1, ">= 1"),
-        ("--dims", args.dims, args.dims >= 1, ">= 1"),
-        ("--stddev", args.stddev, 0 <= args.stddev < math.inf, "finite and >= 0"),
-        ("--spacing", args.spacing, math.isfinite(args.spacing), "finite"),
-        ("--seed", args.seed, 0 <= args.seed < 2**64, "in [0, 2**64 - 1]"),
-    ):
+def _check_synth_flags(args) -> None:
+    """Reject a synth size, scale or seed before any array is built: the rows
+    and dims must fit the u32 counts of LBL1 and FMX1, a blobs draw of rows x
+    dims float64 values one numpy array, and each centre a float.  The
+    generators refuse a count < 1."""
+    def require(flag, value, ok, rule):
         if not ok:
             raise DataError(f"{flag} must be {rule}, got {value}")
+
+    u32 = f"<= {_U32_MAX}, a u32 count of LBL1 and FMX1"
+    if args.generator == "xor":  # four frames a copy
+        require("4 x --copies", 4 * args.copies, 4 * args.copies <= _U32_MAX, u32)
+        return
+    rows = args.centers * max(1, args.n_per_center)  # >= --centers; a count < 1 is refused later
+    array = f"<= {sys.maxsize // 8}, the float64 values one numpy array holds"
+    require("--centers", args.centers, args.centers >= 1, ">= 1")
+    require("--dims", args.dims, args.dims >= 1, ">= 1")
+    require("--dims", args.dims, args.dims <= _U32_MAX, u32)
+    require("--centers x --n-per-center", rows, rows <= _U32_MAX, u32)
+    require("rows x --dims", rows * args.dims, rows * args.dims <= sys.maxsize // 8, array)
+    require("--stddev", args.stddev, 0 <= args.stddev < math.inf, "finite and >= 0")
+    require("--spacing", args.spacing, math.isfinite(args.spacing), "finite")
+    last = args.spacing * (args.centers - 1)  # the last centre's first coordinate
+    require("--spacing x (--centers - 1)", last, math.isfinite(last), "finite")
+    require("--seed", args.seed, 0 <= args.seed < 2**64, "in [0, 2**64 - 1]")
 
 
 def cmd_synth(args) -> int:
     from .synthetic import exhaustive_stream, gen_gaussian_mixture, xor_pmf
 
+    _check_synth_flags(args)
     if args.generator == "xor":
         streams = exhaustive_stream(xor_pmf(), copies=args.copies, tags=["v", "t", "s"])
     else:  # blobs
-        _check_blobs_flags(args)
         centers = np.zeros((args.centers, args.dims))
         centers[:, 0] = args.spacing * np.arange(args.centers)
         features, components = gen_gaussian_mixture(

@@ -142,6 +142,17 @@ def read_json(raw: str | bytes, where: str):
         raise FormatError(f"{where}: invalid JSON: {exc}") from None
 
 
+def read_object(obj, where: str, required=()) -> dict:
+    """``obj`` if it is a JSON object that holds every key of ``required``;
+    otherwise FormatError: ``{where} must be an object`` or ``{where} is missing 'k'``."""
+    if not isinstance(obj, dict):
+        raise FormatError(f"{where} must be an object")
+    for key in required:
+        if key not in obj:
+            raise FormatError(f"{where} is missing {key!r}")
+    return obj
+
+
 def check_keys(obj: dict, known, where: str) -> None:
     """Reject a key of JSON object ``obj`` that is not in ``known``."""
     for key in obj:

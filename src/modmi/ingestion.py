@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import AlignmentError, DataError, FormatError, check_int, check_keys, check_positive
-from .errors import check_tuple, located, printable, read_json, shown
+from .errors import check_tuple, located, printable, read_json, read_object, shown
 
 _FMX_MAGIC = b"FMX1"
 _LBL_MAGIC = b"LBL1"
@@ -345,14 +345,6 @@ def align(
     return [_frames(s, target_rate_hz, rows) for s in streams]
 
 
-def _rate(value, what: str) -> float:
-    """A manifest rate, by :func:`check_positive`'s rule."""
-    try:
-        return check_positive(value, what)
-    except DataError:
-        raise DataError(f"{what} must be a finite positive number") from None
-
-
 @dataclass(frozen=True)
 class StreamSpec:
     """One manifest entry, whose field names are a stream entry's keys; a value
@@ -373,15 +365,13 @@ class StreamSpec:
         if not isinstance(self.kind, str) or self.kind not in ("features", "labels"):
             raise DataError(f"unknown kind {shown(self.kind)}")
         object.__setattr__(self, "path", Path(path))
-        object.__setattr__(self, "sample_rate_hz", _rate(self.sample_rate_hz, "sample_rate_hz"))
+        rate = check_positive(self.sample_rate_hz, "sample_rate_hz")
+        object.__setattr__(self, "sample_rate_hz", rate)
         for key, only in (("clusters", "features"), ("alphabet_size", "labels")):
             value = getattr(self, key)
             if value is None:
                 continue
-            try:
-                object.__setattr__(self, key, check_int(value, key, 1))
-            except DataError:
-                raise DataError(f"{key!r} must be an integer >= 1, got {shown(value)}") from None
+            object.__setattr__(self, key, check_int(value, key, 1))
             if self.kind != only:
                 raise DataError(f"{key!r} applies to {only} streams only")
 
@@ -395,7 +385,8 @@ class Manifest:
     streams: tuple[StreamSpec, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
-        object.__setattr__(self, "target_rate_hz", _rate(self.target_rate_hz, "target_rate_hz"))
+        rate = check_positive(self.target_rate_hz, "target_rate_hz")
+        object.__setattr__(self, "target_rate_hz", rate)
         object.__setattr__(self, "streams", check_tuple(self.streams, "streams"))
         for i, spec in enumerate(self.streams):
             if not isinstance(spec, StreamSpec):
@@ -412,31 +403,25 @@ class Manifest:
 def load_manifest(path) -> Manifest:
     """Parse a JSON manifest checked by StreamSpec and Manifest; paths resolve against it."""
     path = Path(path)
-    doc = read_json(path.read_bytes(), printable(path))
-    if not isinstance(doc, dict) or "target_rate_hz" not in doc:
-        raise FormatError(f"{printable(path)}: manifest must be an object with 'target_rate_hz'")
-    check_keys(doc, {f.name for f in fields(Manifest)}, printable(path))
+    file = printable(path)
+    doc = read_object(read_json(path.read_bytes(), file), file, ["target_rate_hz"])
+    check_keys(doc, {f.name for f in fields(Manifest)}, file)
     entries = doc.get("streams")
     if not isinstance(entries, list) or not entries:
-        raise FormatError(f"{printable(path)}: manifest needs a non-empty 'streams' list")
+        raise FormatError(f"{file}: manifest needs a non-empty 'streams' list")
     required = [f.name for f in fields(StreamSpec) if f.default is MISSING]
     specs = []
     for i, entry in enumerate(entries):
-        name = entry.get("name") if isinstance(entry, dict) else None
+        name = read_object(entry, f"{file}: stream #{i}").get("name")
         # a line break in a name would split the error line
         label = name if isinstance(name, str) and name.isprintable() and name else f"#{i}"
-        where = f"{printable(path)}: stream {label}"
-        if not isinstance(entry, dict):
-            raise FormatError(f"{where}: entry must be an object")
-        check_keys(entry, {f.name for f in fields(StreamSpec)}, where)
-        for key in required:
-            if key not in entry:
-                raise FormatError(f"{where}: missing field {key!r}")
+        where = f"{file}: stream {label}"
+        check_keys(read_object(entry, where, required), {f.name for f in fields(StreamSpec)}, where)
         with located(where, FormatError):
             spec = StreamSpec(**entry)
         spec = replace(spec, path=path.parent / spec.path)
         if not spec.path.is_file():
             raise FormatError(f"{where}: no such file: {printable(spec.path)}")
         specs.append(spec)
-    with located(printable(path), FormatError):
+    with located(file, FormatError):
         return Manifest(doc["target_rate_hz"], tuple(specs))

@@ -7,7 +7,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 from .errors import DataError, FormatError, ModmiError, check_bool, check_int, check_keys
 from .errors import check_positive, is_finite_real, is_json_type, located, read_json, shown
-from .errors import check_tuple, store_python_scalars
+from .errors import check_tuple, read_object, store_python_scalars
 
 LOG_BASES = {"2": math.log(2.0), "e": 1.0, "10": math.log(10.0)}
 
@@ -33,10 +33,10 @@ class InfoQuantities:
     reference stream, V and S the (quantized) continuous ones.  For a
     two-variable analysis only the (T, S) fields are present and the
     three-way fields are None.  They and ``regions``, keyed by REGIONS, are
-    all present or all absent; every present value is a finite real number,
-    not a bool, and a numpy one is stored as a Python one; ``log_base``
-    follows ``normalize_base``.  A breach raises DataError naming its place
-    in a report (``quantities.H.T is not ...``).
+    all present or all absent; each (T, S) value and each present one is a
+    finite real number, not a bool, and a numpy one is stored as a Python
+    one; ``log_base`` follows ``normalize_base``.  A breach raises DataError
+    naming its place in a report (``quantities.H.T is not ...``).
     """
 
     log_base: str
@@ -66,10 +66,11 @@ class InfoQuantities:
         values = {  # the place of each value in a report -> the value
             ".".join(filter(None, ("quantities", group, key))): getattr(self, name)
             for name, (group, key, _) in QUANTITY_KEYS.items()
+            if present or name not in three_way
         }
         values.update({f"quantities.regions.{r}": self.regions[r] for r in REGIONS if present})
         for place, value in values.items():
-            if value is not None and not is_finite_real(value):
+            if not is_finite_real(value):
                 raise DataError(f"{place} is not a finite number")
         with located("quantities"):
             object.__setattr__(self, "log_base", normalize_base(self.log_base))
@@ -258,83 +259,59 @@ class InfoReport:
 
     @classmethod
     def from_json(cls, text: str | bytes) -> "InfoReport":
-        """Parse a report written by ``to_json``; malformed input raises FormatError.
-
-        A repeated key anywhere, an unknown key anywhere (in ``quantities``,
-        any key the report's arity does not define), an ``rng`` other than
-        ``RNG_NAME`` and a value that ``InfoQuantities`` or ``InfoReport``
-        rejects are malformed too.
-        """
-        doc = read_json(text, "report")
-        cfg = _field(doc, "config", dict, "report")
-        check_keys(doc, {*(f.name for f in fields(cls)), "rng"}, "report")
+        """Parse a report written by ``to_json``; malformed input raises FormatError:
+        an object that lacks a key ``to_json`` writes in it or holds another (the
+        three-way ones need ``I3``), a repeated key, a ``null`` in a stream entry,
+        a ``log_base`` not a string, an ``rng`` not ``RNG_NAME`` or a value the types reject."""
+        top = [*(f.name for f in fields(cls)), "rng"]
+        doc = read_object(read_json(text, "report"), "report", top)
+        check_keys(doc, top, "report")
         names = [f.name for f in fields(AnalysisConfig)]
+        cfg = read_object(doc["config"], "report: config", names)
         check_keys(cfg, names, "report: config")
-        for name in names:
-            if name not in cfg:
-                raise FormatError(f"report: config is missing {name!r}")
-        _field(cfg, "log_base", str, "config")  # normalize_base would also take the number 2
-        with located("report: config", FormatError):  # AnalysisConfig checks every other value
-            config = AnalysisConfig(**{name: cfg[name] for name in names})
-        rng = _field(doc, "rng", str, "report")
-        if rng != RNG_NAME:
-            raise FormatError(f"report: rng must be {RNG_NAME!r}, got {rng!r}")
-        optional = _defaults_to_none(StreamSummary)
-        streams = []
-        for i, e in enumerate(_field(doc, "streams", list, "report")):
+        if not isinstance(cfg["log_base"], str):  # normalize_base would also take the number 2
+            raise FormatError(f"report: config.log_base has the wrong type: {shown(cfg['log_base'])}")
+        with located("report: config", FormatError):  # AnalysisConfig checks every value
+            config = AnalysisConfig(**cfg)
+        if doc["rng"] != RNG_NAME:
+            raise FormatError(f"report: rng must be {RNG_NAME!r}, got {shown(doc['rng'])}")
+        keys = {key: name for name, (key, _) in _STREAM_KEYS.items()}  # JSON key -> field
+        required = [key for key, name in keys.items() if name not in _defaults_to_none(StreamSummary)]
+        streams = doc["streams"]  # InfoReport refuses one that is not a list
+        for i, e in enumerate(streams if isinstance(streams, list) else ()):
             where = f"report: streams[{i}]"
-            if not isinstance(e, dict):
-                raise FormatError(f"{where} must be an object")
-            values = {name: e.get(key) for name, (key, _) in _STREAM_KEYS.items()}
-            for name, (key, _) in _STREAM_KEYS.items():
-                if key not in e and name not in optional:
-                    raise FormatError(f"{where} is missing {key!r}")
-                if key in e and e[key] is None:  # None stands for an absent key
+            check_keys(read_object(e, where, required), keys, where)
+            for key, value in e.items():
+                if value is None:  # None stands for an absent key
                     raise FormatError(f"{where}.{key} has the wrong type: None")
-            check_keys(e, [key for key, _ in _STREAM_KEYS.values()], where)
-            streams.append(StreamSummary(**values))
-        q = _field(doc, "quantities", dict, "report")
-        three = "I3" in q  # the three-way fields are required only then
-        three_way = _defaults_to_none(InfoQuantities)
-        values = {}
-        for name, (group, key, _) in QUANTITY_KEYS.items():
-            if name in three_way and not three:
-                continue
-            if group is None:
-                values[name] = _field(q, key, (int, float), "quantities")
-            else:
-                obj = _field(q, group, dict, "quantities")
-                values[name] = _field(obj, key, (int, float), f"quantities.{group}")
-        if three:
-            regions, where = _field(q, "regions", dict, "quantities"), "quantities.regions"
-            values["regions"] = {r: _field(regions, r, (int, float), where) for r in REGIONS}
-        log_base = _field(q, "log_base", str, "quantities")  # as config's
+            streams[i] = StreamSummary(**{keys[key]: value for key, value in e.items()})
+        q = read_object(doc["quantities"], "report: quantities")
+        absent = () if "I3" in q else _defaults_to_none(InfoQuantities)  # the three-way fields
+        places = {name: place[:2] for name, place in QUANTITY_KEYS.items() if name not in absent}
+        groups = {} if absent else {"regions": list(REGIONS)}  # each object in q -> its keys
+        for group, key in places.values():
+            groups.setdefault(group, []).append(key)
+        top = ["log_base", *groups.pop(None, []), *groups]  # group None holds I3, a number
+        read_object(q, "report: quantities", top)
+        for group, inner in groups.items():
+            read_object(q[group], f"report: quantities.{group}", inner)
+        if not isinstance(base := q["log_base"], str):  # as config's
+            raise FormatError(f"report: quantities.log_base has the wrong type: {shown(base)}")
+        values = {name: (q[group] if group else q)[key] for name, (group, key) in places.items()}
+        if not absent:
+            values["regions"] = {region: q["regions"][region] for region in REGIONS}
         with located("report", FormatError):  # InfoQuantities checks every value
-            quantities = InfoQuantities(log_base=log_base, **values)
-        layout = quantities.as_dict()  # every key the report's arity defines
-        check_keys(q, layout, "report: quantities")
-        for key, inner in layout.items():
-            if isinstance(inner, dict):
-                check_keys(q[key], inner, f"report: quantities.{key}")
+            quantities = InfoQuantities(log_base=base, **values)
+        check_keys(q, top, "report: quantities")
+        for group, inner in groups.items():
+            check_keys(q[group], inner, f"report: quantities.{group}")
         with located("report", FormatError):  # InfoReport checks the streams
-            return cls(quantities=quantities, streams=tuple(streams), config=config)
+            return cls(quantities=quantities, streams=streams, config=config)
 
 
 def _defaults_to_none(cls) -> tuple[str, ...]:
     """Names of the fields of dataclass ``cls`` whose default is None, in order."""
     return tuple(f.name for f in fields(cls) if f.default is None)
-
-
-def _field(obj, key: str, types, where: str):
-    """``obj[key]`` checked against ``types`` (a bool is not a number)."""
-    if not isinstance(obj, dict):
-        raise FormatError(f"report: {where} must be an object")
-    if key not in obj:
-        raise FormatError(f"report: {where} is missing {key!r}")
-    value = obj[key]
-    if not is_json_type(value, types):
-        raise FormatError(f"report: {where}.{key} has the wrong type: {value!r}")
-    return value
 
 
 def _fmt(value: float) -> str:

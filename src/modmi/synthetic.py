@@ -172,7 +172,8 @@ def gen_gaussian_mixture(
     n_per_center = check_int(n_per_center, "n_per_center", 1)
     m, d = centers.shape
     rng = np.random.Generator(np.random.PCG64(check_int(seed, "seed", 0)))
-    rows = [centers[i] + stddev * rng.standard_normal((n_per_center, d)) for i in range(m)]
+    with np.errstate(over="ignore", invalid="ignore"):  # FeatureMatrix refuses a non-finite row
+        rows = [centers[i] + stddev * rng.standard_normal((n_per_center, d)) for i in range(m)]
     features = FeatureMatrix(np.concatenate(rows), DEFAULT_RATE_HZ, "features")
     labels = LabelSequence(np.repeat(np.arange(m), n_per_center), m, DEFAULT_RATE_HZ, "components")
     return features, labels

@@ -521,7 +521,11 @@ class TestReport:
                 "config: normalize must be a bool",
             ),
             (lambda text: text.replace('"log_base": "2"', '"log_base": 2', 1), "wrong type"),
-            (lambda text: text.replace('"T": ', '"T": "x", "_": ', 1), "wrong type"),
+            (
+                lambda text: '"log_base": 2'.join(text.rsplit('"log_base": "2"', 1)),
+                "quantities.log_base has the wrong type: 2",
+            ),
+            (lambda text: text.replace('"T": ', '"T": "x", "_": ', 1), "is not a finite number"),
             (lambda text: '"log_base": "7"'.join(text.rsplit('"log_base": "2"', 1)), "log base"),
             (lambda text: b"\xff" + text.encode(), "invalid JSON"),
             (lambda text: "[" * 100000, "invalid JSON"),
@@ -529,6 +533,7 @@ class TestReport:
             (lambda text: without(text, "cond", "V|S"), "quantities.cond is missing"),
             (lambda text: text.replace('"T": ', '"T": 1' + "0" * 400 + ', "_": ', 1), "finite"),
             (lambda text: text.replace('"T": ', '"T": NaN, "_": ', 1), "not a finite number"),
+            (lambda text: text.replace('"T": ', '"T": null, "_": ', 1), "H.T is not a finite number"),
             (lambda text: text.replace('"V;T;S": ', '"V;T;S": -Infinity, "_": ', 1), "finite"),
             (lambda text: text.replace('"pcg64"', '"mt19937"'), "rng must be 'pcg64', got 'mt19937'"),
             (lambda text: text.replace('"rng": "pcg64",', ""), "report is missing 'rng'"),
@@ -540,6 +545,25 @@ class TestReport:
             ),
             (lambda text: stream_edited(text, 1, L="x"), "streams[1].L has the wrong type: 'x'"),
             (lambda text: stream_edited(text, 2, L=None), "streams[2] is missing 'L'"),
+            (
+                lambda text: text.replace('"distinct": ', '"d": null, "distinct": ', 1),
+                "streams[0].d has the wrong type: None",
+            ),
+            (lambda text: "[1, 2]", "error: report must be an object"),
+            (lambda text: edited(text, lambda doc: doc.update(config=[1])), "config must be an object"),
+            (
+                lambda text: edited(text, lambda doc: doc["streams"].__setitem__(0, "v")),
+                "streams[0] must be an object",
+            ),
+            (
+                lambda text: edited(text, lambda doc: doc.update(streams={"v": 1})),
+                "report: streams must be a tuple or list, got dict",
+            ),
+            (
+                lambda text: edited(text, lambda doc: doc["quantities"].update(H=1.0)),
+                "report: quantities.H must be an object",
+            ),
+            (lambda text: edited(text, lambda doc: doc.update(rng=5)), "rng must be 'pcg64', got 5"),
             (lambda text: text.replace('"seed": ', '"seed": 1, "seed": '), "repeated key 'seed'"),
             (lambda text: text.replace('"T": ', '"T": 0.5, "T": ', 1), "repeated key 'T'"),
             (lambda text: text.replace('"T": ', '"X": 0.5, "T": ', 1), "quantities.H: unknown key 'X'"),
@@ -586,11 +610,15 @@ class TestReport:
             ),
         ],
         ids=[
-            "invalid-json", "missing-key", "bool-as-string", "base-as-number", "entropy-as-string",
+            "invalid-json", "missing-key", "bool-as-string", "base-as-number",
+            "quantities-base-as-number", "entropy-as-string",
             "unknown-quantities-base", "not-utf8", "deeply-nested", "missing-region",
-            "missing-cond", "huge-int", "nan-quantity", "infinite-region", "foreign-rng", "no-rng",
+            "missing-cond", "huge-int", "nan-quantity", "null-quantity", "infinite-region",
+            "foreign-rng", "no-rng",
             "unknown-top-key", "unknown-config-key", "unknown-stream-key", "stream-L-as-string",
-            "stream-without-L", "repeated-config-key",
+            "stream-without-L", "null-in-stream", "report-not-an-object", "config-not-an-object",
+            "stream-not-an-object", "streams-not-a-list", "group-not-an-object", "rng-not-a-string",
+            "repeated-config-key",
             "repeated-quantity-key", "unknown-entropy-key", "unknown-quantities-key",
             "unknown-region", "regions-without-I3", "three-way-field-without-I3", "edited-role",
             "duplicate-role", "missing-stream", "no-streams", "unknown-kind", "repeated-name",
@@ -663,6 +691,12 @@ def test_flag_its_command_ignores_is_a_usage_error(tmp_path, capsys, monkeypatch
     assert list(tmp_path.iterdir()) == []
 
 
+# A blobs shape within every synth rule whose centres (2 PiB of float64)
+# numpy refuses to allocate before it touches any memory.
+PIB_SHAPE = ["--centers", str(2**20), "--dims", str(2**28), "--n-per-center", "1"]
+U32 = "a u32 count of LBL1 and FMX1"
+
+
 class TestSynth:
     def test_xor_dataset_shape(self, xor_dir):
         doc = json.loads((xor_dir / "manifest.json").read_text())
@@ -686,17 +720,52 @@ class TestSynth:
         row = out.strip().split("\n")[1].split()
         assert row[0] == row[2] == "1.5850"
 
-    # Sizes in the PiB range, which numpy refuses before allocating anything.
-    @pytest.mark.parametrize(
-        "argv",
-        [["blobs", "--dims", str(10**15)], ["xor", "--copies", str(10**15)]],
-        ids=["blobs-dims-1e15", "xor-copies-1e15"],
-    )
-    def test_out_of_memory_exit_1(self, tmp_path, capsys, argv):
-        code, stdout, err = run(capsys, "synth", *argv, "--out-dir", str(tmp_path / "big"))
+    def test_out_of_memory_exit_1(self, tmp_path, capsys):
+        out = tmp_path / "big"
+        code, stdout, err = run(capsys, "synth", "blobs", *PIB_SHAPE, "--out-dir", str(out))
         assert code == 1
         assert stdout == ""
         assert err.startswith("error: Unable to allocate") and "PiB" in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["xor", "--copies", "0"], "copies must be >= 1, got 0"),
+            (["xor", "--copies", str(10**15)],
+             f"4 x --copies must be <= 4294967295, {U32}, got 4000000000000000"),
+            (["xor", "--copies", str(2**62)],
+             f"4 x --copies must be <= 4294967295, {U32}, got {2**64}"),
+            (["blobs", "--dims", str(10**15)], f"--dims must be <= 4294967295, {U32}, got {10**15}"),
+            (["blobs", "--dims", str(2**62)], f"--dims must be <= 4294967295, {U32}, got {2**62}"),
+            (["blobs", "--centers", str(2**70)],
+             f"--centers x --n-per-center must be <= 4294967295, {U32}, got {1000 * 2**70}"),
+            (["blobs", "--centers", str(2**70), "--n-per-center", "0"],
+             f"--centers x --n-per-center must be <= 4294967295, {U32}, got {2**70}"),
+            (["blobs", "--n-per-center", str(2**62)],
+             f"--centers x --n-per-center must be <= 4294967295, {U32}, got {3 * 2**62}"),
+            (["blobs", "--centers", str(2**31), "--dims", str(2**31), "--n-per-center", "1"],
+             f"rows x --dims must be <= {2**60 - 1}, the float64 values one numpy array holds, "
+             f"got {2**62}"),
+            (["blobs", "--centers", "3", "--spacing", "1e308"],
+             "--spacing x (--centers - 1) must be finite, got inf"),
+            (["blobs", "--stddev", "1e308"], "non-finite feature value at row 0, col 0"),
+        ],
+        ids=[
+            "xor-copies-0", "xor-copies-1e15", "xor-copies-2-62", "blobs-dims-1e15",
+            "blobs-dims-2-62", "blobs-centers-2-70", "blobs-centers-2-70-n-per-center-0",
+            "blobs-n-per-center-2-62",
+            "blobs-rows-times-dims", "blobs-spacing-1e308", "blobs-stddev-1e308",
+        ],
+    )
+    def test_synth_size_or_scale_past_its_limit_exit_1(self, tmp_path, capsys, argv, message):
+        """A size the file formats or one numpy array cannot hold, or a scale
+        that overflows, is refused in one line before the directory is made."""
+        out = tmp_path / "big"
+        code, stdout, err = run(capsys, "synth", *argv, "--out-dir", str(out))
+        assert code == 1
+        assert stdout == ""
+        assert err == f"error: {message}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "flag, value, message",
@@ -804,7 +873,7 @@ class TestSynthFiles:
 
     def test_refused_allocation_leaves_no_directory(self, tmp_path, capsys):
         out = tmp_path / "big"
-        code, stdout, err = run(capsys, "synth", "blobs", "--dims", str(10**15), "--out-dir", str(out))
+        code, stdout, err = run(capsys, "synth", "blobs", *PIB_SHAPE, "--out-dir", str(out))
         assert code == 1
         assert stdout == ""
         assert err.startswith("error: ")

@@ -8,7 +8,7 @@ import pytest
 import modmi
 from modmi import errors
 from modmi.errors import DataError, FormatError, InfeasibleError, ModmiError, check_bool, check_int
-from modmi.errors import check_positive, located, printable
+from modmi.errors import check_positive, located, printable, read_object
 
 
 class TestLocated:
@@ -55,12 +55,35 @@ class TestLocated:
         assert str(info.value) == str(exc)
 
 
+@pytest.mark.parametrize(
+    "obj, message",
+    [
+        ([], "doc must be an object"),
+        ("{}", "doc must be an object"),
+        (None, "doc must be an object"),
+        ({"a": 1}, "doc is missing 'b'"),
+        ({"b": 1}, "doc is missing 'a'"),
+    ],
+)
+def test_read_object_refuses_a_non_object_or_a_missing_key(obj, message):
+    with pytest.raises(FormatError) as info:
+        read_object(obj, "doc", ["a", "b"])
+    assert str(info.value) == message
+
+
+def test_read_object_returns_the_object_itself():
+    obj = {"a": 1, "extra": None}
+    assert read_object(obj, "doc", ["a"]) is obj
+    assert read_object({}, "doc") == {}
+
+
 def _modmi_re_raises(path: Path) -> list[int]:
-    """Lines of the ``except ... as name`` clauses in ``path`` that catch a
-    ModmiError subclass and raise again (the CLI's handlers only print)."""
+    """Lines of the ``except`` clauses in ``path``, with or without ``as
+    name``, that catch a ModmiError subclass and raise again (the CLI's
+    handlers only print)."""
     found = []
     for node in ast.walk(ast.parse(path.read_text())):
-        if not isinstance(node, ast.ExceptHandler) or node.name is None:
+        if not isinstance(node, ast.ExceptHandler) or node.type is None:
             continue
         if not any(isinstance(inner, ast.Raise) for inner in ast.walk(node)):
             continue
@@ -75,7 +98,7 @@ def _modmi_re_raises(path: Path) -> list[int]:
 
 def test_only_located_rewrites_a_caught_modmi_error():
     """``errors.located`` is the one place an error gets its source: no other
-    module binds a caught ModmiError to raise it again under a new message."""
+    module catches a ModmiError to raise it again under a new message."""
     package = Path(modmi.__file__).parent
     modules = sorted(p for p in package.glob("*.py") if p.name != "errors.py")
     assert len(modules) >= 9
@@ -108,14 +131,14 @@ def _is_path(node) -> bool:
 
 def _raw_paths(path: Path) -> list[int]:
     """Lines in ``path`` that put a path into a message without ``printable``:
-    as a field of an f-string, or as an argument of located, read_json or
-    check_keys, which start a message with it."""
+    as a field of an f-string, or as an argument of located, read_json,
+    read_object or check_keys, which start a message with it."""
     found = []
     for node in ast.walk(ast.parse(path.read_text())):
         if isinstance(node, ast.JoinedStr):
             exprs = [value.value for value in node.values if isinstance(value, ast.FormattedValue)]
         elif isinstance(node, ast.Call) and getattr(node.func, "id", None) in (
-            "located", "read_json", "check_keys"
+            "located", "read_json", "read_object", "check_keys"
         ):
             exprs = node.args
         else:
@@ -131,6 +154,40 @@ def test_every_path_in_a_message_goes_through_printable():
     modules = sorted(package.glob("*.py"))
     assert len(modules) >= 10
     offenders = {p.name: lines for p in modules if (lines := _raw_paths(p))}
+    assert offenders == {}
+
+
+# The words of the JSON object rules, which only errors.read_object and
+# errors.check_keys put into a message.
+OBJECT_RULE_WORDS = ("is missing", "missing field", "must be an object", "unknown key")
+
+
+def _object_rule_words(path: Path) -> list[int]:
+    """Lines in ``path`` with a string, other than a docstring, that holds
+    one of OBJECT_RULE_WORDS."""
+    tree = ast.parse(path.read_text())
+    docstrings = {
+        id(node.body[0].value)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef)) and node.body
+        and isinstance(node.body[0], ast.Expr)
+    }
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        and id(node) not in docstrings and any(word in node.value for word in OBJECT_RULE_WORDS)
+    )
+
+
+def test_only_errors_words_the_object_rules():
+    """The manifest and report readers share ``errors.read_object`` and
+    ``errors.check_keys``: no other module writes its own message for a value
+    that is not a JSON object, lacks a key or holds an unknown one."""
+    package = Path(modmi.__file__).parent
+    modules = sorted(p for p in package.glob("*.py") if p.name != "errors.py")
+    assert len(modules) >= 9
+    offenders = {p.name: lines for p in modules if (lines := _object_rule_words(p))}
     assert offenders == {}
 
 

@@ -382,6 +382,9 @@ class TestAlign:
                 assert shared == (s.sample_rate_hz == 25.0)
 
 
+CAM_ENTRY = {"name": "cam", "path": "a.fmx", "kind": "features", "sample_rate_hz": 25}
+
+
 class TestManifest:
     def _write(self, tmp_path, doc):
         import json
@@ -522,6 +525,33 @@ class TestManifest:
             load_manifest(self._write(tmp_path, doc))
 
     @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ([25], "manifest.json must be an object"),
+            ({"streams": []}, "manifest.json is missing 'target_rate_hz'"),
+            ({"target_rate_hz": 25}, "manifest.json: manifest needs a non-empty 'streams' list"),
+            ({"target_rate_hz": 25, "streams": {}}, "needs a non-empty 'streams' list"),
+            ({"target_rate_hz": 25, "streams": [CAM_ENTRY, 5]}, "stream #1 must be an object"),
+            ({"target_rate_hz": 25, "streams": [{"name": "cam"}]}, "stream cam is missing 'path'"),
+            (
+                {"target_rate_hz": 25, "streams": [{"name": "cam", "pth": "a.fmx"}]},
+                "stream cam is missing 'path'",
+            ),
+        ],
+        ids=[
+            "not-an-object", "no-target-rate", "no-streams", "streams-object", "entry-not-an-object",
+            "entry-without-path", "entry-with-a-typo",
+        ],
+    )
+    def test_objects_and_their_keys_are_checked_by_one_rule(self, tmp_path, doc, message):
+        """Each object of a manifest, and each key it must hold, is checked as
+        the report reader checks its own: ``{where} must be an object`` and
+        ``{where} is missing 'k'``."""
+        self._stream_files(tmp_path)
+        with pytest.raises(FormatError, match=f"{re.escape(message)}$"):
+            load_manifest(self._write(tmp_path, doc))
+
+    @pytest.mark.parametrize(
         "raw",
         [b'{"target_rate_hz": 25, "streams": ["\xff"]}', b"[" * 100000],
         ids=["not-utf8", "deep"],
@@ -533,15 +563,19 @@ class TestManifest:
             load_manifest(path)
 
     @pytest.mark.parametrize(
-        "kind, key, value",
+        "kind, key, value, rule",
         [
-            ("features", "clusters", "5"),
-            ("features", "clusters", True),
-            ("features", "clusters", 0),
-            ("labels", "alphabet_size", "5"),
+            ("features", "clusters", "5", "must be an integer, got '5'"),
+            ("features", "clusters", True, "must be an integer, got True"),
+            ("features", "clusters", 0, "must be >= 1, got 0"),
+            ("labels", "alphabet_size", "5", "must be an integer, got '5'"),
+        ],
+        ids=[
+            "features-clusters-5", "features-clusters-True", "features-clusters-0",
+            "labels-alphabet_size-5",
         ],
     )
-    def test_count_fields_must_be_positive_ints(self, tmp_path, kind, key, value):
+    def test_count_fields_must_be_positive_ints(self, tmp_path, kind, key, value, rule):
         self._stream_files(tmp_path)
         entry = {
             "name": "cam",
@@ -551,7 +585,7 @@ class TestManifest:
             key: value,
         }
         path = self._write(tmp_path, {"target_rate_hz": 25, "streams": [entry]})
-        with pytest.raises(FormatError, match=f"stream cam: '{key}' must be an integer >= 1"):
+        with pytest.raises(FormatError, match=f"stream cam: {key} {rule}$"):
             load_manifest(path)
 
     @pytest.mark.parametrize("value", [True, 10**400], ids=["bool", "401-digits"])
@@ -562,7 +596,8 @@ class TestManifest:
         doc = {"target_rate_hz": 25, "streams": [entry]}
         (doc if field == "target_rate_hz" else entry)[field] = value
         where = "" if field == "target_rate_hz" else "stream cam: "
-        with pytest.raises(FormatError, match=f"{where}{field} must be a finite positive number"):
+        rule = re.escape("must be finite and > 0 (a number, not a bool)")
+        with pytest.raises(FormatError, match=f"{where}{field} {rule}"):
             load_manifest(self._write(tmp_path, doc))
 
     @pytest.mark.parametrize(
@@ -601,15 +636,15 @@ TXT = StreamSpec("txt", "t.lbl", "labels", 25.0)
         (lambda: replace(CAM, kind="feature"), "unknown kind 'feature'"),
         (lambda: replace(TXT, clusters=5), "'clusters' applies to features streams only"),
         (lambda: replace(CAM, alphabet_size=7), "'alphabet_size' applies to labels streams only"),
-        (lambda: replace(CAM, clusters=0), "'clusters' must be an integer >= 1, got 0"),
-        (lambda: replace(TXT, alphabet_size=2.0), "'alphabet_size' must be an integer >= 1"),
-        (lambda: replace(CAM, sample_rate_hz=True), "sample_rate_hz must be a finite positive"),
-        (lambda: Manifest(float("nan"), (CAM,)), "target_rate_hz must be a finite positive"),
+        (lambda: replace(CAM, clusters=0), "clusters must be >= 1, got 0"),
+        (lambda: replace(TXT, alphabet_size=2.0), "alphabet_size must be an integer, got 2.0"),
+        (lambda: replace(CAM, sample_rate_hz=True), "sample_rate_hz must be finite and > 0"),
+        (lambda: Manifest(float("nan"), (CAM,)), "target_rate_hz must be finite and > 0"),
         (lambda: replace(CAM, name=""), "'name' must be a non-empty string, got ''"),
         (lambda: replace(CAM, path=None), "'path' must be a non-empty string, got None"),
         (
             lambda: replace(CAM, clusters=-(10**5000)),
-            "'clusters' must be an integer >= 1, got a negative integer of 16610 bits",
+            "clusters must be >= 1, got a negative integer of 16610 bits",
         ),
     ],
     ids=[

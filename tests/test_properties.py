@@ -6,13 +6,14 @@ import io
 import json
 import math
 import tempfile
+import warnings
 from collections import Counter
 from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -239,7 +240,7 @@ def report_edits(draw):
     """The fields of a valid report after up to three edits, each of which may
     break a rule: an empty or repeated name, an unequal L, a distinct outside
     1..L, fit fields on a labels entry, a missing, repeated or unknown role, a
-    NaN or infinite quantity, a partial set of three-way fields, or a stream
+    NaN, infinite or None quantity, a partial set of three-way fields, or a stream
     field of another type (an int name, role or kind, or a float or bool
     count), while a count may also become the numpy integer of its value."""
     report = draw(reports(draw(st.sampled_from([2, 3]))))
@@ -279,7 +280,7 @@ def report_edits(draw):
         elif edit == "repeat" and streams:
             streams.append(dict(streams[i]))
         elif edit == "non-finite":
-            value = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+            value = draw(st.sampled_from([math.nan, math.inf, -math.inf, None]))
             key = draw(st.sampled_from([*PAIR_FIELDS, *THREE_WAY_FIELDS, *REGIONS]))
             if key in REGIONS and q["regions"] is not None:
                 q["regions"] = {**q["regions"], key: value}
@@ -296,8 +297,17 @@ def report_edits(draw):
     return q, streams, report.config
 
 
+# A two-stream report whose H(T) is None, which the types must refuse.
+NONE_PAIR_FIELD = (
+    {"log_base": "2", "h_t": None, "h_s": 1.0, "i_ts": 0.0, "h_s_given_t": 1.0, "h_t_given_s": 0.0},
+    [asdict(StreamSummary(role, role, "labels", 4, distinct=2)) for role in ROLES[2]],
+    AnalysisConfig(),
+)
+
+
 @SETTINGS
 @given(report_edits())
+@example(NONE_PAIR_FIELD)
 def test_a_report_the_types_accept_is_one_from_json_reads(fields):
     """Building a report raises DataError, or its JSON reads back and
     re-renders byte for byte."""
@@ -614,6 +624,44 @@ def test_any_small_input_ends_in_a_report_or_one_error_line(workdir, files, data
         assert code in ((0, 1) if flaw is None else (1,))
         if code == 0:
             assert read_labels(labels).rows == read_feature_matrix(features).rows
+
+
+# A synth size is 1 to 4 or past a limit the CLI enforces (the u32 row and
+# dims counts, one numpy array): never a legal large size, which would
+# allocate gigabytes.
+synth_sizes = st.integers(1, 4) | st.sampled_from([2**32, 2**62, 2**70])
+synth_scales = st.floats() | st.sampled_from([1e308, -1e308, math.inf, math.nan])
+
+
+@SETTINGS
+@given(
+    generator=st.sampled_from(["xor", "blobs"]),
+    sizes=st.fixed_dictionaries(
+        {flag: synth_sizes for flag in ("--copies", "--centers", "--dims", "--n-per-center")}
+    ),
+    stddev=synth_scales,
+    spacing=synth_scales,
+)
+def test_synth_ends_in_a_manifest_or_one_error_line(workdir, generator, sizes, stddev, spacing):
+    """synth xor and blobs at any scale, with sizes of 1 to 4 or past a limit,
+    exit 0 with streams of the rows asked for, or exit 1 with one error line
+    and no directory; no warning escapes."""
+    if generator == "xor":
+        flags, rows = [f"--copies={sizes['--copies']}"], 4 * sizes["--copies"]
+    else:
+        flags = [f"{flag}={value}" for flag, value in sizes.items() if flag != "--copies"]
+        flags += [f"--stddev={stddev}", f"--spacing={spacing}"]
+        rows = sizes["--centers"] * sizes["--n-per-center"]
+    with tempfile.TemporaryDirectory(dir=workdir) as tmp, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = Path(tmp) / "out"
+        code, _ = _cli("synth", generator, "--out-dir", str(out), *flags)
+        assert code in (0, 1)
+        if code == 0:
+            manifest = load_manifest(out / "manifest.json")
+            assert {manifest.load_stream(spec).rows for spec in manifest.streams} == {rows}
+        else:
+            assert not out.exists()
 
 
 # Array-field property test.  A value for an array field is a nested (maybe
