@@ -115,6 +115,16 @@ def check_bool(value, what: str) -> bool:
     raise DataError(f"{what} must be a bool, got {shown(value)}")
 
 
+def check_type(value, types, what: str):
+    """``value`` if it is an instance of ``types``, a class or a tuple of classes;
+    otherwise DataError ``{what} must be a T[ or a U], got V``."""
+    if isinstance(value, types):
+        return value
+    names = [t.__name__ for t in (types if isinstance(types, tuple) else (types,))]
+    wanted = " or ".join(f"a{'n' * (name[0] in 'AEIOUaeiou')} {name}" for name in names)
+    raise DataError(f"{what} must be {wanted}, got {type(value).__name__}")
+
+
 def check_tuple(value, what: str) -> tuple:
     """``value`` as a tuple: a tuple or a list.  Anything else raises DataError."""
     if not isinstance(value, (tuple, list)):
@@ -138,7 +148,7 @@ def read_json(raw: str | bytes, where: str):
     try:
         with located(where):
             return json.loads(raw, object_pairs_hook=_unique_keys)
-    except (ValueError, RecursionError) as exc:
+    except (ValueError, RecursionError, TypeError) as exc:  # TypeError: ``raw`` is not text
         raise FormatError(f"{where}: invalid JSON: {exc}") from None
 
 

@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .errors import AlignmentError, DataError
+from .errors import AlignmentError, check_tuple, check_type
 from .ingestion import LabelSequence
 from .report import LOG_BASES, InfoQuantities, normalize_base
 
@@ -25,10 +25,18 @@ from .report import LOG_BASES, InfoQuantities, normalize_base
 CLAMP_TOL = 1e-12
 
 
-def _check_aligned(streams) -> None:
-    lengths = {s.rows for s in streams}
+def _symbols(streams=(), what="streams", least=1, **single) -> list[np.ndarray]:
+    """The symbol arrays of the ``single`` streams, named by argument, then of those
+    in ``streams``, a tuple or list named ``what``: at least ``least`` LabelSequences of
+    one length in all.  Too few streams or unequal lengths raise AlignmentError."""
+    named = {**single, **{f"{what}[{i}]": s for i, s in enumerate(check_tuple(streams, what))}}
+    if len(named) < least:
+        counted = ("one stream", "two streams", "three streams")[least - 1]
+        raise AlignmentError(f"need at least {counted}")
+    lengths = {check_type(s, LabelSequence, name).rows for name, s in named.items()}
     if len(lengths) != 1:
         raise AlignmentError(f"streams are not aligned: lengths {sorted(lengths)}")
+    return [s.symbols for s in named.values()]
 
 
 def _tuple_keys(arrays: list[np.ndarray]) -> np.ndarray:
@@ -113,24 +121,19 @@ def _clamped(value: float, what: str) -> float:
 def entropy(streams: list[LabelSequence], base=2) -> float:
     """Joint Shannon entropy of one or more aligned streams; 0*log(0) terms
     are omitted."""
-    if not streams:
-        raise AlignmentError("need at least one stream")
-    _check_aligned(streams)
-    return _scaled(_h_nats([s.symbols for s in streams]), normalize_base(base))
+    return _scaled(_h_nats(_symbols(streams)), normalize_base(base))
 
 
 def mutual_information(a: LabelSequence, b: LabelSequence, base=2) -> float:
     """I(a;b) computed as H(a) + H(b) - H(a;b); tiny negatives clamp to 0."""
-    return pair_quantities(a, b, base).i_ts
+    _symbols(a=a, b=b)
+    return quantity_table({"T": a, "S": b}, normalize_base(base)).i_ts
 
 
 def conditional_entropy(a: LabelSequence, given: list[LabelSequence], base=2) -> float:
     """H(a | given) = H(a; given) - H(given)."""
-    if not given:
-        raise DataError("conditional_entropy needs at least one conditioning stream")
-    _check_aligned([a, *given])
-    arrays = [s.symbols for s in given]
-    nats = _h_nats([a.symbols, *arrays]) - _h_nats(arrays)
+    arrays = _symbols(given, "given", 2, a=a)
+    nats = _h_nats(arrays) - _h_nats(arrays[1:])
     return _clamped(_scaled(nats, normalize_base(base)), "conditional entropy")
 
 
@@ -142,11 +145,8 @@ def conditional_mutual_information(
     For two streams this is the usual conditional MI and is non-negative (up
     to rounding, which clamps); for more it recurses and may be negative.
     """
-    if len(streams) < 2:
-        raise DataError("conditional MI needs at least two streams")
-    _check_aligned([*streams, given])
-    nats = _cmmi_nats([s.symbols for s in streams], given.symbols)
-    value = _scaled(nats, normalize_base(base))
+    given_symbols, *arrays = _symbols(streams, least=3, given=given)
+    value = _scaled(_cmmi_nats(arrays, given_symbols), normalize_base(base))
     return _clamped(value, "conditional MI") if len(streams) == 2 else value
 
 
@@ -154,12 +154,10 @@ def multivariate_mi_recursive(streams: list[LabelSequence], base=2) -> float:
     """Co-information of n >= 2 streams via the recursion
     MMI(x1..xn) = MMI(x1..x(n-1)) - MMI(x1..x(n-1) | xn).  Negative values
     are meaningful (synergy) and are not clamped."""
-    if len(streams) < 2:
-        raise DataError("multivariate MI needs at least two streams")
-    _check_aligned(streams)
-    if len(streams) == 2:
-        return mutual_information(streams[0], streams[1], base)
-    return _scaled(_mmi_nats([s.symbols for s in streams]), normalize_base(base))
+    arrays = _symbols(streams, least=2)
+    if len(arrays) == 2:
+        return mutual_information(*streams, base)
+    return _scaled(_mmi_nats(arrays), normalize_base(base))
 
 
 def trivariate_mmi(v: LabelSequence, t: LabelSequence, s: LabelSequence, base=2) -> float:
@@ -216,7 +214,7 @@ def quantity_table(by_role: dict[str, LabelSequence], token: str, counts=None) -
 
 def pair_quantities(t: LabelSequence, s: LabelSequence, base=2) -> InfoQuantities:
     """Entropies, MI and conditionals for a two-variable analysis."""
-    _check_aligned([t, s])
+    _symbols(t=t, s=s)
     return quantity_table({"T": t, "S": s}, normalize_base(base))
 
 
@@ -227,5 +225,5 @@ def info_diagram(v: LabelSequence, t: LabelSequence, s: LabelSequence, base=2) -
     exclusive parts I(X;Y|Z) (as I(X;Y) minus the center) and the center
     I(V;T;S); the regions touching any one variable sum to its entropy.
     """
-    _check_aligned([v, t, s])
+    _symbols(v=v, t=t, s=s)
     return quantity_table({"V": v, "T": t, "S": s}, normalize_base(base))

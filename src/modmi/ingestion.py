@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import AlignmentError, DataError, FormatError, check_int, check_keys, check_positive
-from .errors import check_tuple, located, printable, read_json, read_object, shown
+from .errors import check_tuple, check_type, located, printable, read_json, read_object, shown
 
 _FMX_MAGIC = b"FMX1"
 _LBL_MAGIC = b"LBL1"
@@ -128,7 +128,7 @@ class LabelSequence:
 
 def write_feature_matrix(m: FeatureMatrix, path) -> None:
     """Write an FMX1 file; reading it back is bit-exact."""
-    if not np.all(np.isfinite(m.values)):
+    if not np.all(np.isfinite(check_type(m, FeatureMatrix, "m").values)):
         raise DataError("refusing to write non-finite feature values")
     with open(path, "wb") as fh:
         fh.write(_FMX_MAGIC)
@@ -167,7 +167,7 @@ def read_feature_matrix(path, sample_rate_hz: float = 25.0, modality_tag: str = 
 
 def write_labels(s: LabelSequence, path) -> None:
     """Write an LBL1 file; reading it back is bit-exact."""
-    if s.alphabet_size > _U32_MAX or int(s.symbols.max()) > _U32_MAX:
+    if check_type(s, LabelSequence, "s").alphabet_size > _U32_MAX or int(s.symbols.max()) > _U32_MAX:
         raise DataError("symbols do not fit the u32 on-disk format")
     with open(path, "wb") as fh:
         fh.write(_LBL_MAGIC)
@@ -295,9 +295,7 @@ def resample_nearest(stream, target_rate_hz: float):
 def resampled_rows(stream, target_rate_hz: float) -> int:
     """The frame count :func:`resample_nearest` gives ``stream`` at ``target_rate_hz``;
     anything but a FeatureMatrix or a LabelSequence raises DataError."""
-    if not isinstance(stream, (FeatureMatrix, LabelSequence)):
-        raise DataError(f"cannot resample object of type {type(stream).__name__}")
-    source_rate = stream.sample_rate_hz
+    source_rate = check_type(stream, (FeatureMatrix, LabelSequence), "stream").sample_rate_hz
     length = stream.rows * target_rate_hz / source_rate
     if not math.isfinite(length) or round(length) > _U32_MAX:
         of = f" of stream {stream.modality_tag!r}" if stream.modality_tag else ""
@@ -331,7 +329,7 @@ def align(
     built once, from its source frames cut to the common length.  The frames
     dropped by truncation are logged per stream.
     """
-    if len(streams) < 2:
+    if len(streams := check_tuple(streams, "streams")) < 2:
         raise AlignmentError(f"align needs at least 2 streams, got {len(streams)}")
     target_rate_hz = check_positive(target_rate_hz, "target_rate_hz")
     totals = [resampled_rows(s, target_rate_hz) for s in streams]
@@ -389,10 +387,9 @@ class Manifest:
         object.__setattr__(self, "target_rate_hz", rate)
         object.__setattr__(self, "streams", check_tuple(self.streams, "streams"))
         for i, spec in enumerate(self.streams):
-            if not isinstance(spec, StreamSpec):
-                raise DataError(f"streams[{i}] must be a StreamSpec, got {type(spec).__name__}")
-            if spec.name in [s.name for s in self.streams[:i]]:
-                raise DataError(f"duplicate stream name {spec.name!r}")
+            name = check_type(spec, StreamSpec, f"streams[{i}]").name
+            if name in [s.name for s in self.streams[:i]]:
+                raise DataError(f"duplicate stream name {name!r}")
 
     def load_stream(self, spec: StreamSpec):
         if spec.kind == "features":

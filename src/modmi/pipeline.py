@@ -8,7 +8,7 @@ number can be traced to (manifest, config, seed) and regenerated.
 from dataclasses import replace
 
 from . import infotheory
-from .errors import AlignmentError, DataError, FormatError, located, printable
+from .errors import AlignmentError, DataError, FormatError, check_tuple, check_type, located, printable
 from .ingestion import FeatureMatrix, LabelSequence, Manifest, align, load_manifest, resampled_rows
 from .report import ROLES, AnalysisConfig, InfoReport, StreamSummary
 
@@ -120,16 +120,21 @@ def _report(specs, streams, config: AnalysisConfig) -> InfoReport:
     return InfoReport(quantities=quantities, streams=tuple(summaries), config=config)
 
 
+def _inputs(manifest, config) -> tuple[Manifest, AnalysisConfig]:
+    """``manifest``, loaded if it is not a Manifest, and ``config``, the default if None."""
+    if not isinstance(manifest, Manifest):
+        manifest = load_manifest(manifest)
+    config = AnalysisConfig() if config is None else config
+    return manifest, check_type(config, AnalysisConfig, "config")
+
+
 def analyze(manifest, config: AnalysisConfig | None = None) -> InfoReport:
     """Run the whole estimation pipeline for one manifest.
 
     Deterministic given (manifest, config): per-stream fit seeds are
     config.seed + the stream's position in the manifest.
     """
-    if not isinstance(manifest, Manifest):
-        manifest = load_manifest(manifest)
-    if config is None:
-        config = AnalysisConfig()
+    manifest, config = _inputs(manifest, config)
     streams, rate = _prepare(manifest, config)
     return _report(manifest.streams, streams, replace(config, target_rate_hz=rate))
 
@@ -142,12 +147,9 @@ def sweep_clusters(manifest, config: AnalysisConfig | None, ks: list[int]) -> li
     discrete streams are untouched, so their entropies are constant down the
     sweep.
     """
-    if not ks:
+    if not (ks := check_tuple(ks, "ks")):
         raise DataError("sweep needs a non-empty list of cluster counts")
-    if not isinstance(manifest, Manifest):
-        manifest = load_manifest(manifest)
-    if config is None:
-        config = AnalysisConfig()
+    manifest, config = _inputs(manifest, config)
     configs = [replace(config, clusters=k) for k in ks]  # rejects a bad k before loading
     streams, rate = _prepare(manifest, config)
     specs = tuple(replace(s, clusters=None) for s in manifest.streams)

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import DataError, FormatError, InfeasibleError, check_bool, check_int, check_positive
-from .errors import located, printable, shown
+from .errors import check_type, located, printable, shown
 from .ingestion import FeatureMatrix, LabelSequence, check_size, frozen_array, unpack_header
 
 _KMC_MAGIC = b"KMC1"
@@ -179,7 +179,7 @@ def fit(
     tol, normalize = check_positive(tol, "tol"), check_bool(normalize, "normalize")
     seed = _kmc1_seed(seed)
 
-    n = x.rows
+    n = check_type(x, FeatureMatrix, "x").rows
     if k > n:  # before seeding allocates k centres
         raise InfeasibleError(f"infeasible k: {shown(k)} clusters but only {n} rows")
 
@@ -223,7 +223,7 @@ def fit(
 
 def assign(cb: Codebook, x: FeatureMatrix) -> LabelSequence:
     """Label every frame of ``x`` with its nearest centroid's index."""
-    if x.dims != cb.dims:
+    if check_type(x, FeatureMatrix, "x").dims != check_type(cb, Codebook, "cb").dims:
         raise DataError(f"dimension mismatch: features have {x.dims} dims, codebook {cb.dims}")
     data = _normalize(x.values.astype(np.float64), cb.normalization)
     labels, _ = _kernels.assign_labels(data, cb.centroids.astype(np.float64))
@@ -232,14 +232,10 @@ def assign(cb: Codebook, x: FeatureMatrix) -> LabelSequence:
 
 def codebook_to_bytes(cb: Codebook) -> bytes:
     """Serialize to the KMC1 wire format."""
-    parts = [
-        _KMC_MAGIC,
-        struct.pack("<IIQB", cb.k, cb.dims, cb.seed, 1 if cb.normalization is not None else 0),
-    ]
-    if cb.normalization is not None:
-        parts.append(cb.normalization.astype("<f4").tobytes(order="C"))
-    parts.append(cb.centroids.astype("<f4").tobytes(order="C"))
-    return b"".join(parts)
+    norm = check_type(cb, Codebook, "cb").normalization
+    arrays = [cb.centroids] if norm is None else [norm, cb.centroids]
+    header = struct.pack("<IIQB", cb.k, cb.dims, cb.seed, 0 if norm is None else 1)
+    return _KMC_MAGIC + header + b"".join(a.astype("<f4").tobytes(order="C") for a in arrays)
 
 
 def save_codebook(cb: Codebook, path) -> None:

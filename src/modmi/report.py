@@ -7,7 +7,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 from .errors import DataError, FormatError, ModmiError, check_bool, check_int, check_keys
 from .errors import check_positive, is_finite_real, is_json_type, located, read_json, shown
-from .errors import check_tuple, read_object, store_python_scalars
+from .errors import check_tuple, check_type, read_object, store_python_scalars
 
 LOG_BASES = {"2": math.log(2.0), "e": 1.0, "10": math.log(10.0)}
 
@@ -205,15 +205,12 @@ class InfoReport:
 
     def __post_init__(self):
         for place, cls in (("quantities", InfoQuantities), ("config", AnalysisConfig)):
-            if not isinstance(getattr(self, place), cls):  # before any rule reads its attributes
-                got = type(getattr(self, place)).__name__
-                raise DataError(f"{place} must be an {cls.__name__}, got {got}")
+            check_type(getattr(self, place), cls, place)  # before any rule reads its attributes
         streams = check_tuple(self.streams, "streams")
         object.__setattr__(self, "streams", streams)
         roles = ROLES[self.quantities.arity]
         for i, s in enumerate(streams):  # before the roles rule, which sorts the roles
-            if not isinstance(s, StreamSummary):
-                raise DataError(f"streams[{i}] must be a StreamSummary, got {type(s).__name__}")
+            check_type(s, StreamSummary, f"streams[{i}]")
             for name, (key, types) in _STREAM_KEYS.items():
                 value = getattr(s, name)
                 if not is_json_type(value, types):
@@ -302,6 +299,10 @@ class InfoReport:
             values["regions"] = {region: q["regions"][region] for region in REGIONS}
         with located("report", FormatError):  # InfoQuantities checks every value
             quantities = InfoQuantities(log_base=base, **values)
+        for place, read, part in (("config", cfg, config), ("quantities", q, quantities)):
+            given, token = read["log_base"], part.log_base  # to_json writes the token back
+            if given != token:
+                raise FormatError(f"report: {place}.log_base must be {token!r}, got {shown(given)}")
         check_keys(q, top, "report: quantities")
         for group, inner in groups.items():
             check_keys(q[group], inner, f"report: quantities.{group}")

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DataError, check_int, check_positive, is_finite_real
+from .errors import DataError, check_int, check_positive, check_type, is_finite_real
 from .infotheory import CLAMP_TOL
 from .ingestion import FeatureMatrix, LabelSequence, frozen_array
 from .report import LOG_BASES, InfoQuantities, normalize_base
@@ -71,7 +71,7 @@ def oracle_quantities(pmf: JointPmf, base=2) -> InfoQuantities:
     inclusion-exclusion around the center I(V;T;S).
     """
     token = normalize_base(base)
-    if pmf.arity not in (2, 3):
+    if check_type(pmf, JointPmf, "pmf").arity not in (2, 3):
         raise DataError(f"oracle supports arity 2 or 3, got {pmf.arity}")
     t = pmf.table
     ax_t, ax_s = pmf.arity - 2, pmf.arity - 1  # axes are (V, T, S) or (T, S)
@@ -130,7 +130,7 @@ def sample_discrete(pmf: JointPmf, n_frames: int, seed: int, tags=None) -> list[
     """Draw ``n_frames`` i.i.d. tuples by seeded inverse-CDF sampling."""
     n_frames = check_int(n_frames, "n_frames", 1)
     rng = np.random.Generator(np.random.PCG64(check_int(seed, "seed", 0)))
-    cum = np.cumsum(pmf.table.ravel())
+    cum = np.cumsum(check_type(pmf, JointPmf, "pmf").table.ravel())
     u = rng.random(n_frames)
     flat = np.searchsorted(cum, u, side="right")
     np.clip(flat, 0, pmf.table.size - 1, out=flat)
@@ -145,7 +145,7 @@ def exhaustive_stream(pmf: JointPmf, copies: int = 1, tags=None) -> list[LabelSe
     C-order, each tuple repeated proportional to its probability.
     """
     copies = check_int(copies, "copies", 1)
-    flat = pmf.table.ravel()
+    flat = check_type(pmf, JointPmf, "pmf").table.ravel()
     nonzero = np.flatnonzero(flat)
     denom = 1
     for p in flat[nonzero]:

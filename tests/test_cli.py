@@ -527,6 +527,14 @@ class TestReport:
             ),
             (lambda text: text.replace('"T": ', '"T": "x", "_": ', 1), "is not a finite number"),
             (lambda text: '"log_base": "7"'.join(text.rsplit('"log_base": "2"', 1)), "log base"),
+            *[
+                (
+                    lambda text, p=place, g=given: edited(text, lambda doc: doc[p].update(log_base=g)),
+                    f"error: report: {place}.log_base must be {token!r}, got {given!r}",
+                )
+                for place in ("config", "quantities")
+                for given, token in (("2.0", "2"), (" 2", "2"), ("E", "e"))
+            ],
             (lambda text: b"\xff" + text.encode(), "invalid JSON"),
             (lambda text: "[" * 100000, "invalid JSON"),
             (lambda text: without(text, "regions", "V;T;S"), "quantities.regions is missing"),
@@ -612,7 +620,10 @@ class TestReport:
         ids=[
             "invalid-json", "missing-key", "bool-as-string", "base-as-number",
             "quantities-base-as-number", "entropy-as-string",
-            "unknown-quantities-base", "not-utf8", "deeply-nested", "missing-region",
+            "unknown-quantities-base",
+            *[f"{place}-base-{name}" for place in ("config", "quantities")
+              for name in ("2.0", "space-2", "E")],
+            "not-utf8", "deeply-nested", "missing-region",
             "missing-cond", "huge-int", "nan-quantity", "null-quantity", "infinite-region",
             "foreign-rng", "no-rng",
             "unknown-top-key", "unknown-config-key", "unknown-stream-key", "stream-L-as-string",

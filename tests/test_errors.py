@@ -1,4 +1,5 @@
 import ast
+import builtins
 import math
 from pathlib import Path
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 import modmi
-from modmi import errors
+from modmi import errors, infotheory
 from modmi.errors import DataError, FormatError, InfeasibleError, ModmiError, check_bool, check_int
 from modmi.errors import check_positive, located, printable, read_object
 
@@ -75,6 +76,16 @@ def test_read_object_returns_the_object_itself():
     obj = {"a": 1, "extra": None}
     assert read_object(obj, "doc", ["a"]) is obj
     assert read_object({}, "doc") == {}
+
+
+@pytest.mark.parametrize("raw", [None, 5, ["{}"]], ids=["None", "int", "list"])
+def test_a_report_that_is_not_text_is_a_format_error(raw):
+    with pytest.raises(FormatError) as info:
+        modmi.InfoReport.from_json(raw)
+    assert str(info.value) == (
+        "report: invalid JSON: the JSON object must be str, bytes or bytearray, "
+        f"not {type(raw).__name__}"
+    )
 
 
 def _modmi_re_raises(path: Path) -> list[int]:
@@ -256,6 +267,41 @@ def test_only_frozen_array_freezes_an_array():
     assert offenders == {}
 
 
+def _type_checks(path: Path) -> list[int]:
+    """Lines in ``path`` of an ``if`` that raises when ``not isinstance(x, T)``
+    holds, where a class of ``T`` is not a builtin (``str`` or ``dict`` is)."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(node, ast.If) or not any(
+            isinstance(inner, ast.Raise) for stmt in node.body for inner in ast.walk(stmt)
+        ):
+            continue
+        for test in ast.walk(node.test):
+            if not (isinstance(test, ast.UnaryOp) and isinstance(test.op, ast.Not)):
+                continue
+            call = test.operand
+            if getattr(getattr(call, "func", None), "id", None) != "isinstance":
+                continue
+            types = getattr(call.args[1], "elts", [call.args[1]])
+            classes = [getattr(builtins, getattr(t, "id", ""), None) for t in types]
+            if not all(isinstance(cls, type) for cls in classes):
+                found.append(node.lineno)
+    return sorted(found)
+
+
+def test_only_check_type_words_the_type_rule():
+    """``errors.check_type`` is the one place that refuses a value not of a
+    modmi class (``streams[1] must be a StreamSpec, got dict``): no other
+    module tests ``not isinstance`` against a class that is not a builtin
+    and raises.  The information functions share one input rule."""
+    package = Path(modmi.__file__).parent
+    modules = sorted(p for p in package.glob("*.py") if p.name != "errors.py")
+    assert len(modules) >= 9
+    offenders = {p.name: lines for p in modules if (lines := _type_checks(p))}
+    assert offenders == {}
+    assert not hasattr(infotheory, "_check_aligned")
+
+
 def _numpy_types(codes: str) -> list[type]:
     return sorted({np.dtype(code).type for code in codes}, key=lambda t: t.__name__)
 
@@ -299,3 +345,109 @@ def test_the_checks_take_numbers_by_one_rule(value, expected):
         else:
             got = check(value, "x")
             assert got == want and type(got) is type(want)
+
+
+
+_LABELS = modmi.LabelSequence([0, 1, 0, 1], 2, 25.0)
+_FEATURES = modmi.FeatureMatrix([[0.0], [1.0], [0.0], [1.0]], 25.0)
+_CODEBOOK = modmi.Codebook([[0.0], [1.0]], 0)
+_MANIFEST = modmi.Manifest(
+    25.0, [modmi.StreamSpec(n, f"{n}.lbl", "labels", 25.0) for n in ("t", "s")]
+)
+
+
+def _wrong_kind_slots(tmp: Path) -> dict:
+    """Each public argument that takes a stream, a codebook, a pmf or a config
+    -> (a call that gives it a value and right-kind values everywhere else,
+    its kind, the name its error starts with).  A list argument takes the
+    value as its last item; ``tmp`` is where the writers write."""
+    lab = _LABELS
+    return {
+        "entropy.streams": (lambda w: modmi.entropy([lab, w]), "labels", "streams[1]"),
+        "mutual_information.a": (lambda w: modmi.mutual_information(w, lab), "labels", "a"),
+        "mutual_information.b": (lambda w: modmi.mutual_information(lab, w), "labels", "b"),
+        "conditional_entropy.a": (lambda w: modmi.conditional_entropy(w, [lab]), "labels", "a"),
+        "conditional_entropy.given": (
+            lambda w: modmi.conditional_entropy(lab, [lab, w]), "labels", "given[1]"
+        ),
+        "conditional_mutual_information.streams": (
+            lambda w: modmi.conditional_mutual_information([lab, w], lab), "labels", "streams[1]"
+        ),
+        "conditional_mutual_information.given": (
+            lambda w: modmi.conditional_mutual_information([lab, lab], w), "labels", "given"
+        ),
+        "multivariate_mi_recursive.streams": (
+            lambda w: modmi.multivariate_mi_recursive([lab, lab, w]), "labels", "streams[2]"
+        ),
+        "trivariate_mmi.v": (lambda w: modmi.trivariate_mmi(w, lab, lab), "labels", "v"),
+        "trivariate_mmi.t": (lambda w: modmi.trivariate_mmi(lab, w, lab), "labels", "t"),
+        "trivariate_mmi.s": (lambda w: modmi.trivariate_mmi(lab, lab, w), "labels", "s"),
+        "pair_quantities.t": (lambda w: modmi.pair_quantities(w, lab), "labels", "t"),
+        "pair_quantities.s": (lambda w: modmi.pair_quantities(lab, w), "labels", "s"),
+        "info_diagram.v": (lambda w: modmi.info_diagram(w, lab, lab), "labels", "v"),
+        "info_diagram.t": (lambda w: modmi.info_diagram(lab, w, lab), "labels", "t"),
+        "info_diagram.s": (lambda w: modmi.info_diagram(lab, lab, w), "labels", "s"),
+        "resample_nearest.stream": (lambda w: modmi.resample_nearest(w, 25.0), "either", "stream"),
+        "align.streams": (lambda w: modmi.align([lab, w], 25.0), "either", "stream"),
+        "write_feature_matrix.m": (
+            lambda w: modmi.write_feature_matrix(w, tmp / "m.fmx"), "features", "m"
+        ),
+        "write_labels.s": (lambda w: modmi.write_labels(w, tmp / "s.lbl"), "labels", "s"),
+        "fit.x": (lambda w: modmi.fit(w, 2), "features", "x"),
+        "assign.cb": (lambda w: modmi.assign(w, _FEATURES), "codebook", "cb"),
+        "assign.x": (lambda w: modmi.assign(_CODEBOOK, w), "features", "x"),
+        "save_codebook.cb": (lambda w: modmi.save_codebook(w, tmp / "c.kmc"), "codebook", "cb"),
+        "oracle_quantities.pmf": (lambda w: modmi.oracle_quantities(w), "pmf", "pmf"),
+        "sample_discrete.pmf": (lambda w: modmi.sample_discrete(w, 4, 0), "pmf", "pmf"),
+        "exhaustive_stream.pmf": (lambda w: modmi.exhaustive_stream(w), "pmf", "pmf"),
+        "analyze.config": (lambda w: modmi.analyze(_MANIFEST, w), "config", "config"),
+        "sweep_clusters.config": (
+            lambda w: modmi.sweep_clusters(_MANIFEST, w, [2]), "config", "config"
+        ),
+    }
+
+
+def _wrong_values(kind: str) -> list:
+    """What a ``kind`` argument is given instead: the other kind of stream (a
+    string where there is none, nothing where either kind is right), an empty
+    dict and a list of symbols."""
+    other = {"labels": [_FEATURES], "features": [_LABELS], "either": []}.get(kind, ["x"])
+    return [*other, {}, [0, 1, 0, 1]]
+
+
+_WRONG_KIND_CASES = [
+    pytest.param(slot, i, id=f"{slot}-{type(value).__name__}")
+    for slot, (_, kind, _) in _wrong_kind_slots(Path()).items()
+    for i, value in enumerate(_wrong_values(kind))
+]
+
+
+@pytest.mark.parametrize("slot, index", _WRONG_KIND_CASES)
+def test_a_wrong_kind_argument_raises_a_modmi_error_naming_it(slot, index, tmp_path):
+    """A value of another kind ends in a ModmiError whose message starts with
+    the argument's name, not in an AttributeError or TypeError, and no file
+    is written."""
+    call, kind, name = _wrong_kind_slots(tmp_path)[slot]
+    with pytest.raises(ModmiError) as info:
+        call(_wrong_values(kind)[index])
+    assert str(info.value).startswith(f"{name} must be a"), str(info.value)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda w: modmi.entropy(w), "streams"),
+        (lambda w: modmi.conditional_entropy(_LABELS, w), "given"),
+        (lambda w: modmi.conditional_mutual_information(w, _LABELS), "streams"),
+        (lambda w: modmi.multivariate_mi_recursive(w), "streams"),
+        (lambda w: modmi.align(w, 25.0), "streams"),
+        (lambda w: modmi.sweep_clusters(_MANIFEST, None, w), "ks"),
+    ],
+    ids=["entropy", "conditional_entropy", "conditional_mi", "multivariate_mi", "align", "sweep"],
+)
+@pytest.mark.parametrize("value", [_LABELS, {}], ids=["stream", "dict"])
+def test_a_list_argument_takes_a_tuple_or_list(call, name, value):
+    with pytest.raises(DataError) as info:
+        call(value)
+    assert str(info.value) == f"{name} must be a tuple or list, got {type(value).__name__}"

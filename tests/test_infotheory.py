@@ -358,6 +358,42 @@ def test_pair_quantities_fields():
     assert "I3" not in d and "regions" not in d
 
 
+_A, _B, _SHORT = seq([0, 1, 1]), seq([1, 0, 1]), seq([0, 1])
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: entropy([]), "need at least one stream"),
+        (lambda: conditional_entropy(_A, []), "need at least two streams"),
+        (lambda: conditional_mutual_information([_A], _B), "need at least three streams"),
+        (lambda: multivariate_mi_recursive([_A]), "need at least two streams"),
+        (lambda: entropy([_A, _SHORT]), "streams are not aligned: lengths [2, 3]"),
+        (lambda: mutual_information(_A, _SHORT), "streams are not aligned: lengths [2, 3]"),
+        (lambda: conditional_entropy(_A, [_B, _SHORT]), "streams are not aligned: lengths [2, 3]"),
+        (
+            lambda: conditional_mutual_information([_A, _B], _SHORT),
+            "streams are not aligned: lengths [2, 3]",
+        ),
+        (lambda: multivariate_mi_recursive([_SHORT, _A]), "streams are not aligned: lengths [2, 3]"),
+        (lambda: trivariate_mmi(_A, _B, _SHORT), "streams are not aligned: lengths [2, 3]"),
+        (lambda: pair_quantities(_SHORT, _B), "streams are not aligned: lengths [2, 3]"),
+        (lambda: info_diagram(_A, _SHORT, _B), "streams are not aligned: lengths [2, 3]"),
+    ],
+    ids=[
+        "entropy-none", "conditional_entropy-no-given", "conditional_mi-one-stream",
+        "multivariate_mi-one-stream", "entropy", "mutual_information", "conditional_entropy",
+        "conditional_mi", "multivariate_mi", "trivariate_mmi", "pair_quantities", "info_diagram",
+    ],
+)
+def test_the_information_functions_share_one_input_rule(call, message):
+    """Too few streams or unequal lengths are an AlignmentError in one set of
+    words, whichever function is called."""
+    with pytest.raises(AlignmentError) as info:
+        call()
+    assert str(info.value) == message
+
+
 def test_base_rejected():
     with pytest.raises(DataError, match="log base"):
         entropy([seq([0, 1])], base=3)

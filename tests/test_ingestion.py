@@ -321,7 +321,7 @@ class TestResample:
         assert resample_nearest(seq([0, 1, 2]), 5e-324).symbols.tolist() == [2]
 
     def test_non_stream_rejected(self):
-        with pytest.raises(DataError, match="^cannot resample object of type str$"):
+        with pytest.raises(DataError, match="^stream must be a FeatureMatrix or a LabelSequence, got str$"):
             resample_nearest("x", 25.0)
 
     def test_upsample_replicates(self):
@@ -350,7 +350,7 @@ class TestAlign:
             align([seq([0, 1])], 25.0)
 
     def test_non_stream_rejected(self):
-        with pytest.raises(DataError, match="^cannot resample object of type int$"):
+        with pytest.raises(DataError, match="^stream must be a FeatureMatrix or a LabelSequence, got int$"):
             align([seq([0, 1]), 3], 25.0)
 
     def test_random_alignment_invariant(self):
