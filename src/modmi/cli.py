@@ -111,9 +111,7 @@ def cmd_fit(args) -> int:
 def cmd_assign(args) -> int:
     from .quantizer import assign, load_codebook
 
-    cb = load_codebook(args.codebook)
-    features = read_feature_matrix(args.features)
-    labels = assign(cb, features)
+    labels = assign(load_codebook(args.codebook), read_feature_matrix(args.features))
     write_labels(labels, args.out)
     print(f"wrote {labels.rows} labels over alphabet {labels.alphabet_size}")
     return 0

@@ -10,6 +10,11 @@ Internals work in nats and scale once by 1/log(base) on the way out, so
 changing the base rescales every quantity exactly.  Zero-probability cells
 never appear in the sparse counts, which implements the 0*log(0) = 0
 convention.
+
+Conditioning groups rows: H(X | g) = -sum p(cell) log p(cell | its group) over
+the cells of (g, X), one table pass however many values g takes.  Logs of a
+cell's share of its own group keep exact cases exact: one group repeats the
+unconditioned sums bit for bit, and independent dyadic cells cancel to 0.
 """
 
 import math
@@ -88,21 +93,21 @@ def _h_nats(arrays: list[np.ndarray], counts: np.ndarray | None = None) -> float
     return float(-(p * np.log(p)).sum())
 
 
-def _cmmi_nats(arrays: list[np.ndarray], given: np.ndarray) -> float:
-    """Conditional multivariate MI: sum_z p(z) * MMI(arrays | given = z)."""
-    order = np.argsort(given, kind="stable")
-    total = given.shape[0]
-    value = 0.0
-    for idx in np.split(order, np.cumsum(cell_counts([given]))[:-1]):
-        value += idx.size / total * _mmi_nats([arr[idx] for arr in arrays])
-    return value
-
-
-def _mmi_nats(arrays: list[np.ndarray]) -> float:
-    """Recursive multivariate MI; the n=2 base case is plain MI."""
-    if len(arrays) == 2:
-        return _h_nats(arrays[:1]) + _h_nats(arrays[1:]) - _h_nats(arrays)
-    return _mmi_nats(arrays[:-1]) - _cmmi_nats(arrays[:-1], arrays[-1])
+def _mmi_nats(arrays: list[np.ndarray], groups: np.ndarray) -> float:
+    """MMI(arrays | groups), ``groups`` dense ids from 0 (all zeros for none), by
+    MMI(x1..xn | g) = MMI(x1..x(n-1) | g) - MMI(x1..x(n-1) | g, xn).  The base case
+    H(a|g) + H(b|g) - H(a,b|g) sums -p(cell) log p(cell | its group) over the cells
+    of (g, *cols): with one group p(cell | group) is ``_h_nats``' own division."""
+    if len(arrays) > 2:
+        joint = np.unique(_tuple_keys([groups, arrays[-1]]), return_inverse=True)[1]
+        return _mmi_nats(arrays[:-1], groups) - _mmi_nats(arrays[:-1], joint)
+    sizes, h = cell_counts([groups]), []  # rows per group, H(a|g), H(b|g), H(a,b|g)
+    for cols in (arrays[:1], arrays[1:], arrays):
+        counts = cell_counts([groups, *cols])  # in group order, as groups lead the key
+        last = np.searchsorted(np.cumsum(counts), np.cumsum(sizes))  # each group's last cell
+        within = counts / np.repeat(sizes, np.diff(last, prepend=-1))  # p(cell | its group)
+        h.append(float(-(counts / groups.shape[0] * np.log(within)).sum()))
+    return h[0] + h[1] - h[2]
 
 
 def _scaled(nats: float, base_token: str) -> float:
@@ -146,7 +151,8 @@ def conditional_mutual_information(
     to rounding, which clamps); for more it recurses and may be negative.
     """
     given_symbols, *arrays = _symbols(streams, least=3, given=given)
-    value = _scaled(_cmmi_nats(arrays, given_symbols), normalize_base(base))
+    groups = np.unique(given_symbols, return_inverse=True)[1]
+    value = _scaled(_mmi_nats(arrays, groups), normalize_base(base))
     return _clamped(value, "conditional MI") if len(streams) == 2 else value
 
 
@@ -157,7 +163,7 @@ def multivariate_mi_recursive(streams: list[LabelSequence], base=2) -> float:
     arrays = _symbols(streams, least=2)
     if len(arrays) == 2:
         return mutual_information(*streams, base)
-    return _scaled(_mmi_nats(arrays), normalize_base(base))
+    return _scaled(_mmi_nats(arrays, np.zeros_like(arrays[0])), normalize_base(base))
 
 
 def trivariate_mmi(v: LabelSequence, t: LabelSequence, s: LabelSequence, base=2) -> float:

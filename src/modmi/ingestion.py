@@ -292,10 +292,10 @@ def resample_nearest(stream, target_rate_hz: float):
     return _frames(stream, target_rate_hz, resampled_rows(stream, target_rate_hz))
 
 
-def resampled_rows(stream, target_rate_hz: float) -> int:
+def resampled_rows(stream, target_rate_hz: float, what: str = "stream") -> int:
     """The frame count :func:`resample_nearest` gives ``stream`` at ``target_rate_hz``;
-    anything but a FeatureMatrix or a LabelSequence raises DataError."""
-    source_rate = check_type(stream, (FeatureMatrix, LabelSequence), "stream").sample_rate_hz
+    anything but a FeatureMatrix or a LabelSequence raises DataError naming it ``what``."""
+    source_rate = check_type(stream, (FeatureMatrix, LabelSequence), what).sample_rate_hz
     length = stream.rows * target_rate_hz / source_rate
     if not math.isfinite(length) or round(length) > _U32_MAX:
         of = f" of stream {stream.modality_tag!r}" if stream.modality_tag else ""
@@ -332,14 +332,13 @@ def align(
     if len(streams := check_tuple(streams, "streams")) < 2:
         raise AlignmentError(f"align needs at least 2 streams, got {len(streams)}")
     target_rate_hz = check_positive(target_rate_hz, "target_rate_hz")
-    totals = [resampled_rows(s, target_rate_hz) for s in streams]
+    totals = [resampled_rows(s, target_rate_hz, f"streams[{i}]") for i, s in enumerate(streams)]
     rows = min(totals)
     dropped = [(s.modality_tag, n - rows) for s, n in zip(streams, totals) if n > rows]
     if dropped:
         import logging  # loaded only when there is a message to emit
 
-        log = logging.getLogger(__name__)
-        log.info("align: truncating to %d frames, dropped %s", rows, dropped)
+        logging.getLogger(__name__).info("align: truncating to %d frames, dropped %s", rows, dropped)
     return [_frames(s, target_rate_hz, rows) for s in streams]
 
 

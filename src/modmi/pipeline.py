@@ -21,18 +21,13 @@ def _assign_roles(specs) -> dict[str, str]:
     order ((V, T, S) for three streams, (T, S) for two).
     """
     names = [s.name for s in specs]
-    lowered = [n.lower() for n in names]
     order = ROLES[len(specs)]
-    if set(lowered) == {role.lower() for role in order}:
-        return {name: low.upper() for name, low in zip(names, lowered)}
-    label_streams = [s.name for s in specs if s.kind == "labels"]
-    if len(label_streams) == 1:
+    if {name.lower() for name in names} == {role.lower() for role in order}:
+        return {name: name.upper() for name in names}
+    if [s.kind for s in specs].count("labels") == 1:
         feature_roles = iter(["S", "V"])
-        roles = {}
-        for s in specs:
-            roles[s.name] = "T" if s.kind == "labels" else next(feature_roles)
-        return roles
-    return {name: role for name, role in zip(names, order)}
+        return {s.name: "T" if s.kind == "labels" else next(feature_roles) for s in specs}
+    return dict(zip(names, order))
 
 
 def _prepare(manifest: Manifest, config: AnalysisConfig):

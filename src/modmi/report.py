@@ -206,6 +206,8 @@ class InfoReport:
     def __post_init__(self):
         for place, cls in (("quantities", InfoQuantities), ("config", AnalysisConfig)):
             check_type(getattr(self, place), cls, place)  # before any rule reads its attributes
+        if (got := self.quantities.log_base) != (base := self.config.log_base):
+            raise DataError(f"quantities.log_base must be config.log_base {base!r}, got {got!r}")
         streams = check_tuple(self.streams, "streams")
         object.__setattr__(self, "streams", streams)
         roles = ROLES[self.quantities.arity]

@@ -535,6 +535,10 @@ class TestReport:
                 for place in ("config", "quantities")
                 for given, token in (("2.0", "2"), (" 2", "2"), ("E", "e"))
             ],
+            (
+                lambda text: edited(text, lambda doc: doc["quantities"].update(log_base="e")),
+                "error: report: quantities.log_base must be config.log_base '2', got 'e'",
+            ),
             (lambda text: b"\xff" + text.encode(), "invalid JSON"),
             (lambda text: "[" * 100000, "invalid JSON"),
             (lambda text: without(text, "regions", "V;T;S"), "quantities.regions is missing"),
@@ -623,7 +627,7 @@ class TestReport:
             "unknown-quantities-base",
             *[f"{place}-base-{name}" for place in ("config", "quantities")
               for name in ("2.0", "space-2", "E")],
-            "not-utf8", "deeply-nested", "missing-region",
+            "quantities-base-unlike-config", "not-utf8", "deeply-nested", "missing-region",
             "missing-cond", "huge-int", "nan-quantity", "null-quantity", "infinite-region",
             "foreign-rng", "no-rng",
             "unknown-top-key", "unknown-config-key", "unknown-stream-key", "stream-L-as-string",

@@ -388,7 +388,7 @@ def _wrong_kind_slots(tmp: Path) -> dict:
         "info_diagram.t": (lambda w: modmi.info_diagram(lab, w, lab), "labels", "t"),
         "info_diagram.s": (lambda w: modmi.info_diagram(lab, lab, w), "labels", "s"),
         "resample_nearest.stream": (lambda w: modmi.resample_nearest(w, 25.0), "either", "stream"),
-        "align.streams": (lambda w: modmi.align([lab, w], 25.0), "either", "stream"),
+        "align.streams": (lambda w: modmi.align([lab, w], 25.0), "either", "streams[1]"),
         "write_feature_matrix.m": (
             lambda w: modmi.write_feature_matrix(w, tmp / "m.fmx"), "features", "m"
         ),

@@ -1,8 +1,14 @@
+import itertools
 import math
+from collections import Counter
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from modmi import infotheory
 from modmi.errors import AlignmentError, DataError
 from modmi.infotheory import (
     _tuple_keys,
@@ -16,6 +22,7 @@ from modmi.infotheory import (
     pair_quantities,
     trivariate_mmi,
 )
+from modmi.report import REGIONS, InfoQuantities
 from modmi.synthetic import exhaustive_stream, oracle_quantities, random_pmf, xor_pmf
 from util import random_streams, seq
 
@@ -434,3 +441,120 @@ def test_every_information_function_returns_python_floats():
         values += list((q.regions or {}).values())
     assert len(values) == 8 + 5 + 13 + 7
     assert {type(value) for value in values} == {float}
+
+
+def _oracle_h(columns: list[list[int]]) -> float:
+    """Joint entropy (nats) of aligned symbol lists, counted tuple by tuple."""
+    rows = len(columns[0])
+    counts = Counter(zip(*columns)).values()
+    return -math.fsum(c / rows * math.log(c / rows) for c in counts)
+
+
+def _oracle_mmi(columns: list[list[int]], given=()) -> float:
+    """Co-information (nats) of ``columns`` given the lists ``given``, by
+    inclusion-exclusion over conditional joint entropies; one column gives its
+    conditional entropy."""
+    h_given = _oracle_h(list(given)) if given else 0.0
+    terms = [
+        (-1) ** (len(subset) + 1) * (_oracle_h([*subset, *given]) - h_given)
+        for r in range(1, len(columns) + 1)
+        for subset in itertools.combinations(columns, r)
+    ]
+    return math.fsum(terms)
+
+
+def _oracle_quantities(by_role: dict[str, list[int]]) -> dict[str, float]:
+    """Every quantity-table value (nats) of the streams keyed by role, named as
+    the InfoQuantities field (``h_s_given_t``, ``i_vts``) or region (``V;T|S``)."""
+    want = {}
+    for name in [f.name for f in fields(InfoQuantities)][1:-1]:  # not log_base, regions
+        _, roles, *given = name.split("_")  # h_s_given_t -> h, s, given, t
+        if all(role.upper() in by_role for role in roles + "".join(given[1:])):
+            want[name] = _oracle_mmi(
+                [by_role[r.upper()] for r in roles], [by_role[r.upper()] for r in given[1:]]
+            )
+    if len(by_role) == 3:
+        for region in REGIONS:
+            left, _, right = region.partition("|")
+            want[region] = _oracle_mmi(
+                [by_role[r] for r in left.split(";")], [by_role[r] for r in right.split(",") if r]
+            )
+    return want
+
+
+@st.composite
+def small_streams(draw):
+    """Two to four aligned symbol lists of up to 60 rows over alphabets up to
+    6, and a conditioning list of the same length whose values run from one
+    for every row to one per row."""
+    rows = draw(st.integers(1, 60))
+    columns = []
+    for _ in range(draw(st.integers(2, 4))):
+        alphabet = draw(st.integers(1, 6))
+        columns.append(draw(st.lists(st.integers(0, alphabet - 1), min_size=rows, max_size=rows)))
+    given = draw(
+        st.one_of(
+            st.just([0] * rows),
+            st.permutations(range(rows)),
+            st.integers(1, rows).flatmap(
+                lambda k: st.lists(st.integers(0, k - 1), min_size=rows, max_size=rows)
+            ),
+        )
+    )
+    return columns, list(given)
+
+
+@settings(max_examples=150, deadline=None)
+@given(drawn=small_streams(), base=st.sampled_from(["2", "e", "10"]))
+def test_the_information_functions_match_a_counting_oracle(drawn, base):
+    """Each of the eight information functions agrees within 1e-12 with sums
+    over counted tuples, conditioning included, at two to four streams
+    (two levels of recursion) and at every base."""
+    columns, given = drawn
+    streams = [seq(c, max(c) + 1) for c in columns]
+    g = seq(given, max(given) + 1)
+    a, b = streams[:2]
+    scale = math.log({"2": 2.0, "e": math.e, "10": 10.0}[base])
+    got = {
+        "entropy": entropy(streams, base),
+        "mutual_information": mutual_information(a, b, base),
+        "conditional_entropy": conditional_entropy(a, [*streams[1:], g], base),
+        "conditional_mutual_information": conditional_mutual_information(streams, g, base),
+        "multivariate_mi_recursive": multivariate_mi_recursive(streams, base),
+        "trivariate_mmi": trivariate_mmi(a, b, g, base),
+    }
+    want = {
+        "entropy": _oracle_h(columns),
+        "mutual_information": _oracle_mmi(columns[:2]),
+        "conditional_entropy": _oracle_mmi(columns[:1], [*columns[1:], given]),
+        "conditional_mutual_information": _oracle_mmi(columns, [given]),
+        "multivariate_mi_recursive": _oracle_mmi(columns),
+        "trivariate_mmi": _oracle_mmi([columns[0], columns[1], given]),
+    }
+    tables = {
+        "pair_quantities": (pair_quantities(a, b, base), dict(zip("TS", columns))),
+        "info_diagram": (info_diagram(a, b, g, base), dict(zip("VTS", [*columns[:2], given]))),
+    }
+    for function, (table, by_role) in tables.items():
+        for name, value in _oracle_quantities(by_role).items():
+            key = f"{function}.{name}"
+            got[key] = table.regions[name] if name in REGIONS else getattr(table, name)
+            want[key] = value
+    assert len(got) == len(want) == 6 + 5 + 13 + 7
+    for name, value in want.items():
+        assert abs(got[name] - value / scale) <= 1e-12, (name, got[name], value / scale)
+
+
+def test_conditioning_work_does_not_grow_with_the_values_of_given(monkeypatch):
+    """Conditional MI counts table cells as often given two values as given
+    500: conditioning is one table pass, not one pass per value."""
+    calls = []
+    counted = infotheory.cell_counts
+    monkeypatch.setattr(infotheory, "cell_counts", lambda arrays: calls.append(1) or counted(arrays))
+    a, b = random_streams(np.random.Generator(np.random.PCG64(12)), 2, 1000)
+    per_given = []
+    for values in (2, 500):
+        calls.clear()
+        conditional_mutual_information([a, b], seq(np.arange(1000) % values, values))
+        per_given.append(len(calls))
+    assert per_given[0] == per_given[1]

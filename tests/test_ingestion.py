@@ -350,7 +350,9 @@ class TestAlign:
             align([seq([0, 1])], 25.0)
 
     def test_non_stream_rejected(self):
-        with pytest.raises(DataError, match="^stream must be a FeatureMatrix or a LabelSequence, got int$"):
+        with pytest.raises(
+            DataError, match=r"^streams\[1\] must be a FeatureMatrix or a LabelSequence, got int$"
+        ):
             align([seq([0, 1]), 3], 25.0)
 
     def test_random_alignment_invariant(self):

@@ -214,21 +214,30 @@ THREE_WAY_FIELDS = (
 
 
 @st.composite
-def reports(draw, arity):
+def report_parts(draw, arity):
+    """The quantities, streams and config of a report; the two log bases are
+    drawn independently, so they may differ."""
     fields = PAIR_FIELDS + (THREE_WAY_FIELDS if arity == 3 else ())
     values = {name: draw(finite) for name in fields}
     if arity == 3:
         values["regions"] = {region: draw(finite) for region in REGIONS}
     quantities = InfoQuantities(log_base=draw(st.sampled_from(["2", "e", "10"])), **values)
     streams = draw(stream_summaries(draw(st.permutations(ROLES[arity]))))
-    return InfoReport(quantities=quantities, streams=streams, config=draw(configs))
+    return quantities, streams, draw(configs)
 
 
 @SETTINGS
 @given(data=st.data())
 @pytest.mark.parametrize("arity", [2, 3])
 def test_report_json_round_trip(arity, data):
-    report = data.draw(reports(arity))
+    """A report reads back from its JSON and re-renders byte for byte; one whose
+    quantities and config differ in log base is refused."""
+    quantities, streams, config = data.draw(report_parts(arity))
+    if quantities.log_base != config.log_base:
+        with pytest.raises(DataError, match="quantities.log_base must be config.log_base"):
+            InfoReport(quantities=quantities, streams=streams, config=config)
+        return
+    report = InfoReport(quantities=quantities, streams=streams, config=config)
     text = report.to_json()
     again = InfoReport.from_json(text)
     assert again.to_json() == text
@@ -237,16 +246,17 @@ def test_report_json_round_trip(arity, data):
 
 @st.composite
 def report_edits(draw):
-    """The fields of a valid report after up to three edits, each of which may
-    break a rule: an empty or repeated name, an unequal L, a distinct outside
-    1..L, fit fields on a labels entry, a missing, repeated or unknown role, a
-    NaN, infinite or None quantity, a partial set of three-way fields, or a stream
-    field of another type (an int name, role or kind, or a float or bool
-    count), while a count may also become the numpy integer of its value."""
-    report = draw(reports(draw(st.sampled_from([2, 3]))))
-    q = {f: getattr(report.quantities, f) for f in ("log_base", *PAIR_FIELDS, *THREE_WAY_FIELDS)}
-    q["regions"] = report.quantities.regions
-    streams = [asdict(s) for s in report.streams]
+    """The fields of a report, whose two log bases may differ, after up to three
+    edits, each of which may break a rule: an empty or repeated name, an unequal
+    L, a distinct outside 1..L, fit fields on a labels entry, a missing, repeated
+    or unknown role, a NaN, infinite or None quantity, a partial set of three-way
+    fields, or a stream field of another type (an int name, role or kind, or a
+    float or bool count), while a count may also become the numpy integer of
+    its value."""
+    quantities, streams, config = draw(report_parts(draw(st.sampled_from([2, 3]))))
+    q = {f: getattr(quantities, f) for f in ("log_base", *PAIR_FIELDS, *THREE_WAY_FIELDS)}
+    q["regions"] = quantities.regions
+    streams = [asdict(s) for s in streams]
     for _ in range(draw(st.integers(0, 3))):
         edits = ["stream", "type", "drop", "repeat", "non-finite", "three-way"]
         edit = draw(st.sampled_from(edits))
@@ -294,7 +304,7 @@ def report_edits(draw):
                 q[key] = {r: 0.5 for r in draw(st.lists(st.sampled_from(REGIONS), unique=True))}
             else:
                 q[key] = draw(finite)
-    return q, streams, report.config
+    return q, streams, config
 
 
 # A two-stream report whose H(T) is None, which the types must refuse.
@@ -318,6 +328,7 @@ def test_a_report_the_types_accept_is_one_from_json_reads(fields):
         )
     except DataError:
         return
+    assert report.quantities.log_base == config.log_base  # differing bases are refused
     text = report.to_json()
     again = InfoReport.from_json(text)
     assert again.to_json() == text
