@@ -11,10 +11,10 @@ changing the base rescales every quantity exactly.  Zero-probability cells
 never appear in the sparse counts, which implements the 0*log(0) = 0
 convention.
 
-Conditioning groups rows: H(X | g) = -sum p(cell) log p(cell | its group) over
-the cells of (g, X), one table pass however many values g takes.  Logs of a
-cell's share of its own group keep exact cases exact: one group repeats the
-unconditioned sums bit for bit, and independent dyadic cells cancel to 0.
+Every quantity is a signed sum of ``_h_nats``, the one entropy formula:
+H(X | g) = -sum p(cell) log p(cell | its group) over the cells of (g, X), one
+table pass however many values g takes.  Logs of in-group shares keep exact
+cases exact: one group is the ungrouped sum, and dyadic independence gives 0.
 """
 
 import math
@@ -87,27 +87,30 @@ def cell_counts(arrays: list[np.ndarray]) -> np.ndarray:
     return np.diff(starts, prepend=0, append=key.size)
 
 
-def _h_nats(arrays: list[np.ndarray], counts: np.ndarray | None = None) -> float:
-    """Joint entropy (nats) of aligned symbol arrays, from their ``counts`` if given."""
-    p = (cell_counts(arrays) if counts is None else counts) / arrays[0].shape[0]
-    return float(-(p * np.log(p)).sum())
-
-
-def _mmi_nats(arrays: list[np.ndarray], groups: np.ndarray) -> float:
-    """MMI(arrays | groups), ``groups`` dense ids from 0 (all zeros for none), by
-    MMI(x1..xn | g) = MMI(x1..x(n-1) | g) - MMI(x1..x(n-1) | g, xn).  The base case
-    H(a|g) + H(b|g) - H(a,b|g) sums -p(cell) log p(cell | its group) over the cells
-    of (g, *cols): with one group p(cell | group) is ``_h_nats``' own division."""
-    if len(arrays) > 2:
-        joint = np.unique(_tuple_keys([groups, arrays[-1]]), return_inverse=True)[1]
-        return _mmi_nats(arrays[:-1], groups) - _mmi_nats(arrays[:-1], joint)
-    sizes, h = cell_counts([groups]), []  # rows per group, H(a|g), H(b|g), H(a,b|g)
-    for cols in (arrays[:1], arrays[1:], arrays):
-        counts = cell_counts([groups, *cols])  # in group order, as groups lead the key
+def _h_nats(arrays: list[np.ndarray], groups=None, counts=None) -> float:
+    """H(arrays | groups) in nats, -sum p(cell) log p(cell | its group) over the cells of
+    (groups, *arrays); with no groups the joint entropy, from ``counts`` if given.  The
+    groups are a pair, dense ids and each id's row count, both from the ``np.unique``
+    that made the ids: no call counts the groups again."""
+    if groups is None:
+        p = within = (cell_counts(arrays) if counts is None else counts) / arrays[0].shape[0]
+    else:
+        ids, sizes = groups
+        counts = cell_counts([ids, *arrays])  # in group order, as the ids lead the key
         last = np.searchsorted(np.cumsum(counts), np.cumsum(sizes))  # each group's last cell
-        within = counts / np.repeat(sizes, np.diff(last, prepend=-1))  # p(cell | its group)
-        h.append(float(-(counts / groups.shape[0] * np.log(within)).sum()))
-    return h[0] + h[1] - h[2]
+        p, within = counts / ids.shape[0], counts / np.repeat(sizes, np.diff(last, prepend=-1))
+    return float(-(p * np.log(within)).sum())
+
+
+def _mmi_nats(arrays: list[np.ndarray], groups=None) -> float:
+    """MMI(arrays | groups), ``groups`` as in :func:`_h_nats`, by
+    MMI(x1..xn | g) = MMI(x1..x(n-1) | g) - MMI(x1..x(n-1) | g, xn) down to
+    H(a|g) + H(b|g) - H(a,b|g): every MI of the library is this signed sum."""
+    if len(arrays) > 2:
+        keys = _tuple_keys([arrays[-1]] if groups is None else [groups[0], arrays[-1]])
+        joint = np.unique(keys, return_inverse=True, return_counts=True)[1:]
+        return _mmi_nats(arrays[:-1], groups) - _mmi_nats(arrays[:-1], joint)
+    return _h_nats(arrays[:1], groups) + _h_nats(arrays[1:], groups) - _h_nats(arrays, groups)
 
 
 def _scaled(nats: float, base_token: str) -> float:
@@ -131,8 +134,7 @@ def entropy(streams: list[LabelSequence], base=2) -> float:
 
 def mutual_information(a: LabelSequence, b: LabelSequence, base=2) -> float:
     """I(a;b) computed as H(a) + H(b) - H(a;b); tiny negatives clamp to 0."""
-    _symbols(a=a, b=b)
-    return quantity_table({"T": a, "S": b}, normalize_base(base)).i_ts
+    return _clamped(_scaled(_mmi_nats(_symbols(a=a, b=b)), normalize_base(base)), "I(a;b)")
 
 
 def conditional_entropy(a: LabelSequence, given: list[LabelSequence], base=2) -> float:
@@ -151,7 +153,7 @@ def conditional_mutual_information(
     to rounding, which clamps); for more it recurses and may be negative.
     """
     given_symbols, *arrays = _symbols(streams, least=3, given=given)
-    groups = np.unique(given_symbols, return_inverse=True)[1]
+    groups = np.unique(given_symbols, return_inverse=True, return_counts=True)[1:]
     value = _scaled(_mmi_nats(arrays, groups), normalize_base(base))
     return _clamped(value, "conditional MI") if len(streams) == 2 else value
 
@@ -159,11 +161,10 @@ def conditional_mutual_information(
 def multivariate_mi_recursive(streams: list[LabelSequence], base=2) -> float:
     """Co-information of n >= 2 streams via the recursion
     MMI(x1..xn) = MMI(x1..x(n-1)) - MMI(x1..x(n-1) | xn).  Negative values
-    are meaningful (synergy) and are not clamped."""
+    are meaningful (synergy); only two streams' MI clamps its tiny negatives."""
     arrays = _symbols(streams, least=2)
-    if len(arrays) == 2:
-        return mutual_information(*streams, base)
-    return _scaled(_mmi_nats(arrays, np.zeros_like(arrays[0])), normalize_base(base))
+    value = _scaled(_mmi_nats(arrays), normalize_base(base))
+    return _clamped(value, "I(a;b)") if len(arrays) == 2 else value
 
 
 def trivariate_mmi(v: LabelSequence, t: LabelSequence, s: LabelSequence, base=2) -> float:
@@ -185,7 +186,7 @@ _PAIRS = {
 def quantity_table(by_role: dict[str, LabelSequence], token: str, counts=None) -> InfoQuantities:
     """The quantity table, in log base ``token``, of aligned streams keyed by
     role (T and S, and V for three) and, if given, their ``cell_counts`` by role."""
-    h = {role: _h_nats([seq.symbols], (counts or {}).get(role)) for role, seq in by_role.items()}
+    h = {role: _h_nats([seq.symbols], counts=(counts or {}).get(role)) for role, seq in by_role.items()}
     mi = {}
     fields = {"log_base": token, **{f"h_{r.lower()}": _scaled(h[r], token) for r in h}}
     for pair, (i_xy, y_given_x, x_given_y) in _PAIRS.items():

@@ -186,7 +186,7 @@ def read_labels(
     The alphabet defaults to the LBL1 header value, or for a text file to
     1 + its largest symbol, on both of its parse paths; ``alphabet_size``
     may only override it upward, so inventories with unseen symbols keep
-    their declared support size.  A text file of ``\\n``-terminated digit
+    their declared support size.  A text file of ``\\n``-separated digit
     lines takes a vectorised parse that gives the same values and the same
     errors as the line-by-line parse every other text file takes.
     """
@@ -216,14 +216,12 @@ def read_labels(
 def _parse_label_text(raw: bytes, path) -> np.ndarray:
     """The symbols of a one-integer-per-line text file, as int64.
 
-    A file of ``\\n``-terminated lines of 1 to 10 ASCII digits, each at most
-    ``_MAX_SYMBOL``, is parsed with numpy, one pass per digit position counted
-    from the line ends.  Every other file goes to :func:`_parse_label_lines`,
-    which gives the same values and the same errors.
+    A file of lines of 1 to 10 ASCII digits, each at most ``_MAX_SYMBOL`` and
+    ended by ``\\n`` (optional on the last), is parsed with numpy, one pass per
+    digit position counted from the line ends.  Every other file goes to
+    :func:`_parse_label_lines`, which gives the same values and the same errors.
     """
-    buf = np.frombuffer(raw, dtype=np.uint8)
-    if buf.size == 0 or buf[-1] != _NEWLINE:
-        return _parse_label_lines(raw, path)
+    buf = np.frombuffer(raw if raw.endswith(b"\n") else raw + b"\n", dtype=np.uint8)
     ends = np.flatnonzero(buf == _NEWLINE)
     # Digits map to 0..9 and every other byte wraps above 9.
     if np.count_nonzero(buf - _ZERO <= 9) + ends.size != buf.size:

@@ -201,6 +201,20 @@ class TestAnalyze:
         assert code == 1 and out == ""
         assert err.startswith("error: ") and "stream s: unknown key 'clusteres'" in err
 
+    def test_alphabet_size_past_the_u32_limit_exit_1(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        streams = [
+            {"name": name, "path": f"{name}.txt", "kind": "labels", "sample_rate_hz": 25}
+            for name in "ts"
+        ]
+        streams[0]["alphabet_size"] = 2**32
+        for entry in streams:
+            (tmp_path / entry["path"]).write_text("0\n1\n")
+        (tmp_path / "m.json").write_text(json.dumps({"target_rate_hz": 25, "streams": streams}))
+        code, out, err = run(capsys, "analyze", "m.json")
+        assert (code, out) == (1, "")
+        assert err == "error: stream 't': t.txt: alphabet_size out of range: 4294967296\n"
+
     def test_repeated_manifest_key_exit_1(self, blobs_dir, capsys):
         manifest = blobs_dir / "manifest.json"
         text = manifest.read_text()

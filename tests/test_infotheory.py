@@ -1,7 +1,9 @@
+import ast
 import itertools
 import math
 from collections import Counter
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -189,6 +191,7 @@ class TestMultivariateMI:
         for _ in range(20):
             a, b = random_streams(rng, 2, int(rng.integers(2, 150)), alphabet=3)
             assert multivariate_mi_recursive([a, b]) == mutual_information(a, b)
+            assert mutual_information(a, b) == pair_quantities(a, b).i_ts
 
     def test_xor_negative_one_bit(self):
         assert multivariate_mi_recursive(xor_triple()) == -1.0
@@ -558,3 +561,17 @@ def test_conditioning_work_does_not_grow_with_the_values_of_given(monkeypatch):
         conditional_mutual_information([a, b], seq(np.arange(1000) % values, values))
         per_given.append(len(calls))
     assert per_given[0] == per_given[1]
+
+
+def test_one_entropy_formula():
+    """``np.log`` is called once in ``infotheory``, inside ``_h_nats``: every
+    entropy, MI and conditional quantity is a signed sum of that one formula."""
+    tree = ast.parse(Path(infotheory.__file__).read_text())
+    homes = [
+        getattr(statement, "name", None)
+        for statement in tree.body
+        for node in ast.walk(statement)
+        if isinstance(node, ast.Attribute) and node.attr == "log"
+        and getattr(node.value, "id", None) == "np"
+    ]
+    assert homes == ["_h_nats"]

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from modmi import ingestion
 from modmi.errors import AlignmentError, DataError, FormatError
 from modmi.ingestion import (
     FeatureMatrix,
@@ -57,6 +58,11 @@ class TestLabelSequence:
     def test_negative_symbol(self):
         with pytest.raises(DataError):
             seq([-1, 0], alphabet_size=2)
+
+    @pytest.mark.parametrize("alphabet_size", [0, 2**32], ids=["zero", "2**32"])
+    def test_alphabet_size_out_of_range(self, alphabet_size):
+        with pytest.raises(DataError, match=f"^alphabet_size out of range: {alphabet_size}$"):
+            LabelSequence([0], alphabet_size, 25.0)
 
     @pytest.mark.parametrize(
         "symbols, shown",
@@ -128,6 +134,16 @@ class TestLabelFile:
         s = read_labels(path)
         assert s.symbols.tolist() == [0, 2, 1]
         assert s.alphabet_size == 3
+
+    def test_no_final_newline_keeps_the_vectorised_parse(self, tmp_path, monkeypatch):
+        def line_loop(raw, path):
+            raise AssertionError("took the line-by-line parse")
+
+        monkeypatch.setattr(ingestion, "_parse_label_lines", line_loop)
+        path = tmp_path / "t.txt"
+        path.write_bytes(b"3\n1\n4")
+        s = read_labels(path)
+        assert s.symbols.tolist() == [3, 1, 4] and s.alphabet_size == 5
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "e.txt"
