@@ -21,7 +21,6 @@ import os
 os.environ.setdefault("OMP_NUM_THREADS", "1")
 
 import argparse
-import json
 import math
 import sys
 from dataclasses import replace
@@ -31,11 +30,11 @@ import numpy as np
 
 from . import __version__
 from .errors import DataError, InfeasibleError, ModmiError, printable
-from .ingestion import _U32_MAX, FeatureMatrix, load_manifest, read_feature_matrix
-from .ingestion import write_feature_matrix, write_labels
+from .ingestion import _U32_MAX, FeatureMatrix, Manifest, StreamSpec, load_manifest
+from .ingestion import read_feature_matrix, write_feature_matrix, write_labels
 from .pipeline import analyze, sweep_clusters
 from .report import LOG_BASES, AnalysisConfig, InfoReport, render_diagram_svg
-from .report import check_diagram_arity, render_sweep_table, render_table
+from .report import check_diagram_arity, render_sweep_json, render_sweep_table, render_table
 
 # quantizer (with _kernels) and synthetic load only in the commands that use
 # them, so a label-only `modmi analyze` never imports them.
@@ -100,7 +99,7 @@ def cmd_fit(args) -> int:
     features = read_feature_matrix(args.features)
     # Not an AnalysisConfig: fit takes any u64 seed, while an analysis stops
     # at 2**64 - 3 because stream i is fitted with seed + i.  fit's keyword
-    # defaults equal AnalysisConfig's.
+    # defaults are AnalysisConfig's.
     knobs = _given_config(args)
     cb = fit(features, knobs.pop("clusters", AnalysisConfig.clusters), **knobs)
     save_codebook(cb, args.out)
@@ -140,11 +139,8 @@ def _cluster_counts(text: str) -> list[int]:
 def cmd_sweep(args) -> int:
     config = AnalysisConfig(**_given_config(args))
     reports = sweep_clusters(load_manifest(args.manifest), config, args.ks)
-    if args.format == "json":
-        text = "[\n" + ",\n".join(r.to_json().rstrip("\n") for r in reports) + "\n]\n"
-        _emit(text, args.out)
-    else:
-        _emit(render_sweep_table(reports), args.out)
+    render = render_sweep_json if args.format == "json" else render_sweep_table
+    _emit(render(reports), args.out)
     return 0
 
 
@@ -198,18 +194,16 @@ def cmd_synth(args) -> int:
     # empty directory behind.
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    entries = []
+    specs = []
     for stream in streams:
-        entry = {"name": stream.modality_tag, "sample_rate_hz": stream.sample_rate_hz}
+        tag, rate = stream.modality_tag, stream.sample_rate_hz
         if isinstance(stream, FeatureMatrix):
-            entry.update(path=f"{stream.modality_tag}.fmx", kind="features", clusters=args.centers)
-            write_feature_matrix(stream, out_dir / entry["path"])
+            specs.append(StreamSpec(tag, f"{tag}.fmx", "features", rate, clusters=args.centers))
+            write_feature_matrix(stream, out_dir / specs[-1].path)
         else:
-            entry.update(path=f"{stream.modality_tag}.lbl", kind="labels")
-            write_labels(stream, out_dir / entry["path"])
-        entries.append(entry)
-    manifest = {"target_rate_hz": 25.0, "streams": entries}
-    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+            specs.append(StreamSpec(tag, f"{tag}.lbl", "labels", rate))
+            write_labels(stream, out_dir / specs[-1].path)
+    (out_dir / "manifest.json").write_text(Manifest(25.0, specs).to_json())
     print(f"wrote {printable(out_dir / 'manifest.json')}")
     return 0
 

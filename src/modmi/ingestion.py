@@ -14,6 +14,7 @@ A JSON manifest names the streams of one analysis (paths, kinds, rates,
 optional alphabet/cluster overrides).
 """
 
+import json
 import math
 import os
 import struct
@@ -325,13 +326,20 @@ def align(
 
     Returns the aligned streams in input order, each of its own kind and
     built once, from its source frames cut to the common length.  The frames
-    dropped by truncation are logged per stream.
+    dropped by truncation are logged per stream.  Keeping fewer than half of
+    a stream's resampled frames raises AlignmentError before any frame is
+    built, naming it ``stream 'tag'``, or ``streams[i]`` if it has no tag.
     """
     if len(streams := check_tuple(streams, "streams")) < 2:
         raise AlignmentError(f"align needs at least 2 streams, got {len(streams)}")
     target_rate_hz = check_positive(target_rate_hz, "target_rate_hz")
     totals = [resampled_rows(s, target_rate_hz, f"streams[{i}]") for i, s in enumerate(streams)]
     rows = min(totals)
+    for i, (s, total) in enumerate(zip(streams, totals)):
+        if 2 * rows < total:
+            name = f"stream {s.modality_tag!r}" if s.modality_tag else f"streams[{i}]"
+            raise AlignmentError(f"{name}: alignment would keep {rows} of its {total} frames at "
+                                 f"{target_rate_hz:g} Hz; refusing to drop more than half of a stream")
     dropped = [(s.modality_tag, n - rows) for s, n in zip(streams, totals) if n > rows]
     if dropped:
         import logging  # loaded only when there is a message to emit
@@ -388,10 +396,22 @@ class Manifest:
             if name in [s.name for s in self.streams[:i]]:
                 raise DataError(f"duplicate stream name {name!r}")
 
+    def to_json(self) -> str:
+        """The manifest as ``load_manifest`` reads it, paths as stored and unset counts left out."""
+        streams = [{k: v for k, v in vars(s).items() if v is not None} for s in self.streams]
+        doc = {"target_rate_hz": self.target_rate_hz, "streams": streams}
+        return json.dumps(doc, indent=2, sort_keys=True, default=os.fspath) + "\n"
+
     def load_stream(self, spec: StreamSpec):
-        if spec.kind == "features":
-            return read_feature_matrix(spec.path, spec.sample_rate_hz, spec.name)
-        return read_labels(spec.path, spec.sample_rate_hz, spec.alphabet_size, spec.name)
+        """``spec``'s file read as a stream tagged with its name; an error starts
+        ``stream 'name': ``, and a file that cannot be read raises FormatError."""
+        with located(f"stream {spec.name!r}"):
+            try:
+                if spec.kind == "features":
+                    return read_feature_matrix(spec.path, spec.sample_rate_hz, spec.name)
+                return read_labels(spec.path, spec.sample_rate_hz, spec.alphabet_size, spec.name)
+            except OSError as e:
+                raise FormatError(f"cannot read {printable(spec.path)}: {e.strerror or e}") from None
 
 
 def load_manifest(path) -> Manifest:

@@ -8,8 +8,8 @@ number can be traced to (manifest, config, seed) and regenerated.
 from dataclasses import replace
 
 from . import infotheory
-from .errors import AlignmentError, DataError, FormatError, check_tuple, check_type, located, printable
-from .ingestion import FeatureMatrix, LabelSequence, Manifest, align, load_manifest, resampled_rows
+from .errors import DataError, check_tuple, check_type, located
+from .ingestion import FeatureMatrix, LabelSequence, Manifest, align, load_manifest
 from .report import ROLES, AnalysisConfig, InfoReport, StreamSummary
 
 
@@ -31,34 +31,15 @@ def _assign_roles(specs) -> dict[str, str]:
 
 
 def _prepare(manifest: Manifest, config: AnalysisConfig):
-    """Load all manifest streams and align them to one rate and length.
-
-    Returns the aligned streams in manifest order and the effective rate.
-    A stream file that cannot be read raises FormatError naming the stream
-    and the path.  Raises AlignmentError if truncation would drop more than
-    half of any stream's resampled frames.
-    """
-    if len(manifest.streams) < 2:
-        raise DataError(f"analysis needs >= 2 streams, got {len(manifest.streams)}")
-    if len(manifest.streams) > 3:
-        raise DataError("reports support 2 or 3 streams; larger sets are out of scope")
+    """The manifest's streams loaded and aligned to one rate and length, in
+    manifest order, and that rate."""
+    if (count := len(manifest.streams)) < min(ROLES):
+        raise DataError(f"analysis needs >= {min(ROLES)} streams, got {count}")
+    if count > max(ROLES):
+        supported = " or ".join(map(str, ROLES))
+        raise DataError(f"reports support {supported} streams; larger sets are out of scope")
     rate = config.target_rate_hz if config.target_rate_hz is not None else manifest.target_rate_hz
-    loaded = []
-    for spec in manifest.streams:
-        try:
-            with located(f"stream {spec.name!r}"):
-                loaded.append(manifest.load_stream(spec))
-        except OSError as e:
-            reason = f"cannot read {printable(spec.path)}: {e.strerror or e}"
-            raise FormatError(f"stream {spec.name!r}: {reason}") from e
-    totals = [resampled_rows(stream, rate) for stream in loaded]
-    for spec, total in zip(manifest.streams, totals):
-        if 2 * min(totals) < total:
-            raise AlignmentError(
-                f"stream {spec.name!r}: alignment would keep {min(totals)} of its {total} "
-                f"frames at {rate:g} Hz; refusing to drop more than half of a stream"
-            )
-    return align(loaded, rate), rate
+    return align([manifest.load_stream(spec) for spec in manifest.streams], rate), rate
 
 
 def _quantize(spec, stream, config: AnalysisConfig, position: int):

@@ -24,6 +24,7 @@ from . import _kernels
 from .errors import DataError, FormatError, InfeasibleError, check_bool, check_int, check_positive
 from .errors import check_type, located, printable, shown
 from .ingestion import FeatureMatrix, LabelSequence, check_size, frozen_array, unpack_header
+from .report import AnalysisConfig
 
 _KMC_MAGIC = b"KMC1"
 
@@ -158,10 +159,10 @@ def _repair_empty(x, centroids, labels, dist2, counts):
 def fit(
     x: FeatureMatrix,
     k: int,
-    seed: int = 0,
-    tol: float = 1e-4,
-    max_iter: int = 300,
-    normalize: bool = False,
+    seed: int = AnalysisConfig.seed,
+    tol: float = AnalysisConfig.tol,
+    max_iter: int = AnalysisConfig.max_iter,
+    normalize: bool = AnalysisConfig.normalize,
 ) -> Codebook:
     """Train a codebook on ``x``.
 
@@ -172,8 +173,7 @@ def fit(
     above the number of distinct rows raises InfeasibleError.  The arguments
     follow AnalysisConfig's number rules: ``k``, ``seed`` and ``max_iter``
     pass ``check_int``, ``tol`` passes ``check_positive`` and ``normalize``
-    passes ``check_bool``; anything else raises DataError.  The keyword
-    defaults equal AnalysisConfig's.
+    passes ``check_bool``; anything else raises DataError.
     """
     k, max_iter = check_int(k, "k", 1), check_int(max_iter, "max_iter", 1)
     tol, normalize = check_positive(tol, "tol"), check_bool(normalize, "normalize")

@@ -343,6 +343,10 @@ def render_sweep_table(reports: list[InfoReport]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def render_sweep_json(reports: list[InfoReport]) -> str:
+    return "[\n" + ",\n".join(r.to_json().rstrip("\n") for r in reports) + "\n]\n"
+
+
 # Fixed layout for the three-circle diagram: each role's circle center, colour
 # and H(role) label anchor point, and the anchor point of each region label.
 _CIRCLES = {

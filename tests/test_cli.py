@@ -1,12 +1,15 @@
+import ast
 import hashlib
 import json
 import struct
+from pathlib import Path
 from xml.etree import ElementTree
 
 import numpy as np
 import pytest
 
 import modmi
+from modmi import cli
 from modmi.cli import main
 from modmi.ingestion import read_labels, write_feature_matrix, write_labels
 from modmi.report import InfoReport, render_diagram_svg, render_table
@@ -907,3 +910,12 @@ class TestSynthFiles:
         assert stdout == ""
         assert err.startswith("error: ")
         assert not out.exists()
+
+
+def test_cli_builds_no_json_text():
+    """``report`` writes report and sweep JSON and ``Manifest.to_json`` a synth
+    manifest; ``cli`` only emits their text and imports no json."""
+    tree = ast.parse(Path(cli.__file__).read_text())
+    modules = {a.name for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names}
+    modules |= {n.module for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)}
+    assert "json" not in modules

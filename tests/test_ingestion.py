@@ -372,8 +372,11 @@ class TestAlign:
             align([seq([0, 1]), 3], 25.0)
 
     def test_random_alignment_invariant(self):
+        # Most draws cut some stream to less than half of its frames; align
+        # refuses those, so 200 draws leave at least 30 that it aligns.
         rng = np.random.Generator(np.random.PCG64(3))
-        for _ in range(30):
+        aligned = 0
+        for _ in range(200):
             streams = []
             for j in range(int(rng.integers(2, 5))):
                 rows, rate = int(rng.integers(1, 300)), float(rng.uniform(5, 100))
@@ -383,9 +386,18 @@ class TestAlign:
                     streams.append(seq(rng.integers(0, 4, size=rows), 4, rate=rate, tag=f"s{j}"))
                 else:
                     streams.append(features(rng.random((rows, 2)), rate=rate, tag=f"s{j}"))
-            ds = align(streams, 25.0)
             full = [resample_nearest(s, 25.0) for s in streams]
             rows = min(f.rows for f in full)
+            cut = [(s.modality_tag, f.rows) for s, f in zip(streams, full) if 2 * rows < f.rows]
+            if cut:  # the first stream cut to less than half is named
+                tag, total = cut[0]
+                with pytest.raises(
+                    AlignmentError, match=rf"^stream '{tag}': alignment would keep {rows} of its {total} "
+                ):
+                    align(streams, 25.0)
+                continue
+            aligned += 1
+            ds = align(streams, 25.0)
             lengths = {s.rows for s in ds}
             rates = {s.sample_rate_hz for s in ds}
             assert lengths == {rows} and rates == {25.0}
@@ -398,6 +410,26 @@ class TestAlign:
                 assert getattr(out, data).dtype == getattr(f, data)[:rows].dtype
                 shared = np.shares_memory(getattr(out, data), getattr(s, data))
                 assert shared == (s.sample_rate_hz == 25.0)
+        assert aligned >= 30
+
+    @pytest.mark.parametrize("short_rows, refused", [(49, True), (50, False)])
+    def test_keeps_at_least_half_of_each_stream(self, short_rows, refused):
+        long = seq(np.arange(100) % 3, 3, rate=25.0, tag="long")
+        short = seq(np.arange(short_rows) % 3, 3, rate=25.0, tag="short")
+        if refused:
+            with pytest.raises(AlignmentError) as info:
+                align([long, short], 25.0)
+            assert str(info.value) == (
+                "stream 'long': alignment would keep 49 of its 100 frames at 25 Hz; "
+                "refusing to drop more than half of a stream"
+            )
+        else:
+            assert [s.rows for s in align([long, short], 25.0)] == [50, 50]
+
+    def test_an_untagged_stream_is_named_by_its_index(self):
+        short, long = seq(np.zeros(10, dtype=np.int64)), features(np.zeros((40, 1)))
+        with pytest.raises(AlignmentError, match=r"^streams\[1\]: alignment would keep 10 of its 40 "):
+            align([short, long], 25.0)
 
 
 CAM_ENTRY = {"name": "cam", "path": "a.fmx", "kind": "features", "sample_rate_hz": 25}
@@ -498,6 +530,31 @@ class TestManifest:
         )
         with pytest.raises(FormatError, match="no such file"):
             load_manifest(path)
+
+    @pytest.mark.parametrize("make, reason", [(None, "No such file or directory"),
+                                              (Path.mkdir, "Is a directory")])
+    def test_load_stream_of_an_unreadable_file_is_a_format_error(self, tmp_path, make, reason):
+        path = tmp_path / "s.fmx"
+        if make:
+            make(path)
+        manifest = Manifest(25.0, (StreamSpec("s", path, "features", 25.0),))
+        with pytest.raises(FormatError) as info:
+            manifest.load_stream(manifest.streams[0])
+        assert str(info.value) == f"stream 's': cannot read {path}: {reason}"
+
+    def test_to_json_is_what_load_manifest_reads(self, tmp_path):
+        import json
+
+        self._stream_files(tmp_path)
+        specs = (StreamSpec("cam", "a.fmx", "features", 50, clusters=3),
+                 StreamSpec("t", Path("t.lbl"), "labels", 25.0, alphabet_size=4))
+        text = Manifest(25, specs).to_json()
+        assert json.loads(text)["streams"][0] == {
+            "name": "cam", "path": "a.fmx", "kind": "features", "sample_rate_hz": 50.0, "clusters": 3
+        }
+        (tmp_path / "manifest.json").write_text(text)
+        loaded = load_manifest(tmp_path / "manifest.json")
+        assert loaded == Manifest(25.0, tuple(replace(s, path=tmp_path / s.path) for s in specs))
 
     def test_clusters_on_labels_rejected(self, tmp_path):
         self._stream_files(tmp_path)

@@ -1,13 +1,15 @@
+import ast
 import inspect
 import json
 import math
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from modmi import quantizer
+from modmi import pipeline, quantizer
 from modmi.errors import AlignmentError, DataError, FormatError, InfeasibleError
 from modmi.infotheory import info_diagram
 from modmi.ingestion import (
@@ -22,7 +24,7 @@ from modmi.ingestion import (
 )
 from modmi.pipeline import analyze, sweep_clusters
 from modmi.quantizer import assign, fit
-from modmi.report import AnalysisConfig, InfoQuantities, InfoReport
+from modmi.report import ROLES, AnalysisConfig, InfoQuantities, InfoReport
 from modmi.synthetic import exhaustive_stream, gen_gaussian_mixture, xor_pmf
 from util import features, repair_every_pass_matrix, seq
 
@@ -458,11 +460,25 @@ def test_bad_stopping_rule_rejected(tmp_path, build, error, match):
 
 
 def test_fit_keyword_defaults_equal_analysis_config():
-    """quantizer.fit keeps the one library copy of these defaults."""
+    """Every keyword default of quantizer.fit is the AnalysisConfig field default
+    of the same name, which ``fit``'s signature reads."""
     params = inspect.signature(quantizer.fit).parameters
-    config = AnalysisConfig()
-    for name in ("seed", "tol", "max_iter", "normalize"):
-        assert params[name].default == getattr(config, name), name
+    defaults = {name: p.default for name, p in params.items() if p.default is not p.empty}
+    assert defaults.keys() == {"seed", "tol", "max_iter", "normalize"}
+    assert defaults == {f.name: f.default for f in fields(AnalysisConfig) if f.name in defaults}
+
+
+def test_pipeline_restates_no_ingestion_rule():
+    """``Manifest.load_stream`` turns an unreadable file into FormatError and
+    ``align`` refuses a lossy truncation; ``pipeline`` handles no OSError, counts
+    no frames and takes its stream-count bounds from ``report.ROLES``."""
+    tree = ast.parse(Path(pipeline.__file__).read_text())
+    handlers = [n for n in ast.walk(tree) if isinstance(n, ast.ExceptHandler)]
+    assert all(h.type and "OSError" not in ast.unparse(h.type) for h in handlers)
+    called = {ast.unparse(n.func) for n in ast.walk(tree) if isinstance(n, ast.Call)}
+    assert not {name for name in called if name.split(".")[-1] == "resampled_rows"}
+    numbers = {n.value for n in ast.walk(tree) if isinstance(n, ast.Constant)}
+    assert not numbers & set(ROLES)
 
 
 class TestReportSerialization:
