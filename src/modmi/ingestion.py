@@ -185,23 +185,24 @@ def read_labels(
     """Read labels from an LBL1 binary or a one-integer-per-line text file.
 
     The alphabet defaults to the LBL1 header value, or for a text file to
-    1 + its largest symbol, on both of its parse paths; ``alphabet_size``
-    may only override it upward, so inventories with unseen symbols keep
-    their declared support size.  A text file of ``\\n``-separated digit
-    lines takes a vectorised parse that gives the same values and the same
-    errors as the line-by-line parse every other text file takes.
+    1 + its largest symbol; ``alphabet_size`` may only override it upward,
+    so inventories with unseen symbols keep their declared support size.  A
+    text file of ASCII digits and ``\\n`` is parsed with one numpy call;
+    any other text file, or one holding a symbol above the u32 limit, is
+    parsed line by line, which gives the same values and names the line
+    of the first bad one.
     """
     raw = Path(path).read_bytes()
+    stored_alphabet = None
     if raw[:4] == _LBL_MAGIC:
         rows, stored_alphabet = unpack_header(path, raw, _LBL_MAGIC, "<II")
         check_size(path, raw, 12 + rows * 4)
         symbols = np.frombuffer(raw, dtype="<u4", offset=12)
-        base_alphabet = stored_alphabet
     else:
         symbols = _parse_label_text(raw, path)
-        base_alphabet = int(symbols.max()) + 1 if symbols.size else 0
     if symbols.size == 0:
         raise FormatError(f"{printable(path)}: empty label file (rows >= 1 required)")
+    base_alphabet = int(symbols.max()) + 1 if stored_alphabet is None else stored_alphabet
     if alphabet_size is not None:
         alphabet_size = check_int(alphabet_size, "alphabet_size", 1)
         if alphabet_size < base_alphabet:
@@ -217,33 +218,19 @@ def read_labels(
 def _parse_label_text(raw: bytes, path) -> np.ndarray:
     """The symbols of a one-integer-per-line text file, as int64.
 
-    A file of lines of 1 to 10 ASCII digits, each at most ``_MAX_SYMBOL`` and
-    ended by ``\\n`` (optional on the last), is parsed with numpy, one pass per
-    digit position counted from the line ends.  Every other file goes to
-    :func:`_parse_label_lines`, which gives the same values and the same errors.
+    A file of ASCII digits and ``\\n`` with at least one digit is parsed by
+    one ``np.fromstring`` call, which skips blank lines.  Any other file goes
+    to :func:`_parse_label_lines`, which gives the same values and the same
+    errors, and so does a result above ``_MAX_SYMBOL``, which a line of 20 or
+    more digits reaches by saturating at 2**63 - 1.  (``np.fromstring`` reads
+    a file of newlines alone as ``[0]``; the line loop reads it as empty.)
     """
-    buf = np.frombuffer(raw if raw.endswith(b"\n") else raw + b"\n", dtype=np.uint8)
-    ends = np.flatnonzero(buf == _NEWLINE)
+    buf = np.frombuffer(raw, dtype=np.uint8)
     # Digits map to 0..9 and every other byte wraps above 9.
-    if np.count_nonzero(buf - _ZERO <= 9) + ends.size != buf.size:
+    digits = np.count_nonzero(buf - _ZERO <= 9)
+    if digits == 0 or digits + np.count_nonzero(buf == _NEWLINE) != buf.size:
         return _parse_label_lines(raw, path)
-    widths = ends.copy()  # line i spans ends[i - 1] + 1 .. ends[i] - 1
-    widths[1:] -= ends[:-1]
-    widths[1:] -= 1
-    widest = int(widths.max())
-    if widths.min() < 1 or widest > 10:
-        return _parse_label_lines(raw, path)
-    at = ends - 1
-    values = buf[at].astype(np.int64)  # every line has a units digit
-    values -= _ZERO
-    scaled = np.empty_like(values)
-    for place in range(1, widest):
-        at -= 1
-        digit = buf[at]  # a shorter line reads a byte before it, masked out next
-        digit -= _ZERO
-        digit *= widths > place
-        np.multiply(digit, 10**place, out=scaled, dtype=np.int64)
-        values += scaled
+    values = np.fromstring(raw, dtype=np.int64, sep="\n")
     if int(values.max()) > _MAX_SYMBOL:
         return _parse_label_lines(raw, path)
     return values

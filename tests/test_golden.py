@@ -1,4 +1,4 @@
-"""Reports, a sweep and a table rendering pinned byte for byte in tests/golden/.
+"""Reports, sweeps and a table rendering pinned byte for byte in tests/golden/.
 
 The test regenerates the corpus in-process from fresh ``synth`` inputs and
 compares it with the stored files.  Report bytes depend on the platform
@@ -14,12 +14,14 @@ A deliberate change of the report bytes rewrites the corpus in its own diff:
 import json
 import platform
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from modmi.cli import main
+from modmi.ingestion import read_feature_matrix, write_feature_matrix
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -28,7 +30,14 @@ INPUTS = {
     "xor": "xor --copies 3",
     "blobs3": "blobs --centers 3 --dims 4 --n-per-center 60 --spacing 2 --seed 1",
     "blobs5": "blobs --centers 5 --dims 4 --n-per-center 60 --spacing 2 --seed 2",
+    "paper": "blobs --centers 200 --dims 16 --n-per-center 30",
+    "narrow": "blobs --centers 6 --dims 1 --n-per-center 50 --spacing 3 --seed 4",
+    "offset": "blobs --centers 32 --dims 16 --n-per-center 25 --spacing 4 --seed 5",
 }
+
+# Added to every coordinate of offset/s.fmx after synth writes it, so the
+# squared norms dwarf the distances between rows.
+OFFSET = 1e3
 
 # Corpus file -> the command that writes it, in writing order; {root} is the
 # directory that holds the inputs and the files written before it.
@@ -41,6 +50,11 @@ CORPUS = {
     "sweep.json": "sweep {root}/blobs5/manifest.json --ks 2,4,8 --seed 2 --format json",
     "pair.json": "analyze {root}/pair.manifest.json",
     "blobs5.table.txt": "report {root}/blobs5-normalize.json --format table",
+    "paper.json": "analyze {root}/paper.manifest.json --clusters 2000",
+    "paper-normalize.json": "analyze {root}/paper.manifest.json --clusters 2000 --normalize",
+    "paper-sweep.json": "sweep {root}/paper/manifest.json --ks 500,1000,2000 --seed 1 --format json",
+    "narrow-normalize.json": "analyze {root}/narrow/manifest.json --seed 3 --normalize",
+    "offset.json": "analyze {root}/offset/manifest.json --seed 4",
 }
 
 # Two label streams: blobs3's 180 labels, declared at 16 Hz, resample to 281
@@ -50,6 +64,16 @@ PAIR_MANIFEST = {
     "streams": [
         {"name": "t", "path": "blobs5/t.lbl", "kind": "labels", "sample_rate_hz": 25.0},
         {"name": "s", "path": "blobs3/t.lbl", "kind": "labels", "sample_rate_hz": 16.0},
+    ],
+}
+
+# The paper's cluster count needs a manifest whose features stream names no
+# cluster count of its own: synth's names its --centers.
+PAPER_MANIFEST = {
+    "target_rate_hz": 25.0,
+    "streams": [
+        {"name": "s", "path": "paper/s.fmx", "kind": "features", "sample_rate_hz": 25.0},
+        {"name": "t", "path": "paper/t.lbl", "kind": "labels", "sample_rate_hz": 25.0},
     ],
 }
 
@@ -70,7 +94,10 @@ def build(root: Path) -> dict[str, bytes]:
     """Every corpus file, written under ``root`` from fresh synth inputs."""
     for name, args in INPUTS.items():
         assert main(["synth", *args.split(), "--out-dir", str(root / name)]) == 0
+    shifted = read_feature_matrix(root / "offset" / "s.fmx")
+    write_feature_matrix(replace(shifted, values=shifted.values + OFFSET), root / "offset" / "s.fmx")
     (root / "pair.manifest.json").write_text(json.dumps(PAIR_MANIFEST))
+    (root / "paper.manifest.json").write_text(json.dumps(PAPER_MANIFEST))
     for name, command in CORPUS.items():
         argv = [token.format(root=root) for token in command.split()]
         assert main([*argv, "--out", str(root / name)]) == 0, name

@@ -191,6 +191,32 @@ class TestLabelFile:
         with pytest.raises(FormatError, match=match):
             read_labels(path)
 
+    # np.fromstring reads a file of newlines alone as [0].
+    @pytest.mark.parametrize("raw", [b"\n", b"\n\n\n"], ids=["one-newline", "three-newlines"])
+    def test_newlines_alone_are_an_empty_file(self, tmp_path, raw):
+        path = tmp_path / "n.txt"
+        path.write_bytes(raw)
+        with pytest.raises(FormatError, match="n.txt: empty label file"):
+            read_labels(path)
+
+    # np.fromstring saturates both at 2**63 - 1.
+    @pytest.mark.parametrize("symbol", ["9" * 20, str(2**63)], ids=["20-digits", "2**63"])
+    def test_saturated_symbol_gets_the_line_loop_error(self, tmp_path, symbol):
+        path = tmp_path / "s.txt"
+        path.write_text(f"{symbol}\n")
+        with pytest.raises(FormatError, match=f"s.txt:1: symbol {symbol} exceeds the u32 limit"):
+            read_labels(path)
+
+    def test_blank_lines_keep_the_one_call_parse(self, tmp_path, monkeypatch):
+        def line_loop(raw, path):
+            raise AssertionError("took the line-by-line parse")
+
+        monkeypatch.setattr(ingestion, "_parse_label_lines", line_loop)
+        path = tmp_path / "t.txt"
+        path.write_bytes(b"1\n\n2\n")
+        s = read_labels(path)
+        assert s.symbols.tolist() == [1, 2] and s.alphabet_size == 3
+
     def test_binary_round_trip(self, tmp_path):
         s = seq([0, 5, 3, 5], alphabet_size=9)
         path = tmp_path / "s.lbl"
