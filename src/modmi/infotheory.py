@@ -17,8 +17,6 @@ table pass however many values g takes.  Logs of in-group shares keep exact
 cases exact: one group is the ungrouped sum, and dyadic independence gives 0.
 """
 
-import math
-
 import numpy as np
 
 from .errors import AlignmentError, check_tuple, check_type
@@ -46,11 +44,17 @@ def _symbols(streams=(), what="streams", least=1, **single) -> list[np.ndarray]:
 
 def _tuple_keys(arrays: list[np.ndarray]) -> np.ndarray:
     """One int64 key per aligned tuple of non-negative symbols, ordered as the
-    tuples are lexicographically (the first array most significant).
+    tuples are lexicographically (the first array most significant)."""
+    return _bounded_keys(arrays)[0]
 
-    Keys are mixed-radix numbers with radix max + 1 per array.  When the next
-    digit would overflow int64, the key so far is first replaced by its rank
-    among the distinct keys, which keeps the order.
+
+def _bounded_keys(arrays: list[np.ndarray]) -> tuple[np.ndarray, int]:
+    """The keys of :func:`_tuple_keys` and the largest key their radices allow.
+
+    Keys are mixed-radix numbers with radix max + 1 per array, so each array's
+    max is read once.  When the next digit would overflow int64, the key so
+    far is first replaced by its rank among the distinct keys, which keeps
+    the order.
     """
     key = np.array(arrays[0], dtype=np.int64)
     key_max = int(key.max())
@@ -62,24 +66,25 @@ def _tuple_keys(arrays: list[np.ndarray]) -> np.ndarray:
         key *= radix
         key += a
         key_max = key_max * radix + radix - 1
-    return key
+    return key, key_max
 
 
 def cell_counts(arrays: list[np.ndarray]) -> np.ndarray:
     """How often each occupied cell of the aligned symbol arrays occurs, in
     tuple order (the first array most significant).
 
-    When the product of the radices is at most the row count, the keys are
-    counted with ``bincount``, whose table is then no larger than the keys.
-    Otherwise the keys are sorted in place, as int32 when they fit, and each
-    run of equal keys is one cell: the counts ``np.unique`` would give, in
-    the same order.
+    When the key bound (the product of the radices less one, unless ranks
+    replaced a prefix) is below the row count, the keys are counted with
+    ``bincount``, whose table is then no larger than the keys.  Otherwise
+    the keys are sorted in place, as int32 when the bound fits, and each run
+    of equal keys is one cell: the counts ``np.unique`` would give, in the
+    same order.
     """
-    key = _tuple_keys(arrays)
-    if math.prod(int(a.max()) + 1 for a in arrays) <= key.size:
+    key, bound = _bounded_keys(arrays)
+    if bound < key.size:
         counts = np.bincount(key)
         return counts[counts.nonzero()]
-    if key.max() < 2**31:
+    if bound < 2**31:
         key = key.astype(np.int32)
     key.sort()
     starts = np.flatnonzero(key[1:] != key[:-1])

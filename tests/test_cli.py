@@ -1,7 +1,10 @@
 import ast
+import gc
 import hashlib
 import json
 import struct
+import subprocess
+import sys
 from pathlib import Path
 from xml.etree import ElementTree
 
@@ -14,7 +17,7 @@ from modmi.cli import main
 from modmi.ingestion import read_labels, write_feature_matrix, write_labels
 from modmi.report import InfoReport, render_diagram_svg, render_table
 from modmi.synthetic import gen_gaussian_mixture
-from util import features, run_cli_process, seq
+from util import child_env, features, run_cli_process, seq
 
 
 def without(text, group, key):
@@ -919,3 +922,53 @@ def test_cli_builds_no_json_text():
     modules = {a.name for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names}
     modules |= {n.module for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)}
     assert "json" not in modules
+
+
+class TestEntryPoint:
+    """``main()`` reading ``sys.argv`` is the process entry point and freezes
+    the import-time objects; ``main(argv)`` in a process leaves gc alone."""
+
+    def test_only_main_without_argv_freezes(self, xor_dir, capsys, monkeypatch):
+        argv = ["analyze", str(xor_dir / "manifest.json"), "--format", "table"]
+        freezes = []
+        monkeypatch.setattr(gc, "freeze", lambda: freezes.append(1))
+        monkeypatch.setattr(sys, "argv", ["modmi", *argv])
+        assert main() == 0
+        assert freezes == [1]
+        assert main(argv) == 0
+        assert freezes == [1]
+
+    def test_main_with_argv_leaves_the_collector_as_it_was(self, xor_dir, capsys):
+        before = gc.get_freeze_count(), gc.isenabled()
+        assert main(["analyze", str(xor_dir / "manifest.json"), "--format", "table"]) == 0
+        assert (gc.get_freeze_count(), gc.isenabled()) == before
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["analyze", "{xor}/manifest.json", "--format", "table"], 0),
+            (["analyze", "{xor}/manifest.json", "--clusters", "many"], 2),
+            (["analyze", "{xor}/manifest.json", "--format", "table"], 1),
+        ],
+        ids=["table-to-stdout", "usage-error", "data-error"],
+    )
+    def test_the_process_writes_and_exits_as_main_does(self, xor_dir, capsys, argv, code):
+        """A frozen ``python -m modmi.cli`` still flushes its output and
+        reports its exit code: bytes, messages and codes match ``main(argv)``."""
+        if code == 1:
+            (xor_dir / "t.lbl").write_bytes(b"LBL1")  # truncated header
+        argv = [a.format(xor=xor_dir) for a in argv]
+        env = child_env()
+        env.pop("PYTHONUNBUFFERED", None)  # the table reaches the pipe only if exit flushes it
+        done = subprocess.run(
+            [sys.executable, "-m", "modmi.cli", *argv], capture_output=True, env=env
+        )
+        try:
+            got = main(argv)
+        except SystemExit as exc:
+            got = exc.code
+        captured = capsys.readouterr()
+        assert (done.returncode, got) == (code, code)
+        assert (captured.out if code == 0 else captured.err) != ""
+        assert done.stdout == captured.out.encode()
+        assert done.stderr.decode() == captured.err
